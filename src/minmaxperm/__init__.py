@@ -59,9 +59,7 @@ from .reconstruction import (
     min_unique_k,
 )
 from .solvers import (
-    BOrientation,
     Orientation,
-    Setting,
     SolveOutcome,
     brute_force_solutions,
     solve_fpt_directed,

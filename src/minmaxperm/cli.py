@@ -11,7 +11,8 @@ Subcommands:
     counterexample N K [--directed]       explicit collision pair
 
 Every subcommand accepts --json for a single structured report object.
-Exit codes: 0 success/witness, 1 NO / non-unique / mismatch, 2 input error.
+Exit codes: 0 success/witness, 1 NO / non-unique / mismatch, 2 input error,
+3 internal fault (a solver caught itself producing an inconsistent answer).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 from .errors import (
     BadEndpoints,
     COutOfRange,
+    InternalInconsistency,
     KMismatch,
     MismatchedN,
     NotBijection,
@@ -290,6 +292,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalInconsistency as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry_point() -> None:

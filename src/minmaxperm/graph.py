@@ -11,12 +11,15 @@ the profile under construction.  Four rules create arcs:
 
 `build_easy_arcs` seeds R/B arcs from a directed profile and closes under
 T/NB; NB-constraints that the closure orients neither way are reported as
-silent.  `build_closure` is the reusable closure engine; the undirected
-pipeline also feeds it silent betweenness pairs whose orientations (the
-arc sets Arcs+/Arcs-) propagate as a unit.
+silent.  The undirected pipeline also feeds the closure betweenness pairs
+whose orientations (the arc sets Arcs+/Arcs-) propagate as a unit.
 
-Adjacency is kept as per-vertex bitmasks; every graph here has at most a
-few dozen vertices, and closure is called once per candidate setting.
+All closure runs through one incremental engine, `Closure`: successor and
+predecessor bitmasks kept transitively closed under arc insertion, with the
+NB and B rules fired only by the pairs they watch and a cycle detected at
+the insertion that closes it.  `close`/`build_closure` and
+`build_easy_arcs` run it once to the fixpoint; the solvers' search copies
+its masks at each node and inserts only the arcs of one decision.
 """
 
 from __future__ import annotations
@@ -165,60 +168,134 @@ def b_arc_pairs(F: Profile) -> list[BArcPair]:
 # Closure engine
 # ---------------------------------------------------------------------------
 
-def _transitive_pass(g: PrecedenceGraph) -> bool:
-    """One full transitive-closure sweep (boolean Floyd-Warshall)."""
-    rows = g.rows
-    V = len(rows)
-    before = list(rows)
-    for c in range(V):
-        rc = rows[c]
-        if not rc:
-            continue
-        bit = 1 << c
-        for x in range(V):
-            if rows[x] & bit:
-                rows[x] |= rc
-    changed = False
-    for x in range(V):
-        rows[x] &= ~(1 << x)
-        new = rows[x] & ~before[x]
-        while new:
-            b = new & -new
-            g.kinds[(x, b.bit_length() - 1)] = ArcKind.T
-            new ^= b
-            changed = True
-    return changed
+Arc = tuple[int, int, ArcKind]
 
 
-def _nb_pass(g: PrecedenceGraph, records: Sequence[NBRecord]) -> bool:
-    changed = False
-    for rec in records:
-        a = rec.top
-        t, u = rec.basis
-        ra = g.rows[a]
-        bt, bu = 1 << t, 1 << u
-        if ra & bt and not ra & bu:
-            changed |= g.add_arc(a, u, ArcKind.NB)
-        elif ra & bu and not ra & bt:
-            changed |= g.add_arc(a, t, ArcKind.NB)
-        ba = 1 << a
-        if g.rows[t] & ba and not g.rows[u] & ba:
-            changed |= g.add_arc(u, a, ArcKind.NB)
-        elif g.rows[u] & ba and not g.rows[t] & ba:
-            changed |= g.add_arc(t, a, ArcKind.NB)
-    return changed
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _b_pass(g: PrecedenceGraph, pairs: Sequence[BArcPair]) -> bool:
-    changed = False
-    for bp in pairs:
-        if any(g.has_arc(x, y) for x, y in bp.plus):
-            for x, y in bp.plus:
-                changed |= g.add_arc(x, y, ArcKind.B)
-        if any(g.has_arc(x, y) for x, y in bp.minus):
-            for x, y in bp.minus:
-                changed |= g.add_arc(x, y, ArcKind.B)
-    return changed
+class Closure:
+    """A transitively closed arc set on {0..n+1} that grows by insertion.
+
+    succ[x] holds the vertices x reaches and pred[y] the vertices reaching
+    y, never x or y itself.  Inserting (x, y) ORs succ[y] | bit(y) into x
+    and into every predecessor of x (incremental transitive closure,
+    Italiano 1986).  The pairs this creates fire only the rules watching
+    them: an NB record (a, (t, t+1)) watches a's row and column at t and
+    t+1, and a B-pair side watches each of its arcs.  An insertion whose
+    head already reaches its tail closes a cycle and sets `cyclic`.
+
+    By default the closure runs on to the full fixpoint, through cycles,
+    and `kinds` maps every pair to the rule that first derived it.  A
+    `search` closure stops at the first cycle and keeps no kinds; copies
+    never carry kinds either, so a search node copies two lists of masks.
+    """
+
+    __slots__ = ("succ", "pred", "cyclic", "stop_at_cycle", "kinds",
+                 "_nb", "_b_mask", "_b_sides")
+
+    def __init__(self, graph: PrecedenceGraph, records: Sequence[NBRecord] = (),
+                 b_pairs: Sequence[BArcPair] = (), *, search: bool = False):
+        V = graph.num_vertices
+        self.succ = [0] * V
+        self.pred = [0] * V
+        self.cyclic = False
+        self.stop_at_cycle = search
+        self.kinds = None if search else dict(graph.kinds)
+        # _nb[a] has bit t for every NB record (a, (t, t+1))
+        self._nb = [0] * V
+        for rec in records:
+            self._nb[rec.top] |= 1 << rec.basis[0]
+        self._b_mask = [0] * V
+        self._b_sides: dict[tuple[int, int], list[tuple[Arc, ...]]] = {}
+        for bp in b_pairs:
+            for side in (bp.plus, bp.minus):
+                arcs = tuple((x, y, ArcKind.B) for x, y in side)
+                for x, y in side:
+                    self._b_mask[x] |= 1 << y
+                    self._b_sides.setdefault((x, y), []).append(arcs)
+        self.add([(x, y, ArcKind.T) for x, row in enumerate(graph.rows) for y in _bits(row)])
+
+    def copy(self) -> "Closure":
+        c = Closure.__new__(Closure)
+        c.succ = self.succ[:]
+        c.pred = self.pred[:]
+        c.cyclic = self.cyclic
+        c.stop_at_cycle = self.stop_at_cycle
+        c.kinds = None
+        c._nb, c._b_mask, c._b_sides = self._nb, self._b_mask, self._b_sides
+        return c
+
+    def linked(self, x: int, y: int) -> bool:
+        """Whether an arc joins x and y in either direction."""
+        return bool(self.succ[x] >> y & 1 or self.succ[y] >> x & 1)
+
+    def add(self, arcs: Iterable[Arc]) -> None:
+        """Insert the arcs (x, y, kind) and propagate to the fixpoint, or,
+        in a search closure, up to the first cycle."""
+        succ, pred, kinds = self.succ, self.pred, self.kinds
+        nb, b_mask, b_sides = self._nb, self._b_mask, self._b_sides
+        todo = list(arcs)
+        while todo:
+            x, y, kind = todo.pop()
+            if x == y or succ[x] >> y & 1:
+                continue
+            if succ[y] >> x & 1:
+                self.cyclic = True
+                if self.stop_at_cycle:
+                    return
+            if kinds is not None:
+                kinds.setdefault((x, y), kind)
+            # only vertices that did not yet reach y gain anything, and only
+            # vertices x did not yet reach gain predecessors
+            heads = succ[y] | 1 << y
+            tails = pred[x] | 1 << x
+            gainers = tails & ~pred[y]
+            gained = heads & ~succ[x]
+            while gainers:
+                low = gainers & -gainers
+                gainers ^= low
+                p = low.bit_length() - 1
+                row = succ[p]
+                new = heads & ~row & ~low
+                row |= new
+                succ[p] = row
+                if kinds is not None:
+                    for q in _bits(new):
+                        kinds.setdefault((p, q), ArcKind.T)
+                sides = new & b_mask[p]
+                if sides:
+                    for q in _bits(sides):
+                        for side in b_sides[(p, q)]:
+                            todo.extend(side)
+                bases = nb[p]
+                if bases:
+                    forced = ((row & bases) << 1 | (row >> 1) & bases) & ~row
+                    if forced:
+                        todo.extend((p, q, ArcKind.NB) for q in _bits(forced))
+            while gained:
+                low = gained & -gained
+                gained ^= low
+                q = low.bit_length() - 1
+                col = pred[q] | tails & ~low
+                pred[q] = col
+                bases = nb[q]
+                if bases:
+                    forced = ((col & bases) << 1 | (col >> 1) & bases) & ~col
+                    if forced:
+                        todo.extend((p, q, ArcKind.NB) for p in _bits(forced))
+
+    def graph(self) -> PrecedenceGraph:
+        """The closed arc set as a graph, kinds included (not for search
+        closures or copies, which keep none)."""
+        g = PrecedenceGraph(len(self.succ) - 2)
+        g.rows = list(self.succ)
+        g.kinds = self.kinds
+        return g
 
 
 def close(graph: PrecedenceGraph, records: Sequence[NBRecord],
@@ -229,14 +306,7 @@ def close(graph: PrecedenceGraph, records: Sequence[NBRecord],
     regardless of application order.  The output may contain 2-cycles when
     the constraints are contradictory; callers run has_cycle.
     """
-    g = graph.copy()
-    while True:
-        changed = _transitive_pass(g)
-        changed |= _nb_pass(g, records)
-        if b_pairs:
-            changed |= _b_pass(g, b_pairs)
-        if not changed:
-            return g
+    return Closure(graph, records, b_pairs).graph()
 
 
 def build_closure(G: PrecedenceGraph, NBc: Sequence[NBRecord]) -> PrecedenceGraph:
@@ -295,8 +365,13 @@ def topo_sort(G: PrecedenceGraph) -> Permutation:
     ends with n+1 whenever the graph's constraints pin them there, which is
     the case for every graph the solvers produce.
     """
-    incoming = _in_masks(G)
-    V = len(G.rows)
+    return topo_order(_in_masks(G))
+
+
+def topo_order(incoming: Sequence[int]) -> Permutation:
+    """`topo_sort` on the graph whose vertex v has in-neighbour mask
+    incoming[v] (a closed graph's predecessor masks serve as they are)."""
+    V = len(incoming)
     remaining = (1 << V) - 1
     order = []
     for _ in range(V):
@@ -345,6 +420,18 @@ def require_solver_profile(F: Profile, *, directed: bool) -> None:
             raise PreconditionViolation("expected an undirected profile")
 
 
+def easy_arc_seeds(F: Profile) -> PrecedenceGraph:
+    """The unclosed graph of R- and B-arcs a directed gap-1 profile states."""
+    g = PrecedenceGraph(F.n)
+    for c in F.entries():
+        t = c.t
+        tl, tr = (t, t + 1) if c.dir is Direction.LEFT_TO_RIGHT else (t + 1, t)
+        g.add_arc(tl, tr, ArcKind.R)
+        for x, y in ((tl, c.m), (c.m, tr), (tl, c.M), (c.M, tr)):
+            g.add_arc(x, y, ArcKind.B)
+    return g
+
+
 def build_easy_arcs(F: Profile) -> EasyArcsResult:
     """Seed R- and B-arcs from a directed gap-1 profile, close under the
     T/NB rules, and report the NB-constraints left silent.
@@ -353,17 +440,11 @@ def build_easy_arcs(F: Profile) -> EasyArcsResult:
     the graph and silent set are returned either way.
     """
     require_solver_profile(F, directed=True)
-    g = PrecedenceGraph(F.n)
-    for c in F.entries():
-        t = c.t
-        tl, tr = (t, t + 1) if c.dir is Direction.LEFT_TO_RIGHT else (t + 1, t)
-        g.add_arc(tl, tr, ArcKind.R)
-        for x, y in ((tl, c.m), (c.m, tr), (tl, c.M), (c.M, tr)):
-            g.add_arc(x, y, ArcKind.B)
-    records = tuple(nb_records(F))
-    g = build_closure(g, records)
-    silent = tuple(r for r in records if not is_settled(g, r))
-    verdict = Verdict.NO if has_cycle(g) else Verdict.SAT_SO_FAR
+    records = nb_records(F)
+    closure = Closure(easy_arc_seeds(F), records)
+    g = closure.graph()
+    silent = tuple(r for r in records if not closure.linked(r.top, r.basis[0]))
+    verdict = Verdict.NO if closure.cyclic else Verdict.SAT_SO_FAR
     return EasyArcsResult(graph=g, silent=silent, verdict=verdict)
 
 

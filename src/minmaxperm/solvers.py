@@ -1,11 +1,21 @@
 """Solvers for profile satisfiability: linear, FPT, undirected, brute force.
 
-All three structured solvers share the same skeleton: derive arcs, close,
-and read a witness off a topological order.  A returned witness is always
-re-verified against the input profile (recompute and compare) before being
-handed out; a verification failure on a fully settled acyclic graph is
-impossible by construction and raises InternalInconsistency rather than
-leaking a bad answer.
+The three structured solvers run one depth-first branch-and-propagate
+search.  Its root is the closure of the arcs a profile states; a node adds
+one orientation of an open silent constraint to its parent's closure and
+propagates it incrementally, a node whose closure hits a cycle is pruned,
+and a node with no open constraint left yields a witness read off a
+topological order.  The search keeps an explicit stack, so its depth is
+not bounded by Python's recursion limit; its worst case stays 2^s nodes
+for s silent constraints (betweenness is NP-complete), but propagation
+settles most constraints without a branch.  The linear solver is the same
+search with the paper's branching rule, which never backtracks on a
+linear profile.
+
+A returned witness is always re-verified against the input profile
+(recompute and compare) before being handed out; a verification failure
+on a fully settled acyclic graph is impossible by construction and raises
+InternalInconsistency rather than leaking a bad answer.
 
 The brute-force enumerator is the independent oracle: it never touches the
 precedence machinery, it just matches every candidate permutation's
@@ -16,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 from ._kernels import iter_perm_arrays, match_profile
 from .errors import (
@@ -26,19 +37,16 @@ from .errors import (
     TooLarge,
 )
 from .graph import (
+    Arc,
     ArcKind,
     BArcPair,
+    Closure,
     PrecedenceGraph,
-    Verdict,
     b_arc_pairs,
-    build_closure,
-    build_easy_arcs,
-    close,
+    easy_arc_seeds,
     endpoint_seeded_graph,
-    has_cycle,
-    is_settled,
     require_solver_profile,
-    topo_sort,
+    topo_order,
 )
 from .profiles import (
     NBRecord,
@@ -60,24 +68,14 @@ class Orientation(enum.Enum):
     BASIS_FIRST = "basis-first"  # arcs t->top, t+1->top
 
 
-class BOrientation(enum.Enum):
-    """Chosen side for a silent betweenness pair (undirected case)."""
-
-    PLUS = "+"   # t left of t+1
-    MINUS = "-"
-
-
-@dataclass(frozen=True)
-class Setting:
-    """A total orientation choice over the silent constraints of one run."""
-
-    nb: tuple[tuple[NBRecord, Orientation], ...]
-    b: tuple[tuple[int, BOrientation], ...] = ()
-
-
 @dataclass(frozen=True)
 class SolveOutcome:
-    """Witness permutation, or None for the verdict No, plus diagnostics."""
+    """Witness permutation, or None for the verdict No, plus diagnostics.
+
+    silent_nb and silent_b are the constraints the root closure leaves
+    open (empty when that closure already has a cycle); settings_tested
+    counts the search nodes visited, the root included.
+    """
 
     witness: Permutation | None
     silent_nb: tuple[NBRecord, ...] = ()
@@ -112,14 +110,6 @@ def brute_force_solutions(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> list[Pe
     return out
 
 
-def _checked_witness(g: PrecedenceGraph, F: Profile, context: str) -> Permutation:
-    w = topo_sort(g)
-    if not verify(w, F):
-        raise InternalInconsistency(
-            f"{context}: topological order {w} does not reproduce the profile")
-    return w
-
-
 def _nb_setting_arcs(rec: NBRecord, orient: Orientation) -> tuple[tuple[int, int], tuple[int, int]]:
     t, u = rec.basis
     a = rec.top
@@ -128,94 +118,133 @@ def _nb_setting_arcs(rec: NBRecord, orient: Orientation) -> tuple[tuple[int, int
     return (t, a), (u, a)
 
 
-def _setting_from_counter(counter: int, silent_b: list[BArcPair],
-                          silent_nb: list[NBRecord]) -> Setting:
-    """Decode one binary-counter value: B pairs occupy the low bits (in
-    ascending t), NB records the high bits (sorted by basis, then top);
-    bit value 0 means Plus / TopFirst."""
-    b = tuple(
-        (bp.t, BOrientation.MINUS if counter >> j & 1 else BOrientation.PLUS)
-        for j, bp in enumerate(silent_b))
-    base = len(silent_b)
-    nb = tuple(
-        (rec, Orientation.BASIS_FIRST if counter >> (base + j) & 1 else Orientation.TOP_FIRST)
-        for j, rec in enumerate(silent_nb))
-    return Setting(nb=nb, b=b)
+# ---------------------------------------------------------------------------
+# Branch-and-propagate search
+# ---------------------------------------------------------------------------
+
+class _Choice(NamedTuple):
+    """A silent constraint: open while no arc joins x and y; sides are its
+    two orientations as arc sets, in the order the default rule tries them."""
+
+    x: int
+    y: int
+    sides: tuple[tuple[Arc, ...], tuple[Arc, ...]]
 
 
-def _apply_setting(g: PrecedenceGraph, setting: Setting,
-                   pairs_by_t: dict[int, BArcPair]) -> None:
-    for t, orient in setting.b:
-        bp = pairs_by_t[t]
-        arcs = bp.plus if orient is BOrientation.PLUS else bp.minus
-        for x, y in arcs:
-            g.add_arc(x, y, ArcKind.B)
-    for rec, orient in setting.nb:
-        for x, y in _nb_setting_arcs(rec, orient):
-            g.add_arc(x, y, ArcKind.NB)
+def _nb_choice(rec: NBRecord) -> _Choice:
+    sides = tuple(tuple((x, y, ArcKind.NB) for x, y in _nb_setting_arcs(rec, orient))
+                  for orient in (Orientation.TOP_FIRST, Orientation.BASIS_FIRST))
+    return _Choice(rec.top, rec.basis[0], sides)
+
+
+def _b_choice(bp: BArcPair) -> _Choice:
+    sides = tuple(tuple((x, y, ArcKind.B) for x, y in side) for side in (bp.plus, bp.minus))
+    return _Choice(bp.t, bp.t + 1, sides)
+
+
+_Branch = Callable[[list[_Choice]], Sequence[tuple[Arc, ...]]]
+
+
+def _first_open(open_: list[_Choice]) -> Sequence[tuple[Arc, ...]]:
+    return open_[0].sides
+
+
+def _search(root: Closure, choices: list[_Choice], F: Profile, context: str,
+            branch: _Branch = _first_open, backtrack: bool = True
+            ) -> tuple[Permutation | None, int]:
+    """Depth-first search from a closed root; returns (witness or None,
+    nodes visited).  `branch` maps the open constraints of a node to the
+    arc sets of its children, in the order they are tried.  Without
+    `backtrack`, a child whose closure hits a cycle is a fault."""
+    stack: list[tuple[Closure, tuple[Arc, ...], list[_Choice]]] = [(root, (), choices)]
+    nodes = 0
+    while stack:
+        node, arcs, pending = stack.pop()
+        nodes += 1
+        if arcs:
+            node = node.copy()
+            node.add(arcs)
+        if node.cyclic:
+            if arcs and not backtrack:
+                raise InternalInconsistency(f"{context}: a decision produced a cycle")
+            continue
+        open_ = [c for c in pending if not node.linked(c.x, c.y)]
+        if not open_:
+            w = topo_order(node.pred)
+            if not verify(w, F):
+                raise InternalInconsistency(
+                    f"{context}: topological order {w} does not reproduce the profile")
+            return w, nodes
+        for side in reversed(branch(open_)):
+            stack.append((node, side, open_))
+    return None, nodes
+
+
+def _linear_branch(F: Profile, choices: list[_Choice]) -> _Branch:
+    """The paper's rule: the open top with the largest NB set (ties: the
+    smallest top) goes after its smallest open basis."""
+    nb_size = {top: len(nb_set(F, top)) for top in {c.x for c in choices}}
+
+    def branch(open_: list[_Choice]) -> Sequence[tuple[Arc, ...]]:
+        top = max({c.x for c in open_}, key=lambda a: (nb_size[a], -a))
+        pick = min((c for c in open_ if c.x == top), key=lambda c: c.y)
+        return (pick.sides[1],)
+    return branch
+
+
+def _directed_root(F: Profile) -> tuple[Closure, list[NBRecord]]:
+    require_solver_profile(F, directed=True)
+    records = nb_records(F)
+    root = Closure(easy_arc_seeds(F), records, search=True)
+    if root.cyclic:
+        return root, []
+    return root, [r for r in records if not root.linked(r.top, r.basis[0])]
 
 
 def solve_linear(F: Profile) -> SolveOutcome:
     """Polynomial decision procedure for directed linear gap-1 profiles.
 
-    Repeatedly picks the silent top with the largest NB set (ties: smallest
-    top), sets it after the smallest silent basis naming it, and re-closes;
-    linearity guarantees no cycle ever appears after a clean start, so the
-    loop always drains the silent set.
+    The search with the paper's branching rule: repeatedly set the silent
+    top with the largest NB set (ties: smallest top) after the smallest
+    silent basis naming it.  Linearity guarantees no cycle ever appears
+    after a clean root, so the search visits one node per decision plus
+    the root; a cycle raises InternalInconsistency.
     """
     if not F.directed:
         raise NotDirected("the linear solver needs a directed profile")
     if not is_linear(F):
         raise NotLinear("profile intervals do not form an inclusion chain")
-    res = build_easy_arcs(F)
-    if res.verdict is Verdict.NO:
-        return SolveOutcome(witness=None, silent_nb=res.silent)
-    g = res.graph
-    silent = list(res.silent)
-    rounds = 0
-    while silent:
-        tops = {r.top for r in silent}
-        b1 = max(tops, key=lambda c: (len(nb_set(F, c)), -c))
-        a1 = min(r.basis[0] for r in silent if r.top == b1)
-        g = g.copy()
-        g.add_arc(a1, b1, ArcKind.NB)
-        g = build_closure(g, silent)
-        if has_cycle(g):
-            raise InternalInconsistency(
-                "linear profile produced a cycle while draining silent constraints")
-        still = [r for r in silent if not is_settled(g, r)]
-        if len(still) == len(silent):
-            raise InternalInconsistency("silent set failed to shrink")
-        silent = still
-        rounds += 1
-    w = _checked_witness(g, F, "linear solver")
-    return SolveOutcome(witness=w, silent_nb=res.silent, settings_tested=rounds)
+    root, silent = _directed_root(F)
+    choices = [_nb_choice(r) for r in silent]
+    w, nodes = _search(root, choices, F, "linear solver",
+                       branch=_linear_branch(F, choices), backtrack=False)
+    return SolveOutcome(witness=w, silent_nb=tuple(silent), settings_tested=nodes)
 
 
 def solve_fpt_directed(F: Profile) -> SolveOutcome:
-    """Exact solver for directed gap-1 profiles: enumerate the 2^s
-    orientations of the s silent NB-constraints in binary-counter order.
+    """Exact solver for directed gap-1 profiles: search over the
+    orientations of the silent NB-constraints, top-first before
+    basis-first, first open constraint in (basis, top) order.
 
-    The first setting whose closure is acyclic yields the witness; if none
-    is, the answer is No.
+    The first acyclic node with every constraint settled yields the
+    witness; if the search exhausts, the answer is No.
     """
     if not F.directed:
         raise NotDirected("the FPT solver needs a directed profile")
-    res = build_easy_arcs(F)
-    if res.verdict is Verdict.NO:
-        return SolveOutcome(witness=None, silent_nb=res.silent)
-    silent = list(res.silent)
-    for counter in range(1 << len(silent)):
-        setting = _setting_from_counter(counter, [], silent)
-        g = res.graph.copy()
-        _apply_setting(g, setting, {})
-        g = build_closure(g, silent)
-        if has_cycle(g):
-            continue
-        w = _checked_witness(g, F, "FPT solver")
-        return SolveOutcome(witness=w, silent_nb=res.silent, settings_tested=counter + 1)
-    return SolveOutcome(witness=None, silent_nb=res.silent,
-                        settings_tested=1 << len(silent))
+    root, silent = _directed_root(F)
+    w, nodes = _search(root, [_nb_choice(r) for r in silent], F, "FPT solver")
+    return SolveOutcome(witness=w, silent_nb=tuple(silent), settings_tested=nodes)
+
+
+def _undirected_root(F: Profile, search: bool) -> tuple[
+        Closure, list[NBRecord], list[BArcPair], list[NBRecord], list[BArcPair]]:
+    require_solver_profile(F, directed=False)
+    records = nb_records(F)
+    pairs = b_arc_pairs(F)
+    root = Closure(endpoint_seeded_graph(F.n), records, pairs, search=search)
+    silent_nb = [r for r in records if not root.linked(r.top, r.basis[0])]
+    silent_b = [bp for bp in pairs if not root.linked(bp.t, bp.t + 1)]
+    return root, records, pairs, silent_nb, silent_b
 
 
 def undirected_base(F: Profile) -> tuple[PrecedenceGraph, list[NBRecord],
@@ -226,14 +255,8 @@ def undirected_base(F: Profile) -> tuple[PrecedenceGraph, list[NBRecord],
     sets into settled and silent.  Returns (graph, nb_records, b_pairs,
     silent_nb, silent_b).
     """
-    require_solver_profile(F, directed=False)
-    records = nb_records(F)
-    pairs = b_arc_pairs(F)
-    g = close(endpoint_seeded_graph(F.n), records, pairs)
-    silent_nb = [r for r in records if not is_settled(g, r)]
-    silent_b = [bp for bp in pairs
-                if not g.has_arc(bp.t, bp.t + 1) and not g.has_arc(bp.t + 1, bp.t)]
-    return g, records, pairs, silent_nb, silent_b
+    root, records, pairs, silent_nb, silent_b = _undirected_root(F, search=False)
+    return root.graph(), records, pairs, silent_nb, silent_b
 
 
 def solve_undirected(F: Profile, method: str = "fpt",
@@ -243,8 +266,9 @@ def solve_undirected(F: Profile, method: str = "fpt",
     method "brute" delegates to the exhaustive oracle (n <= cap_n).
     method "fpt" runs the generalized pipeline: no R/B arcs exist up front,
     so the closure engine also propagates betweenness pairs (one arc of
-    Arcs+ drags in all of Arcs+, same for Arcs-), and the silent B pairs
-    and silent NB records are enumerated jointly, B bits low.
+    Arcs+ drags in all of Arcs+, same for Arcs-), and the search branches
+    on the silent B pairs (plus side first, ascending t) before the silent
+    NB records.
     """
     if method == "brute":
         require_solver_profile(F, directed=False)
@@ -252,19 +276,10 @@ def solve_undirected(F: Profile, method: str = "fpt",
         return SolveOutcome(witness=sols[0] if sols else None)
     if method != "fpt":
         raise ValueError(f"unknown method {method!r}")
-    g0, records, pairs, silent_nb, silent_b = undirected_base(F)
-    diag = dict(silent_nb=tuple(silent_nb), silent_b=tuple(bp.t for bp in silent_b))
-    if has_cycle(g0):
-        return SolveOutcome(witness=None, **diag)
-    pairs_by_t = {bp.t: bp for bp in pairs}
-    total = 1 << (len(silent_b) + len(silent_nb))
-    for counter in range(total):
-        setting = _setting_from_counter(counter, silent_b, silent_nb)
-        g = g0.copy()
-        _apply_setting(g, setting, pairs_by_t)
-        g = close(g, records, pairs)
-        if has_cycle(g):
-            continue
-        w = _checked_witness(g, F, "undirected solver")
-        return SolveOutcome(witness=w, settings_tested=counter + 1, **diag)
-    return SolveOutcome(witness=None, settings_tested=total, **diag)
+    root, _, _, silent_nb, silent_b = _undirected_root(F, search=True)
+    if root.cyclic:
+        silent_nb, silent_b = [], []
+    choices = [_b_choice(bp) for bp in silent_b] + [_nb_choice(r) for r in silent_nb]
+    w, nodes = _search(root, choices, F, "undirected solver")
+    return SolveOutcome(witness=w, silent_nb=tuple(silent_nb),
+                        silent_b=tuple(bp.t for bp in silent_b), settings_tested=nodes)

@@ -170,6 +170,21 @@ class TestCounterexampleCommand:
         assert "error" in capsys.readouterr().err
 
 
+class TestInternalFault:
+    def test_exit_code_3(self, golden_profile_file, monkeypatch, capsys):
+        import minmaxperm.cli as cli
+        from minmaxperm import InternalInconsistency
+
+        def broken(F):
+            raise InternalInconsistency("witness does not reproduce the profile")
+        monkeypatch.setattr(cli, "solve_fpt_directed", broken)
+        assert main(["solve", golden_profile_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "internal error: witness does not reproduce the profile"]
+
+
 class TestInputErrors:
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/x.prof"]) == 2

@@ -23,11 +23,12 @@ from minmaxperm import (
     topo_sort,
     validate_permutation,
 )
-from minmaxperm.graph import close, require_solver_profile
+from minmaxperm.graph import Closure, close, require_solver_profile
 from minmaxperm.profiles import NBRecord
 
 from helpers import (
     SETTING_PERM,
+    U,
     all_perms,
     golden_profile,
     identity_perm,
@@ -271,3 +272,60 @@ class TestClosureInvariants:
                     t, u = r.basis
                     for p, q in ((a, t), (a, u)):
                         assert not g.has_arc(p, q) and not g.has_arc(q, p)
+
+
+class TestClosureEngine:
+    """The incremental engine against the one-rule-at-a-time reference, on
+    random graphs (cycles included) with random NB records and B pairs."""
+
+    @staticmethod
+    def random_case(rng):
+        n = rng.randint(1, 6)
+        V = n + 2
+        g = PrecedenceGraph(n)
+        for _ in range(rng.randint(0, 2 * V)):
+            g.add_arc(rng.randrange(V), rng.randrange(V), ArcKind.R)
+        records = []
+        for _ in range(rng.randint(0, 2 * V)):
+            t, top = rng.randrange(n + 1), rng.randrange(V)
+            if top not in (t, t + 1):
+                records.append(NBRecord(basis=(t, t + 1), top=top))
+        entries = [(t, U, rng.randint(0, t), rng.randint(t + 1, n + 1)) for t in range(n + 1)]
+        pairs = b_arc_pairs(make_profile(entries, n=n, directed=False))
+        pairs = rng.sample(pairs, rng.randint(0, len(pairs)))
+        return g, records, pairs
+
+    def test_matches_reference_and_flags_cycles(self):
+        rng = random.Random(1986)
+        cyclic_cases = 0
+        for _ in range(150):
+            g, records, pairs = self.random_case(rng)
+            closed = close(g, records, pairs)
+            assert closed == reference_close(g, records, pairs, rng)
+            assert len(closed.arcs()) == closed.num_arcs  # every arc has a kind
+            cyclic = has_cycle(closed)
+            cyclic_cases += cyclic
+            state = Closure(g, records, pairs)
+            assert state.cyclic == cyclic
+            V = g.num_vertices
+            assert all(state.pred[y] >> x & 1 == state.succ[x] >> y & 1
+                       for x in range(V) for y in range(V))
+            assert Closure(g, records, pairs, search=True).cyclic == cyclic
+        assert 20 <= cyclic_cases <= 130
+
+    def test_incremental_equals_batch(self):
+        # inserting arcs into a closed state and closing from scratch agree
+        rng = random.Random(1962)
+        for _ in range(100):
+            g, records, pairs = self.random_case(rng)
+            V = g.num_vertices
+            extra = [(rng.randrange(V), rng.randrange(V)) for _ in range(3)]
+            state = Closure(g, records, pairs)
+            step = state.copy()
+            assert step.kinds is None
+            step.add([(x, y, ArcKind.NB) for x, y in extra])
+            h = g.copy()
+            for x, y in extra:
+                h.add_arc(x, y, ArcKind.NB)
+            assert step.succ == close(h, records, pairs).rows
+            assert step.cyclic == has_cycle(close(h, records, pairs))

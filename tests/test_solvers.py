@@ -3,6 +3,7 @@ import random
 import pytest
 
 from minmaxperm import (
+    InternalInconsistency,
     MismatchedN,
     NotDirected,
     NotLinear,
@@ -12,6 +13,9 @@ from minmaxperm import (
     brute_force_solutions,
     build_easy_arcs,
     compute_profile,
+    is_linear,
+    is_settled,
+    nb_set,
     solve_fpt_directed,
     solve_linear,
     solve_undirected,
@@ -27,8 +31,11 @@ from helpers import (
     golden_profile,
     golden_swap_family,
     identity_perm,
+    U,
     make_profile,
     mutate_directed,
+    mutate_undirected,
+    random_perm,
     random_valid_directed,
     unsat2_profile,
 )
@@ -233,3 +240,100 @@ class TestFptMonotonicity:
                     closed = build_closure(g, res.silent)
                     assert not has_cycle(closed)
                     assert all(pos[x] < pos[y] for x, y, _ in closed.arcs())
+
+
+def _paper_linear_rounds(F):
+    """Rounds of the paper's linear algorithm, replayed on the public
+    closure: set the silent top with the largest NB set after its smallest
+    silent basis, re-close, repeat until nothing is silent."""
+    res = build_easy_arcs(F)
+    g, silent = res.graph, list(res.silent)
+    rounds = 0
+    while silent:
+        top = max({r.top for r in silent}, key=lambda c: (len(nb_set(F, c)), -c))
+        basis = min(r.basis[0] for r in silent if r.top == top)
+        g = g.copy()
+        g.add_arc(basis, top, ArcKind.NB)
+        g = build_closure(g, silent)
+        assert not has_cycle(g)
+        silent = [r for r in silent if not is_settled(g, r)]
+        rounds += 1
+    return rounds
+
+
+# An undirected NO profile (n = 9) that the search refutes only after
+# branching: its root closure is acyclic and both children of the root die.
+BRANCHING_NO_ENTRIES = [
+    (0, U, 0, 9), (1, U, 1, 9), (2, U, 2, 3), (3, U, 2, 9), (4, U, 4, 7),
+    (5, U, 4, 6), (6, U, 4, 7), (7, U, 2, 9), (8, U, 2, 9), (9, U, 1, 10),
+]
+
+
+class TestSearch:
+    def test_undirected_n10_regression(self):
+        # 15 silent NB records and 5 silent B pairs; the former 2^s counter
+        # loop tested 228,883 settings (56.6 s) before reaching a witness
+        F = compute_profile(validate_permutation([0, 9, 2, 1, 10, 4, 3, 7, 8, 6, 5, 11]), 1, False)
+        out = solve_undirected(F)
+        assert len(out.silent_nb) == 15 and len(out.silent_b) == 5
+        assert out.witness is not None and verify(out.witness, F)
+        assert out.settings_tested <= 10
+
+    def test_directed_n150(self):
+        F = compute_profile(random_perm(random.Random(1), 150), 1, True)
+        out = solve_fpt_directed(F)
+        assert out.witness is not None and verify(out.witness, F)
+        assert len(out.silent_nb) > 30
+        # propagation settles most constraints: no more than one node per
+        # silent constraint, where the counter loop faced 2^s settings
+        assert out.settings_tested <= len(out.silent_nb) + 1
+
+    def test_linear_one_node_per_decision(self):
+        # n = 8 is the first size with profiles that take two decisions
+        for n in range(1, 9):
+            for P in all_perms(n):
+                F = compute_profile(P, 1, True)
+                if not is_linear(F):
+                    continue
+                out = solve_linear(F)
+                assert out.settings_tested == _paper_linear_rounds(F) + 1, P
+
+    def test_branching_no(self):
+        F = make_profile(BRANCHING_NO_ENTRIES, n=9, directed=False)
+        out = solve_undirected(F)
+        assert out.is_no and out.settings_tested == 3
+        assert brute_force_solutions(F) == []
+
+    def test_backtrack_is_a_fault_when_disallowed(self, monkeypatch):
+        # the linear solver searches without backtracking: a dead end there
+        # is an internal fault, never a NO
+        import minmaxperm.solvers as solvers
+        search = solvers._search
+        monkeypatch.setattr(solvers, "_search",
+                            lambda *a, **kw: search(*a, **{**kw, "backtrack": False}))
+        with pytest.raises(InternalInconsistency):
+            solve_undirected(make_profile(BRANCHING_NO_ENTRIES, n=9, directed=False))
+
+
+def _agrees_with_oracle(F):
+    out = solve_undirected(F, method="fpt")
+    sols = brute_force_solutions(F)
+    assert out.is_no == (not sols), F
+    if sols:
+        assert out.witness in sols
+
+
+class TestUndirectedOracleSweep:
+    def test_all_perms_small_unedited_and_edited(self):
+        rng = random.Random(2026)
+        for n in range(1, 7):
+            for P in all_perms(n):
+                F = compute_profile(P, 1, False)
+                _agrees_with_oracle(F)
+                _agrees_with_oracle(mutate_undirected(rng, F))
+
+    def test_seeded_mutated_n7(self):
+        rng = random.Random(707)
+        for _ in range(300):
+            _agrees_with_oracle(
+                mutate_undirected(rng, compute_profile(random_perm(rng, 7), 1, False)))
