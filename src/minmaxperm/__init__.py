@@ -1,6 +1,5 @@
 """Reconstruction of permutations from min/max betweenness profiles."""
 
-from ._kernels import backend
 from .errors import (
     BadEndpoints,
     COutOfRange,
@@ -25,7 +24,6 @@ from .graph import (
     PrecedenceGraph,
     Verdict,
     b_arc_pairs,
-    build_closure,
     build_easy_arcs,
     endpoint_seeded_graph,
     has_cycle,
@@ -34,14 +32,12 @@ from .graph import (
     topo_sort,
 )
 from .profiles import (
-    BConstraintPair,
     Direction,
     KConstraint,
     NBRecord,
     Permutation,
     Profile,
     ProfileViolation,
-    b_constraints,
     compute_profile,
     compute_set_profile,
     is_linear,

@@ -2,10 +2,8 @@
 
 The exhaustive operations (oracle enumeration, uniqueness grouping) spend
 essentially all their time computing or matching profiles across n!
-candidate permutations.  Both kernels exist twice: an explicit-loop version
-compiled with numba, and a vectorized pure-numpy fallback.  The fallback is
-selected automatically when numba is unavailable, or explicitly by setting
-the environment variable MINMAXPERM_DISABLE_NUMBA=1 before import.
+candidate permutations.  Both kernels are vectorized numpy: each walks the
+(t, i) slots once and handles every row of the batch per slot.
 
 Layout: a profile of span k over {0..n+1} has one slot per (gap i, start t)
 pair, i = 1..k and t = 0..n+1-i, ordered by (i, t).  A code row is the
@@ -16,116 +14,13 @@ concatenation [m | M | dir] of the three per-slot arrays, dir being +1
 from __future__ import annotations
 
 import itertools
-import os
 from typing import Iterator
 
 import numpy as np
 
-_ENV_FLAG = "MINMAXPERM_DISABLE_NUMBA"
+from .errors import TooLarge
+from .profiles import pair_count
 
-
-def _numba_disabled_by_env() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-def pair_count(n: int, k: int) -> int:
-    """Number of (t, i) slots in an n, k profile."""
-    return sum(n + 2 - i for i in range(1, k + 1))
-
-
-# ---------------------------------------------------------------------------
-# Loop kernels (numba-compiled when available)
-# ---------------------------------------------------------------------------
-
-def _codes_loops(perms, k, directed, out):
-    B, V = perms.shape
-    L = out.shape[1] // 3
-    pos = np.empty(V, np.int64)
-    for r in range(B):
-        for j in range(V):
-            pos[perms[r, j]] = j
-        idx = 0
-        for i in range(1, k + 1):
-            for t in range(V - i):
-                a = pos[t]
-                b = pos[t + i]
-                if a < b:
-                    lo, hi, d = a, b, 1
-                else:
-                    lo, hi, d = b, a, -1
-                mn = perms[r, lo]
-                mx = mn
-                for p in range(lo + 1, hi + 1):
-                    v = perms[r, p]
-                    if v < mn:
-                        mn = v
-                    elif v > mx:
-                        mx = v
-                out[r, idx] = mn
-                out[r, L + idx] = mx
-                out[r, 2 * L + idx] = d if directed else 0
-                idx += 1
-
-
-def _match_loops(perms, k, m, M, d, out):
-    B, V = perms.shape
-    pos = np.empty(V, np.int64)
-    for r in range(B):
-        for j in range(V):
-            pos[perms[r, j]] = j
-        ok = True
-        idx = 0
-        for i in range(1, k + 1):
-            if not ok:
-                break
-            for t in range(V - i):
-                a = pos[t]
-                b = pos[t + i]
-                if a < b:
-                    lo, hi, dd = a, b, 1
-                else:
-                    lo, hi, dd = b, a, -1
-                if d[idx] != 0 and dd != d[idx]:
-                    ok = False
-                    break
-                mn = perms[r, lo]
-                mx = mn
-                for p in range(lo + 1, hi + 1):
-                    v = perms[r, p]
-                    if v < mn:
-                        mn = v
-                    elif v > mx:
-                        mx = v
-                if mn != m[idx] or mx != M[idx]:
-                    ok = False
-                    break
-                idx += 1
-        out[r] = ok
-
-
-NUMBA_ENABLED = False
-_codes_jit = None
-_match_jit = None
-
-if not _numba_disabled_by_env():
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        _codes_jit = njit(cache=True)(_codes_loops)
-        _match_jit = njit(cache=True)(_match_loops)
-        NUMBA_ENABLED = True
-
-
-def backend() -> str:
-    """Name of the active kernel backend."""
-    return "numba" if NUMBA_ENABLED else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# Vectorized numpy fallbacks
-# ---------------------------------------------------------------------------
 
 def _positions(perms: np.ndarray) -> np.ndarray:
     B, V = perms.shape
@@ -141,7 +36,16 @@ def _segment_minmax(perms, cols, lo, hi):
     return mn, mx
 
 
-def batch_profile_codes_numpy(perms: np.ndarray, k: int, directed: bool) -> np.ndarray:
+def _as_int8_rows(perms) -> np.ndarray:
+    arr = np.ascontiguousarray(perms, dtype=np.int8)
+    if arr.ndim != 2:
+        raise ValueError("expected a 2-D array of permutation rows")
+    return arr
+
+
+def batch_profile_codes(perms, k: int, directed: bool) -> np.ndarray:
+    """Profile code rows [m | M | dir] for a batch of permutation rows."""
+    perms = _as_int8_rows(perms)
     B, V = perms.shape
     L = pair_count(V - 2, k)
     pos = _positions(perms)
@@ -162,7 +66,16 @@ def batch_profile_codes_numpy(perms: np.ndarray, k: int, directed: bool) -> np.n
     return out
 
 
-def match_profile_numpy(perms, k, m, M, d) -> np.ndarray:
+def match_profile(perms, k: int, m, M, d) -> np.ndarray:
+    """Boolean mask of rows whose k-profile equals the target arrays.
+
+    A zero in d skips the direction check for that slot, which makes the
+    same target arrays usable for directed and undirected matching.
+    """
+    perms = _as_int8_rows(perms)
+    m = np.ascontiguousarray(m, dtype=np.int8)
+    M = np.ascontiguousarray(M, dtype=np.int8)
+    d = np.ascontiguousarray(d, dtype=np.int8)
     B, V = perms.shape
     alive = np.arange(B)
     cur = perms
@@ -192,67 +105,6 @@ def match_profile_numpy(perms, k, m, M, d) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dispatching wrappers
-# ---------------------------------------------------------------------------
-
-def _as_int8_rows(perms) -> np.ndarray:
-    arr = np.ascontiguousarray(perms, dtype=np.int8)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D array of permutation rows")
-    return arr
-
-
-def batch_profile_codes(perms, k: int, directed: bool) -> np.ndarray:
-    """Profile code rows [m | M | dir] for a batch of permutation rows."""
-    arr = _as_int8_rows(perms)
-    if NUMBA_ENABLED:
-        out = np.empty((arr.shape[0], 3 * pair_count(arr.shape[1] - 2, k)), np.int8)
-        _codes_jit(arr, k, directed, out)
-        return out
-    return batch_profile_codes_numpy(arr, k, directed)
-
-
-def match_profile(perms, k: int, m, M, d) -> np.ndarray:
-    """Boolean mask of rows whose k-profile equals the target arrays.
-
-    A zero in d skips the direction check for that slot, which makes the
-    same target arrays usable for directed and undirected matching.
-    """
-    arr = _as_int8_rows(perms)
-    m = np.ascontiguousarray(m, dtype=np.int8)
-    M = np.ascontiguousarray(M, dtype=np.int8)
-    d = np.ascontiguousarray(d, dtype=np.int8)
-    if NUMBA_ENABLED:
-        out = np.empty(arr.shape[0], np.bool_)
-        _match_jit(arr, k, m, M, d, out)
-        return out
-    return match_profile_numpy(arr, k, m, M, d)
-
-
-def batch_profile_codes_numba(perms, k: int, directed: bool) -> np.ndarray:
-    """Force the numba path (benchmarking); raises if numba is unavailable."""
-    if not NUMBA_ENABLED:
-        raise RuntimeError("numba backend is not available")
-    arr = _as_int8_rows(perms)
-    out = np.empty((arr.shape[0], 3 * pair_count(arr.shape[1] - 2, k)), np.int8)
-    _codes_jit(arr, k, directed, out)
-    return out
-
-
-def match_profile_numba(perms, k: int, m, M, d) -> np.ndarray:
-    """Force the numba path (benchmarking); raises if numba is unavailable."""
-    if not NUMBA_ENABLED:
-        raise RuntimeError("numba backend is not available")
-    arr = _as_int8_rows(perms)
-    out = np.empty(arr.shape[0], np.bool_)
-    _match_jit(arr, k,
-               np.ascontiguousarray(m, np.int8),
-               np.ascontiguousarray(M, np.int8),
-               np.ascontiguousarray(d, np.int8), out)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Permutation enumeration
 # ---------------------------------------------------------------------------
 
@@ -260,7 +112,7 @@ def iter_perm_arrays(n: int, chunk: int = 100_000) -> Iterator[np.ndarray]:
     """All permutations of {0..n+1} with pinned endpoints, in lexicographic
     order, yielded as (B, n+2) int8 row blocks of at most `chunk` rows."""
     if n + 2 > 120:
-        raise ValueError(f"n={n} too large for int8 batch enumeration")
+        raise TooLarge(f"n={n} too large for int8 batch enumeration")
     inner = itertools.permutations(range(1, n + 1))
     width = n + 2
     while True:

@@ -12,7 +12,8 @@ Subcommands:
 
 Every subcommand accepts --json for a single structured report object.
 Exit codes: 0 success/witness, 1 NO / non-unique / mismatch, 2 input error,
-3 internal fault (a solver caught itself producing an inconsistent answer).
+3 internal fault (a solver caught itself producing an inconsistent answer,
+or any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from pathlib import Path
 from .errors import (
     BadEndpoints,
     COutOfRange,
-    InternalInconsistency,
     KMismatch,
+    MinMaxError,
     MismatchedN,
     NotBijection,
     NotDirected,
@@ -61,7 +62,7 @@ _INPUT_ERRORS = (
     COutOfRange,
     TooLarge,
     OSError,
-    ValueError,
+    UnicodeDecodeError,
 )
 
 
@@ -107,9 +108,7 @@ def _solve_dispatch(F: Profile, method: str, cap: int) -> SolveOutcome:
             return solve_fpt_directed(F)
         return solve_undirected(F, method="fpt")
     if method == "brute":
-        if not F.directed:
-            return solve_undirected(F, method="brute", cap_n=cap)
-        require_solver_profile(F, directed=True)  # same gate as the other methods
+        require_solver_profile(F, directed=F.directed)  # same gate as the other methods
         sols = brute_force_solutions(F, cap)
         return SolveOutcome(witness=sols[0] if sols else None)
     raise ValueError(f"unknown method {method!r}")
@@ -292,8 +291,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InternalInconsistency as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        detail = exc if isinstance(exc, MinMaxError) else f"{type(exc).__name__}: {exc}"
+        print(f"internal error: {detail}", file=sys.stderr)
         return 3
 
 

@@ -21,13 +21,15 @@ parse/emit round-trip bit-exactly on canonical documents.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import ProfileSyntaxError, ProfileValidationError
 from .profiles import (
     Direction,
     KConstraint,
     Permutation,
     Profile,
-    profile_pairs,
+    pair_count,
     validate_permutation,
     validate_profile,
 )
@@ -113,9 +115,13 @@ def parse_profile(text: str) -> Profile:
             raise ProfileSyntaxError(f"duplicate entry for (t={t}, i={i})", lineno)
         constraints[(t, i)] = KConstraint(t=t, i=i, dir=d, m=m, M=M)
 
-    missing = [p for p in profile_pairs(n, k) if p not in constraints]
-    if missing:
-        raise ProfileSyntaxError(f"missing entries for (t, i) pairs {missing[:6]}")
+    # every entry read is in range and distinct, so a short count means gaps;
+    # the grid is scanned lazily, never built, since n comes from the header
+    if len(constraints) != pair_count(n, k):
+        missing = itertools.islice(
+            ((t, i) for i in range(1, k + 1) for t in range(n + 2 - i)
+             if (t, i) not in constraints), 6)
+        raise ProfileSyntaxError(f"missing entries for (t, i) pairs {list(missing)}")
     profile = Profile(n=n, k=k, directed=directed, constraints=constraints)
     violations = validate_profile(profile)
     if violations:

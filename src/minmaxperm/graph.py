@@ -17,9 +17,9 @@ whose orientations (the arc sets Arcs+/Arcs-) propagate as a unit.
 All closure runs through one incremental engine, `Closure`: successor and
 predecessor bitmasks kept transitively closed under arc insertion, with the
 NB and B rules fired only by the pairs they watch and a cycle detected at
-the insertion that closes it.  `close`/`build_closure` and
-`build_easy_arcs` run it once to the fixpoint; the solvers' search copies
-its masks at each node and inserts only the arcs of one decision.
+the insertion that closes it.  `close` and `build_easy_arcs` run it once
+to the fixpoint; the solvers' search copies its masks at each node and
+inserts only the arcs of one decision.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .profiles import (
     NBRecord,
     Permutation,
     Profile,
-    b_constraints,
     nb_records,
     validate_permutation,
     validate_profile,
@@ -155,9 +154,11 @@ def _loop_free(arcs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
 
 def b_arc_pairs(F: Profile) -> list[BArcPair]:
     """Arcs+/Arcs- for every entry of a gap-1 profile, ascending t."""
+    if F.k != 1:
+        raise KMismatch(f"B/NB decomposition is defined for k=1, got k={F.k}")
     out = []
-    for bc in b_constraints(F):
-        t, m, M = bc.t, bc.m, bc.M
+    for c in F.entries():
+        t, m, M = c.t, c.m, c.M
         plus = _loop_free([(t, t + 1), (t, m), (t, M), (m, t + 1), (M, t + 1)])
         minus = _loop_free([(t + 1, t), (m, t), (M, t), (t + 1, m), (t + 1, M)])
         out.append(BArcPair(t=t, plus=plus, minus=minus))
@@ -307,11 +308,6 @@ def close(graph: PrecedenceGraph, records: Sequence[NBRecord],
     the constraints are contradictory; callers run has_cycle.
     """
     return Closure(graph, records, b_pairs).graph()
-
-
-def build_closure(G: PrecedenceGraph, NBc: Sequence[NBRecord]) -> PrecedenceGraph:
-    """NB-transitive closure: T and NB rules only (the directed pipeline)."""
-    return close(G, NBc)
 
 
 def is_settled(G: PrecedenceGraph, r: NBRecord) -> bool:

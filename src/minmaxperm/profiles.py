@@ -28,6 +28,7 @@ from .errors import (
     MismatchedN,
     NotBijection,
     PreconditionViolation,
+    TooLarge,
 )
 
 
@@ -56,9 +57,6 @@ class Permutation:
         for idx, v in enumerate(self.elems):
             pos[v] = idx
         return tuple(pos)
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.elems, dtype=np.int8)
 
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.elems)
@@ -112,6 +110,11 @@ def profile_pairs(n: int, k: int) -> list[tuple[int, int]]:
     return [(t, i) for i in range(1, k + 1) for t in range(0, n + 2 - i)]
 
 
+def pair_count(n: int, k: int) -> int:
+    """Number of (t, i) slots in an n, k profile: len(profile_pairs(n, k))."""
+    return k * (n + 2) - k * (k + 1) // 2
+
+
 class Profile:
     """A full (t, t+i) constraint map for all gaps 1 <= i <= k.
 
@@ -160,26 +163,22 @@ class Profile:
                 and self.directed == other.directed
                 and self.constraints == other.constraints)
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
         return f"Profile(n={self.n}, k={self.k}, {kind}, {len(self.constraints)} entries)"
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(m, M, dir) int8 arrays in canonical order; dir is +1/-1/0."""
+        """(m, M, dir) int8 arrays in canonical order; dir is +1/-1/0.
+
+        Raises TooLarge when n+1 does not fit in int8 (n >= 127).
+        """
+        if self.n + 1 > 127:
+            raise TooLarge(f"n={self.n} too large for int8 profile arrays")
         ents = self.entries()
         m = np.array([c.m for c in ents], dtype=np.int8)
         M = np.array([c.M for c in ents], dtype=np.int8)
         d = np.array([_DIR_CODE[c.dir] for c in ents], dtype=np.int8)
         return m, M, d
-
-    def canonical_code(self) -> bytes:
-        """Byte encoding suitable for grouping profiles by equality."""
-        m, M, d = self.to_arrays()
-        return m.tobytes() + M.tobytes() + d.tobytes()
 
     @classmethod
     def from_arrays(cls, n: int, k: int, directed: bool,
@@ -295,27 +294,6 @@ def nb_set(F: Profile, c: int) -> set[int]:
             if c < F.entry(t).m or F.entry(t).M < c}
 
 
-@dataclass(frozen=True)
-class BConstraintPair:
-    """The two betweenness facts of one entry: m and M lie between t and t+1.
-
-    A fact is vacuous when its subject coincides with an endpoint of the
-    basis pair; vacuous facts generate no arcs.
-    """
-
-    t: int
-    m: int
-    M: int
-
-    @property
-    def m_vacuous(self) -> bool:
-        return self.m in (self.t, self.t + 1)
-
-    @property
-    def M_vacuous(self) -> bool:
-        return self.M in (self.t, self.t + 1)
-
-
 @dataclass(frozen=True, order=True)
 class NBRecord:
     """A non-betweenness fact: value `top` does not lie between basis values.
@@ -328,14 +306,6 @@ class NBRecord:
 
     def __str__(self) -> str:
         return f"not({self.basis[0]} <-{self.top}-> {self.basis[1]})"
-
-
-def b_constraints(F: Profile) -> list[BConstraintPair]:
-    """The B-constraint pair of every gap-1 entry, ascending t."""
-    if F.k != 1:
-        raise KMismatch(f"B/NB decomposition is defined for k=1, got k={F.k}")
-    return [BConstraintPair(t=c.t, m=c.m, M=c.M)
-            for c in F.entries()]
 
 
 def nb_records(F: Profile) -> list[NBRecord]:

@@ -259,21 +259,16 @@ def undirected_base(F: Profile) -> tuple[PrecedenceGraph, list[NBRecord],
     return root.graph(), records, pairs, silent_nb, silent_b
 
 
-def solve_undirected(F: Profile, method: str = "fpt",
-                     cap_n: int = DEFAULT_BRUTE_CAP) -> SolveOutcome:
+def solve_undirected(F: Profile, method: str = "fpt") -> SolveOutcome:
     """Solver for undirected gap-1 profiles.
 
-    method "brute" delegates to the exhaustive oracle (n <= cap_n).
-    method "fpt" runs the generalized pipeline: no R/B arcs exist up front,
-    so the closure engine also propagates betweenness pairs (one arc of
-    Arcs+ drags in all of Arcs+, same for Arcs-), and the search branches
-    on the silent B pairs (plus side first, ascending t) before the silent
-    NB records.
+    The only method, "fpt", runs the generalized pipeline: no R/B arcs
+    exist up front, so the closure engine also propagates betweenness pairs
+    (one arc of Arcs+ drags in all of Arcs+, same for Arcs-), and the
+    search branches on the silent B pairs (plus side first, ascending t)
+    before the silent NB records.  Exhaustive solving of either
+    directedness is `brute_force_solutions`.
     """
-    if method == "brute":
-        require_solver_profile(F, directed=False)
-        sols = brute_force_solutions(F, cap_n)
-        return SolveOutcome(witness=sols[0] if sols else None)
     if method != "fpt":
         raise ValueError(f"unknown method {method!r}")
     root, _, _, silent_nb, silent_b = _undirected_root(F, search=True)

@@ -162,17 +162,6 @@ def seed_arcs(c: KConstraint) -> tuple[tuple[int, int], ...]:
     return (tl, tr), (tl, c.m), (c.m, tr), (tl, c.M), (c.M, tr)
 
 
-def seed_graph(F: Profile) -> PrecedenceGraph:
-    """The pre-closure graph of the directed pipeline (R- and B-arcs only)."""
-    g = PrecedenceGraph(F.n)
-    for c in F.entries():
-        (x, y), *b_arcs = seed_arcs(c)
-        g.add_arc(x, y, ArcKind.R)
-        for x, y in b_arcs:
-            g.add_arc(x, y, ArcKind.B)
-    return g
-
-
 def reference_close(graph: PrecedenceGraph, records, b_pairs, rng: random.Random):
     """Fixpoint computed by applying one randomly chosen applicable rule
     instance at a time; order-independence of the result is the property

@@ -19,7 +19,6 @@ from minmaxperm import (
     PrecedenceGraph,
     Verdict,
     brute_force_solutions,
-    build_closure,
     build_easy_arcs,
     collision_pair,
     compute_profile,
@@ -38,7 +37,7 @@ from minmaxperm import (
     verify,
 )
 from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays, pair_count
-from minmaxperm.graph import ArcKind
+from minmaxperm.graph import ArcKind, close, easy_arc_seeds
 from minmaxperm.profiles import NBRecord, profile_pairs
 
 from minmaxperm import b_arc_pairs
@@ -56,7 +55,6 @@ from helpers import (
     random_valid_directed,
     reference_close,
     seed_arcs,
-    seed_graph,
 )
 
 
@@ -114,7 +112,7 @@ def test_criterion_02_silent_set_goldens():
 
     # the same values without graph.Closure: the seed arc, the one-rule-at-
     # a-time reference closure, and the permutation's own positions
-    seeds, records = seed_graph(F2), nb_records(F2)
+    seeds, records = easy_arc_seeds(F2), nb_records(F2)
     ref = reference_close(seeds, records, [], random.Random(2))
     pos = P.positions()
     independent = (seeds.has_arc(3, 11)
@@ -178,7 +176,7 @@ def test_criterion_03_circuit_golden():
     # reference closure.
     derived = _check_derivation(F, CIRCUIT_CONTRADICTION)
     proven = {(21, 27), (27, 21)} <= derived
-    ref_cyclic = has_cycle(reference_close(seed_graph(F), nb_records(F), [],
+    ref_cyclic = has_cycle(reference_close(easy_arc_seeds(F), nb_records(F), [],
                                            random.Random(3)))
     verdict_no = (build_easy_arcs(F).verdict is Verdict.NO
                   and solve_fpt_directed(F).is_no)
@@ -192,12 +190,12 @@ def test_criterion_03_circuit_golden():
     records = [NBRecord(basis=(21, 22), top=25), NBRecord(basis=(15, 16), top=8),
                NBRecord(basis=(18, 19), top=25), NBRecord(basis=(18, 19), top=12)]
     assert set(records) <= set(nb_records(F))
-    base = build_closure(g, records)
+    base = close(g, records)
     base_acyclic = not has_cycle(base)
     all_silent = not any(is_settled(base, r) for r in records)
     trigger = base.copy()
     trigger.add_arc(18, 12, ArcKind.NB)
-    cycle_after = has_cycle(build_closure(trigger, records))
+    cycle_after = has_cycle(close(trigger, records))
 
     ok = proven and ref_cyclic and verdict_no and base_acyclic and all_silent and cycle_after
     _report(3, ok,
@@ -332,13 +330,13 @@ def test_criterion_09_fixed_positions():
 
 def _confluence_cases():
     F1 = golden_profile()
-    yield seed_graph(F1), nb_records(F1), []
+    yield easy_arc_seeds(F1), nb_records(F1), []
     F2 = compute_profile(validate_permutation(SETTING_PERM), 1, True)
-    yield seed_graph(F2), nb_records(F2), []
+    yield easy_arc_seeds(F2), nb_records(F2), []
     rng = random.Random(55)
     for _ in range(2):
         F = mutate_directed(rng, compute_profile(random_perm(rng, 6), 1, True))
-        yield seed_graph(F), nb_records(F), []
+        yield easy_arc_seeds(F), nb_records(F), []
     Fu = golden_profile(directed=False)
     from minmaxperm import endpoint_seeded_graph
     yield endpoint_seeded_graph(9), nb_records(Fu), b_arc_pairs(Fu)
@@ -348,7 +346,6 @@ def test_criterion_10_property_suites():
     t0 = time.perf_counter()
 
     # closure confluence: 50 randomized rule orders per instance
-    from minmaxperm.graph import close
     for seed_g, records, pairs in _confluence_cases():
         fast = close(seed_g, records, pairs)
         for trial in range(50):

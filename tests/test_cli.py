@@ -66,9 +66,14 @@ class TestSolveCommand:
         W = validate_permutation([int(v) for v in line.split()])
         assert verify(W, golden_profile(directed=False))
 
-    def test_brute(self, golden_profile_file, capsys):
-        assert main(["solve", golden_profile_file, "--method", "brute"]) == 0
-        capsys.readouterr()
+    def test_brute(self, golden_profile_file, golden_undirected_file, capsys):
+        from minmaxperm import brute_force_solutions
+        for path, F in ((golden_profile_file, golden_profile()),
+                        (golden_undirected_file, golden_profile(directed=False))):
+            assert main(["solve", path, "--method", "brute"]) == 0
+            line = capsys.readouterr().out.strip()
+            assert validate_permutation([int(v) for v in line.split()]) == \
+                brute_force_solutions(F)[0]
 
     def test_json_diagnostics(self, golden_profile_file, capsys):
         assert main(["solve", golden_profile_file, "--json"]) == 0
@@ -184,6 +189,17 @@ class TestInternalFault:
         assert captured.err.splitlines() == [
             "internal error: witness does not reproduce the profile"]
 
+    def test_unexpected_exception_is_internal(self, golden_profile_file, monkeypatch, capsys):
+        import minmaxperm.cli as cli
+
+        def broken(F):
+            raise ValueError("bad index")
+        monkeypatch.setattr(cli, "solve_fpt_directed", broken)
+        assert main(["solve", golden_profile_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["internal error: ValueError: bad index"]
+
 
 class TestInputErrors:
     def test_missing_file(self, capsys):
@@ -203,3 +219,25 @@ class TestInputErrors:
             "0 1 > 0 2\n1 1 > 0 2\n2 1 > 1 3\n")
         assert main(["enumerate", str(path)]) == 2
         assert "invalid profile" in capsys.readouterr().err
+
+    def test_binary_file(self, tmp_path, capsys):
+        path = tmp_path / "bin.prof"
+        path.write_bytes(b"\xff\xfe\x00minmax")
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--cap", "200"],
+        ["check-unique", "--cap", "200"],
+        ["solve", "--method", "brute", "--cap", "200"],
+    ])
+    def test_beyond_int8_is_input_error(self, tmp_path, argv, capsys):
+        from minmaxperm import compute_profile
+        path = tmp_path / "id130.prof"
+        path.write_text(emit_profile(compute_profile(identity_perm(130), 1, True)))
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")

@@ -73,6 +73,18 @@ class TestParseProfile:
         with pytest.raises(ProfileSyntaxError, match="missing"):
             parse_profile(doc)
 
+    def test_huge_header_fails_without_building_the_grid(self):
+        import tracemalloc
+        doc = "minmax-profile 1\nn 2000000\nk 1\ndirected 1\n0 1 > 0 5\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProfileSyntaxError, match=r"missing entries .*\(1, 1\)"):
+                parse_profile(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
     def test_wrong_header(self):
         with pytest.raises(ProfileSyntaxError):
             parse_profile("maxmin-profile 1\nn 1\nk 1\ndirected 0\n0 1 ? 0 1\n1 1 ? 1 2\n")

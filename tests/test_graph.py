@@ -12,7 +12,6 @@ from minmaxperm import (
     ProfileValidationError,
     Verdict,
     b_arc_pairs,
-    build_closure,
     build_easy_arcs,
     compute_profile,
     endpoint_seeded_graph,
@@ -23,7 +22,7 @@ from minmaxperm import (
     topo_sort,
     validate_permutation,
 )
-from minmaxperm.graph import Closure, close, require_solver_profile
+from minmaxperm.graph import Closure, close, easy_arc_seeds, require_solver_profile
 from minmaxperm.profiles import NBRecord
 
 from helpers import (
@@ -34,7 +33,6 @@ from helpers import (
     identity_perm,
     make_profile,
     reference_close,
-    seed_graph,
     unsat2_profile,
 )
 
@@ -74,32 +72,32 @@ class TestPrecedenceGraph:
 class TestBuildClosure:
     def test_transitivity_step(self):
         g = chain_graph(2, [(1, 2), (2, 3)])
-        closed = build_closure(g, [])
+        closed = close(g, [])
         assert closed.has_arc(1, 3)
         assert closed.kinds[(1, 3)] is ArcKind.T
 
     def test_nb_rule_couples_arcs(self):
         g = chain_graph(9, [(2, 6)])
         rec = NBRecord(basis=(6, 7), top=2)
-        closed = build_closure(g, [rec])
+        closed = close(g, [rec])
         assert closed.has_arc(2, 7)
         assert closed.kinds[(2, 7)] is ArcKind.NB
 
     def test_nb_rule_basis_side(self):
         g = chain_graph(9, [(6, 2)])
-        closed = build_closure(g, [NBRecord(basis=(6, 7), top=2)])
+        closed = close(g, [NBRecord(basis=(6, 7), top=2)])
         assert closed.has_arc(7, 2)
 
     def test_input_untouched(self):
         g = chain_graph(2, [(1, 2), (2, 3)])
-        build_closure(g, [])
+        close(g, [])
         assert not g.has_arc(1, 3)
 
     def test_confluence_small(self):
         F = golden_profile()
         recs = nb_records(F)
-        seed = seed_graph(F)
-        fast = build_closure(seed, recs)
+        seed = easy_arc_seeds(F)
+        fast = close(seed, recs)
         for trial in range(8):
             assert reference_close(seed, recs, [], random.Random(trial)) == fast
 
@@ -113,6 +111,27 @@ class TestBuildClosure:
         assert closed.has_arc(9, 1)
         # cascade resolves entry 1 to minus: 2 precedes 1
         assert closed.has_arc(2, 1)
+
+
+class TestBArcPairs:
+    def test_vacuous_facts_add_no_arc(self):
+        # identity n=3: every entry is [t, t+1], so both facts are vacuous
+        for bp in b_arc_pairs(compute_profile(identity_perm(3), 1, True)):
+            assert bp.plus == ((bp.t, bp.t + 1),)
+            assert bp.minus == ((bp.t + 1, bp.t),)
+        pairs = b_arc_pairs(golden_profile())
+        # entry 6 is 6 <->[4,7] 7: M coincides with the basis element 7
+        assert pairs[6].plus == ((6, 7), (6, 4), (4, 7))
+        assert pairs[6].minus == ((7, 6), (4, 6), (7, 4))
+        # entry 0 is 0 <->[0,9] 1: m coincides with 0
+        assert pairs[0].plus == ((0, 1), (0, 9), (9, 1))
+        assert pairs[0].minus == ((1, 0), (9, 0), (1, 9))
+        for bp in pairs:
+            assert all(x != y for side in (bp.plus, bp.minus) for x, y in side)
+
+    def test_k_mismatch(self):
+        with pytest.raises(KMismatch):
+            b_arc_pairs(compute_profile(identity_perm(3), 2, True))
 
 
 class TestIsSettled:
@@ -229,12 +248,12 @@ class TestFigureConfiguration:
 
     def test_propagated_circuit(self):
         g = chain_graph(29, self.ARCS, kind=ArcKind.B)
-        base = build_closure(g, self.RECORDS)
+        base = close(g, self.RECORDS)
         assert not has_cycle(base)
         assert all(not is_settled(base, r) for r in self.RECORDS)
         trigger = base.copy()
         trigger.add_arc(18, 12, ArcKind.NB)
-        closed = build_closure(trigger, self.RECORDS)
+        closed = close(trigger, self.RECORDS)
         assert closed.has_arc(21, 25) and closed.has_arc(15, 8)
         assert has_cycle(closed)
 

@@ -4,15 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from minmaxperm import Permutation, compute_profile
+from minmaxperm import Permutation, TooLarge, compute_profile
+from minmaxperm.profiles import profile_pairs
 from minmaxperm._kernels import (
-    NUMBA_ENABLED,
-    backend,
     batch_profile_codes,
-    batch_profile_codes_numpy,
     iter_perm_arrays,
     match_profile,
-    match_profile_numpy,
     pair_count,
 )
 
@@ -38,6 +35,8 @@ class TestPairCount:
         assert pair_count(9, 1) == 10
         assert pair_count(9, 2) == 19
         assert pair_count(3, 4) == 4 + 3 + 2 + 1
+        for n, k in ((1, 1), (1, 2), (6, 3), (9, 10)):
+            assert pair_count(n, k) == len(profile_pairs(n, k))
 
 
 class TestEnumeration:
@@ -59,6 +58,10 @@ class TestEnumeration:
         joined = [tuple(r) for c in chunks for r in c]
         assert joined == [tuple(r) for r in np.concatenate(list(iter_perm_arrays(5)))]
 
+    def test_too_large_for_int8(self):
+        with pytest.raises(TooLarge):
+            next(iter_perm_arrays(130))
+
 
 class TestBackendsAgree:
     def test_codes_match_reference(self):
@@ -67,23 +70,6 @@ class TestBackendsAgree:
             rows = random_rows(rng, n, 40)
             ref = reference_codes(rows, k, directed)
             assert np.array_equal(batch_profile_codes(rows, k, directed), ref)
-            assert np.array_equal(batch_profile_codes_numpy(rows, k, directed), ref)
-
-    @pytest.mark.skipif(not NUMBA_ENABLED, reason="numba backend inactive")
-    def test_numba_matches_numpy(self):
-        from minmaxperm._kernels import batch_profile_codes_numba, match_profile_numba
-        rng = random.Random(11)
-        rows = random_rows(rng, 6, 300)
-        for k, directed in ((1, True), (2, False), (4, True)):
-            a = batch_profile_codes_numba(rows, k, directed)
-            b = batch_profile_codes_numpy(rows, k, directed)
-            assert np.array_equal(a, b)
-        m, M, d = golden_profile().to_arrays()
-        rows9 = np.concatenate(list(iter_perm_arrays(5)))
-        mm, MM, dd = compute_profile(
-            Permutation(n=5, elems=(0, 2, 1, 3, 5, 4, 6)), 1, True).to_arrays()
-        assert np.array_equal(match_profile_numba(rows9, 1, mm, MM, dd),
-                              match_profile_numpy(rows9, 1, mm, MM, dd))
 
     def test_match_agrees_with_verify(self):
         F = golden_profile()
@@ -99,7 +85,6 @@ class TestBackendsAgree:
         expected = np.array([
             verify(Permutation(n=9, elems=tuple(int(v) for v in r)), F) for r in rows])
         assert np.array_equal(match_profile(rows, 1, m, M, d), expected)
-        assert np.array_equal(match_profile_numpy(rows, 1, m, M, d), expected)
 
     def test_undirected_match_ignores_direction(self):
         P = Permutation(n=4, elems=(0, 2, 1, 4, 3, 5))
@@ -109,21 +94,6 @@ class TestBackendsAgree:
         hits = match_profile(rows, 1, m, M, d)
         matched = {tuple(int(v) for v in r) for r in rows[hits]}
         assert P.elems in matched
-
-    def test_backend_name(self):
-        assert backend() in ("numba", "numpy")
-        assert (backend() == "numba") == NUMBA_ENABLED
-
-    def test_env_flag_forces_numpy_backend(self):
-        import os
-        import subprocess
-        import sys
-        proc = subprocess.run(
-            [sys.executable, "-c", "from minmaxperm import backend; print(backend())"],
-            env={**os.environ, "MINMAXPERM_DISABLE_NUMBA": "1"},
-            capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "numpy"
-
 
 class TestExhaustiveAgreement:
     def test_all_n5_profiles(self):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +10,7 @@ from minmaxperm import (
     NotBijection,
     Permutation,
     PreconditionViolation,
-    b_constraints,
+    TooLarge,
     compute_profile,
     compute_set_profile,
     is_linear,
@@ -109,6 +110,12 @@ class TestComputeProfile:
             m, M, d = F.to_arrays()
             assert Profile.from_arrays(F.n, k, True, m, M, d) == F
 
+    def test_arrays_int8_bound(self):
+        m, M, d = compute_profile(identity_perm(126), 1, True).to_arrays()
+        assert M[-1] == 127 and m.dtype == np.int8
+        with pytest.raises(TooLarge):
+            compute_profile(identity_perm(127), 1, True).to_arrays()
+
 
 class TestComputeSetProfile:
     def test_singleton_matches(self):
@@ -204,16 +211,6 @@ class TestDecomposition:
         basis67 = [r for r in recs if r.basis == (6, 7)]
         assert {r.top for r in basis67} == {0, 1, 2, 3, 8, 9, 10}
         assert recs == sorted(recs)
-
-    def test_b_constraints_vacuous_flags(self):
-        F = compute_profile(identity_perm(3), 1, True)
-        for bc in b_constraints(F):
-            assert bc.m_vacuous and bc.M_vacuous
-        F2 = golden_profile()
-        bc6 = b_constraints(F2)[6]  # 6 <->[4,7] 7: M coincides with the basis element 7
-        assert not bc6.m_vacuous and bc6.M_vacuous
-        bc0 = b_constraints(F2)[0]  # 0 <->[0,9] 1: m coincides with 0
-        assert bc0.m_vacuous and not bc0.M_vacuous
 
     def test_record_invariant(self):
         for P in all_perms(5):
