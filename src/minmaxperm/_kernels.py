@@ -1,9 +1,17 @@
 """Hot kernels for bulk profile work over many permutations at once.
 
 The exhaustive operations (oracle enumeration, uniqueness grouping) spend
-essentially all their time computing or matching profiles across n!
-candidate permutations.  Both kernels are vectorized numpy: each walks the
-(t, i) slots once and handles every row of the batch per slot.
+essentially all their time enumerating n! candidate permutations and
+computing or matching their profiles.  Every kernel is whole-array numpy:
+
+- `iter_perm_arrays` builds the lexicographic table of the last s values
+  once per call, s being the largest s <= n with s! <= chunk, and yields
+  one block per prefix of the first n-s values, with the table mapped onto
+  the values that prefix leaves.  Nothing is kept between calls.
+- `batch_profile_codes` builds per-row range tables mn[b, lo, hi] and
+  mx[b, lo, hi] (min and max of the values at positions lo..hi) and reads
+  all slots of one gap i from them with a single gather.
+- `match_profile` walks the slots and drops a row at its first mismatch.
 
 Layout: a profile of span k over {0..n+1} has one slot per (gap i, start t)
 pair, i = 1..k and t = 0..n+1-i, ordered by (i, t).  A code row is the
@@ -43,26 +51,36 @@ def _as_int8_rows(perms) -> np.ndarray:
     return arr
 
 
+def _range_tables(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, V*V) tables whose entry lo*V + hi, lo <= hi, is the min (max) of
+    perms[b, lo..hi]; entries with lo > hi are never read and left unset."""
+    B, V = perms.shape
+    mn = np.empty((B, V, V), np.int8)
+    mx = np.empty((B, V, V), np.int8)
+    for lo in range(V):
+        np.minimum.accumulate(perms[:, lo:], axis=1, out=mn[:, lo, lo:])
+        np.maximum.accumulate(perms[:, lo:], axis=1, out=mx[:, lo, lo:])
+    return mn.reshape(B, V * V), mx.reshape(B, V * V)
+
+
 def batch_profile_codes(perms, k: int, directed: bool) -> np.ndarray:
     """Profile code rows [m | M | dir] for a batch of permutation rows."""
     perms = _as_int8_rows(perms)
     B, V = perms.shape
     L = pair_count(V - 2, k)
-    pos = _positions(perms)
-    cols = np.arange(V, dtype=np.int16)[None, :]
+    pos = _positions(perms).astype(np.intp)
+    mn, mx = _range_tables(perms)
     out = np.empty((B, 3 * L), np.int8)
     idx = 0
-    for i in range(1, k + 1):
-        for t in range(V - i):
-            p1 = pos[:, t]
-            p2 = pos[:, t + i]
-            lo = np.minimum(p1, p2)
-            hi = np.maximum(p1, p2)
-            mn, mx = _segment_minmax(perms, cols, lo, hi)
-            out[:, idx] = mn
-            out[:, L + idx] = mx
-            out[:, 2 * L + idx] = np.where(p1 < p2, 1, -1) if directed else 0
-            idx += 1
+    for i in range(1, min(k, V - 1) + 1):
+        width = V - i
+        p1 = pos[:, :width]
+        p2 = pos[:, i:]
+        cell = np.minimum(p1, p2) * V + np.maximum(p1, p2)
+        out[:, idx:idx + width] = np.take_along_axis(mn, cell, axis=1)
+        out[:, L + idx:L + idx + width] = np.take_along_axis(mx, cell, axis=1)
+        out[:, 2 * L + idx:2 * L + idx + width] = np.where(p1 < p2, 1, -1) if directed else 0
+        idx += width
     return out
 
 
@@ -108,20 +126,42 @@ def match_profile(perms, k: int, m, M, d) -> np.ndarray:
 # Permutation enumeration
 # ---------------------------------------------------------------------------
 
+def _perm_table(s: int) -> np.ndarray:
+    """All permutations of range(s) in lexicographic order, as (s!, s) int8.
+
+    The table of size s is the table of size s-1 with each first value v
+    prepended in turn and the entries >= v shifted up by one; the shift
+    keeps each block's order, so the whole stays lexicographic."""
+    table = np.zeros((1, 0), np.int8)
+    for size in range(1, s + 1):
+        rows = table.shape[0]
+        nxt = np.empty((size * rows, size), np.int8)
+        for v in range(size):
+            block = nxt[v * rows:(v + 1) * rows]
+            block[:, 0] = v
+            block[:, 1:] = table + (table >= v)
+        table = nxt
+    return table
+
+
 def iter_perm_arrays(n: int, chunk: int = 100_000) -> Iterator[np.ndarray]:
     """All permutations of {0..n+1} with pinned endpoints, in lexicographic
-    order, yielded as (B, n+2) int8 row blocks of at most `chunk` rows."""
+    order, yielded as (B, n+2) int8 row blocks of at most `chunk` rows
+    (one row per block when chunk < 1)."""
     if n + 2 > 120:
         raise TooLarge(f"n={n} too large for int8 batch enumeration")
-    inner = itertools.permutations(range(1, n + 1))
-    width = n + 2
-    while True:
-        block = list(itertools.islice(inner, chunk))
-        if not block:
-            return
-        rows = np.empty((len(block), width), np.int8)
+    s, size = 0, 1
+    while s < n and size * (s + 1) <= chunk:
+        s += 1
+        size *= s
+    table = _perm_table(s)
+    head = n - s
+    values = range(1, n + 1)
+    for prefix in itertools.permutations(values, head):
+        rest = np.array(sorted(set(values).difference(prefix)), np.int8)
+        rows = np.empty((size, n + 2), np.int8)
         rows[:, 0] = 0
         rows[:, -1] = n + 1
-        if n:
-            rows[:, 1:-1] = np.array(block, np.int8)
+        rows[:, 1:head + 1] = prefix
+        rows[:, head + 1:n + 1] = rest[table]
         yield rows

@@ -7,11 +7,20 @@ explicit two-permutation collisions built from a shared prefix, and the
 fixed-positions consistency check (all members of a profile class place 1
 and n identically and split the remaining elements into the same three
 blocks).
+
+The two exhaustive checks share one grouping: profile codes of every
+permutation, computed one enumeration block at a time, are grouped by
+their bytes with `np.unique`, and each row is compared with its class
+leader, the first row in lexicographic order with the same code.  A
+collision is the first row whose leader lies before it; a fixed-positions
+failure is a row whose position features differ from its leader's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from ._kernels import batch_profile_codes, iter_perm_arrays
 from .errors import (
@@ -60,32 +69,49 @@ def is_unique(F: Profile, cap_n: int = 9) -> UniquenessReport:
                             verdict=verdict, witnesses=witnesses)
 
 
+def _profile_classes(n: int, k: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """All permutation rows in lexicographic order, and for each row the
+    index of the first row sharing its k-profile (its class leader).
+
+    Codes are computed one enumeration block at a time, which bounds the
+    kernel's range tables by the block size, then grouped by their bytes."""
+    blocks = list(iter_perm_arrays(n))
+    codes = np.concatenate([batch_profile_codes(rows, k, directed) for rows in blocks])
+    keys = codes.view(np.dtype((np.void, codes.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.concatenate(blocks), first[inverse.ravel()]
+
+
 def _first_collision(n: int, k: int, directed: bool) -> tuple[Permutation, Permutation] | None:
     """First pair of distinct permutations (lexicographic enumeration)
-    sharing a k-profile, or None when every class is a singleton."""
-    seen: dict[bytes, tuple[int, ...]] = {}
-    for rows in iter_perm_arrays(n):
-        codes = batch_profile_codes(rows, k, directed)
-        for idx in range(rows.shape[0]):
-            key = codes[idx].tobytes()
-            prev = seen.get(key)
-            if prev is not None:
-                pair = (Permutation(n=n, elems=prev),
-                        Permutation(n=n, elems=tuple(int(v) for v in rows[idx])))
-                # grouped by code bytes; re-check entry-wise through the
-                # scalar path before reporting
-                if compute_profile(pair[0], k, directed) != compute_profile(pair[1], k, directed):
-                    raise InternalInconsistency(
-                        f"code grouping disagrees with recomputed profiles at n={n}, k={k}")
-                return pair
-            seen[key] = tuple(int(v) for v in rows[idx])
-    return None
+    sharing a k-profile, or None when every class is a singleton.
+
+    The pair is the first row whose class leader lies before it, together
+    with that leader."""
+    rows, leader = _profile_classes(n, k, directed)
+    later = np.flatnonzero(leader != np.arange(len(rows)))
+    if later.size == 0:
+        return None
+    j = later[0]
+    P, Q = (Permutation(n=n, elems=tuple(int(v) for v in rows[i])) for i in (leader[j], j))
+    # grouped by code bytes; re-check entry-wise through the scalar path
+    # before reporting
+    if compute_profile(P, k, directed) != compute_profile(Q, k, directed):
+        raise InternalInconsistency(
+            f"code grouping disagrees with recomputed profiles at n={n}, k={k}")
+    return P, Q
+
+
+def _require_n(n: int, cap_n: int) -> None:
+    if n < 1:
+        raise PreconditionViolation(f"n must be at least 1, got n={n}")
+    if n > cap_n:
+        raise TooLarge(f"n={n} exceeds the grouping cap {cap_n}")
 
 
 def min_unique_k(n: int, directed: bool, cap_n: int = DEFAULT_GROUPING_CAP) -> MinKResult:
     """Exhaustive minimum k such that no two permutations share a k-profile."""
-    if n > cap_n:
-        raise TooLarge(f"n={n} exceeds the grouping cap {cap_n}")
+    _require_n(n, cap_n)
     previous = None
     for k in range(1, n + 2):
         coll = _first_collision(n, k, directed)
@@ -127,32 +153,18 @@ def collision_pair(n: int, k: int, directed: bool) -> tuple[Permutation, Permuta
     return P, Q
 
 
-def _position_features(row) -> tuple:
-    """(position of 1, position of n, the three element blocks cut by them)."""
-    vals = [int(v) for v in row]
-    n = len(vals) - 2
-    q1 = vals.index(1)
-    qn = vals.index(n)
-    lo, hi = min(q1, qn), max(q1, qn)
-    return (q1, qn,
-            frozenset(vals[1:lo]),
-            frozenset(vals[lo + 1:hi]),
-            frozenset(vals[hi + 1:n + 1]))
-
-
 def fixed_positions_check(n: int, k: int, directed: bool,
                           cap_n: int = DEFAULT_GROUPING_CAP) -> bool:
     """Whether every k-profile class over all n! permutations agrees on the
     positions of 1 and n and on the three element blocks they delimit."""
-    if n > cap_n:
-        raise TooLarge(f"n={n} exceeds the grouping cap {cap_n}")
-    seen: dict[bytes, tuple] = {}
-    for rows in iter_perm_arrays(n):
-        codes = batch_profile_codes(rows, k, directed)
-        for idx in range(rows.shape[0]):
-            key = codes[idx].tobytes()
-            feats = _position_features(rows[idx])
-            ref = seen.setdefault(key, feats)
-            if ref != feats:
-                return False
-    return True
+    _require_n(n, cap_n)
+    if not 1 <= k <= n + 1:
+        raise PreconditionViolation(f"need 1 <= k <= n+1, got k={k}, n={n}")
+    rows, leader = _profile_classes(n, k, directed)
+    # per row: position of 1, position of n, then the block (0 before both,
+    # 1 between, 2 after) of every value
+    pos = rows.argsort(axis=1).astype(np.int8)
+    lo = np.minimum(pos[:, 1], pos[:, n])[:, None]
+    hi = np.maximum(pos[:, 1], pos[:, n])[:, None]
+    feats = np.concatenate([pos[:, [1, n]], (pos > lo).astype(np.int8) + (pos > hi)], axis=1)
+    return bool((feats == feats[leader]).all())

@@ -162,6 +162,14 @@ class TestMinKCommand:
         assert P != Q
         assert compute_profile(P, 1, False) == compute_profile(Q, 1, False)
 
+    @pytest.mark.parametrize("n", ["-2", "0"])
+    def test_n_below_one_is_input_error(self, n, capsys):
+        assert main(["min-k", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
 
 class TestCounterexampleCommand:
     def test_pair(self, capsys):

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,12 +60,39 @@ class TestEnumeration:
         joined = [tuple(r) for c in chunks for r in c]
         assert joined == [tuple(r) for r in np.concatenate(list(iter_perm_arrays(5)))]
 
+    def test_matches_itertools_across_blocks(self):
+        blocks = list(iter_perm_arrays(9))
+        assert [len(b) for b in blocks] == [math.factorial(8)] * 9
+        expected = np.array(list(itertools.permutations(range(1, 10))), np.int8)
+        assert np.array_equal(np.concatenate(blocks)[:, 1:-1], expected)
+
+    def test_one_row_blocks(self):
+        blocks = list(iter_perm_arrays(4, chunk=1))
+        assert [b.shape for b in blocks] == [(1, 6)] * 24
+        assert [tuple(b[0, 1:-1]) for b in blocks] == list(itertools.permutations(range(1, 5)))
+
+    def test_n_zero(self):
+        blocks = list(iter_perm_arrays(0))
+        assert len(blocks) == 1
+        assert blocks[0].tolist() == [[0, 1]]
+
+    def test_first_block_does_not_materialize_all_rows(self):
+        tracemalloc.start()
+        try:
+            first = next(iter_perm_arrays(12))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first.shape == (math.factorial(8), 14)
+        assert first[0].tolist() == list(range(14))
+        assert peak < 10 * 2**20
+
     def test_too_large_for_int8(self):
         with pytest.raises(TooLarge):
             next(iter_perm_arrays(130))
 
 
-class TestBackendsAgree:
+class TestKernelsMatchReference:
     def test_codes_match_reference(self):
         rng = random.Random(7)
         for n, k, directed in ((3, 1, True), (5, 2, False), (7, 3, True), (8, 9, False)):

@@ -1,6 +1,11 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from minmaxperm import (
+    InternalInconsistency,
+    Permutation,
     PreconditionViolation,
     TooLarge,
     collision_pair,
@@ -10,6 +15,7 @@ from minmaxperm import (
     min_unique_k,
     validate_permutation,
 )
+from minmaxperm import reconstruction
 
 from helpers import GOLDEN_PERM, golden_profile, identity_perm, unsat2_profile
 
@@ -66,6 +72,46 @@ class TestMinUniqueK:
         with pytest.raises(TooLarge):
             min_unique_k(9, False)
 
+    def test_n_below_one(self):
+        for n in (0, -2):
+            with pytest.raises(PreconditionViolation):
+                min_unique_k(n, False)
+
+
+def scan_first_collision(n, k, directed):
+    """First pair sharing a k-profile, by a dict scan over itertools order
+    with profiles from the scalar path."""
+    seen = {}
+    for inner in itertools.permutations(range(1, n + 1)):
+        P = Permutation(n=n, elems=(0, *inner, n + 1))
+        key = b"".join(a.tobytes() for a in compute_profile(P, k, directed).to_arrays())
+        if key in seen:
+            return seen[key], P
+        seen[key] = P
+    return None
+
+
+class TestCollisionPairsExact:
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_first_pair_matches_scan(self, directed):
+        for n in range(1, 8):
+            result = min_unique_k(n, directed)
+            for k in range(1, result.min_k):
+                expected = scan_first_collision(n, k, directed)
+                assert expected is not None
+                assert reconstruction._first_collision(n, k, directed) == expected
+            if result.min_k > 1:
+                assert result.collision == scan_first_collision(n, result.min_k - 1, directed)
+            else:
+                assert result.collision is None
+
+    def test_directed_n8_pair(self):
+        result = min_unique_k(8, True)
+        assert result.min_k == 3
+        P, Q = result.collision
+        assert P.elems == (0, 3, 4, 6, 7, 1, 8, 2, 5, 9)
+        assert Q.elems == (0, 3, 4, 6, 7, 1, 8, 5, 2, 9)
+
 
 class TestCollisionPair:
     def test_undirected_n5(self):
@@ -109,3 +155,24 @@ class TestFixedPositions:
     def test_cap(self):
         with pytest.raises(TooLarge):
             fixed_positions_check(9, 1, False)
+
+    def test_preconditions(self):
+        for n, k in ((0, 1), (-2, 1), (4, 0), (4, 6)):
+            with pytest.raises(PreconditionViolation):
+                fixed_positions_check(n, k, True)
+
+
+class TestGroupingFaults:
+    """Codes that put every permutation into one class."""
+
+    @pytest.fixture(autouse=True)
+    def one_class(self, monkeypatch):
+        monkeypatch.setattr(reconstruction, "batch_profile_codes",
+                            lambda rows, k, directed: np.zeros((len(rows), 3), np.int8))
+
+    def test_fixed_positions_fails(self):
+        assert fixed_positions_check(6, 1, True) is False
+
+    def test_collision_is_rechecked(self):
+        with pytest.raises(InternalInconsistency):
+            reconstruction._first_collision(6, 1, True)
