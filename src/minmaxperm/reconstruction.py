@@ -29,7 +29,7 @@ from .errors import (
     TooLarge,
 )
 from .profiles import Permutation, Profile, compute_profile
-from .solvers import brute_force_solutions
+from .solvers import DEFAULT_BRUTE_CAP, brute_force_solutions
 
 DEFAULT_GROUPING_CAP = 8
 
@@ -56,7 +56,7 @@ class MinKResult:
     collision: tuple[Permutation, Permutation] | None
 
 
-def is_unique(F: Profile, cap_n: int = 9) -> UniquenessReport:
+def is_unique(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> UniquenessReport:
     """Classify F by the cardinality of its exhaustive solution set."""
     sols = brute_force_solutions(F, cap_n)
     if not sols:

@@ -17,9 +17,10 @@ A returned witness is always re-verified against the input profile
 on a fully settled acyclic graph is impossible by construction and raises
 InternalInconsistency rather than leaking a bad answer.
 
-The brute-force enumerator is the independent oracle: it never touches the
-precedence machinery, it just matches every candidate permutation's
-recomputed profile against the target.
+The brute-force oracle is independent of the precedence machinery: it
+reads only the profile's (m, M, dir) arrays and builds permutations left
+to right, dropping a prefix as soon as an entry rules out every extension
+of it (`_kernels.prefix_solutions`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from ._kernels import iter_perm_arrays, match_profile
+from ._kernels import prefix_solutions
 from .errors import (
     InternalInconsistency,
     MismatchedN,
@@ -97,17 +98,16 @@ def verify(P: Permutation, F: Profile) -> bool:
 def brute_force_solutions(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> list[Permutation]:
     """Every permutation whose profile equals F, in lexicographic order.
 
-    Exhaustive over all n! candidates; refuses n beyond cap_n.
+    A prefix search that never builds a permutation an entry has already
+    ruled out.  It refuses n beyond cap_n: an adversarial profile, such as
+    one whose entries constrain little, can still have on the order of n!
+    solutions or surviving prefixes.
     """
     if F.n > cap_n:
         raise TooLarge(f"n={F.n} exceeds the enumeration cap {cap_n}")
     m, M, d = F.to_arrays()
-    out: list[Permutation] = []
-    for rows in iter_perm_arrays(F.n):
-        mask = match_profile(rows, F.k, m, M, d)
-        for row in rows[mask]:
-            out.append(Permutation(n=F.n, elems=tuple(int(v) for v in row)))
-    return out
+    return [Permutation(n=F.n, elems=tuple(row))
+            for rows in prefix_solutions(F.n, F.k, m, M, d) for row in rows.tolist()]
 
 
 def _nb_setting_arcs(rec: NBRecord, orient: Orientation) -> tuple[tuple[int, int], tuple[int, int]]:

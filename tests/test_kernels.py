@@ -11,8 +11,8 @@ from minmaxperm.profiles import profile_pairs
 from minmaxperm._kernels import (
     batch_profile_codes,
     iter_perm_arrays,
-    match_profile,
     pair_count,
+    prefix_solutions,
 )
 
 from helpers import golden_profile, random_perm
@@ -113,16 +113,16 @@ class TestKernelsMatchReference:
         from minmaxperm import verify
         expected = np.array([
             verify(Permutation(n=9, elems=tuple(int(v) for v in r)), F) for r in rows])
-        assert np.array_equal(match_profile(rows, 1, m, M, d), expected)
+        matched = {tuple(r) for block in prefix_solutions(9, 1, m, M, d) for r in block.tolist()}
+        assert np.array_equal([tuple(r) in matched for r in rows.tolist()], expected)
 
     def test_undirected_match_ignores_direction(self):
         P = Permutation(n=4, elems=(0, 2, 1, 4, 3, 5))
         F = compute_profile(P, 1, False)
         m, M, d = F.to_arrays()
-        rows = np.concatenate(list(iter_perm_arrays(4)))
-        hits = match_profile(rows, 1, m, M, d)
-        matched = {tuple(int(v) for v in r) for r in rows[hits]}
+        matched = {tuple(r) for block in prefix_solutions(4, 1, m, M, d) for r in block.tolist()}
         assert P.elems in matched
+
 
 class TestExhaustiveAgreement:
     def test_all_n5_profiles(self):

@@ -1,5 +1,9 @@
+import itertools
 import random
+import tracemalloc
+from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from minmaxperm import (
@@ -8,6 +12,7 @@ from minmaxperm import (
     NotDirected,
     NotLinear,
     Permutation,
+    Profile,
     ProfileValidationError,
     TooLarge,
     brute_force_solutions,
@@ -22,7 +27,9 @@ from minmaxperm import (
     validate_permutation,
     verify,
 )
+from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays
 from minmaxperm.graph import ArcKind, close, has_cycle
+from minmaxperm.profiles import KConstraint
 from minmaxperm.solvers import Orientation, _nb_setting_arcs
 
 from helpers import (
@@ -31,6 +38,8 @@ from helpers import (
     golden_profile,
     golden_witness_family,
     identity_perm,
+    L,
+    R,
     U,
     make_profile,
     mutate_directed,
@@ -89,6 +98,111 @@ class TestBruteForce:
         with pytest.raises(TooLarge):
             brute_force_solutions(F)
         assert brute_force_solutions(F, cap_n=10) == [identity_perm(10)]
+
+    def test_entry_leaving_out_its_pair_is_empty(self):
+        # an interval [m, M] that leaves out one end of its own pair, or
+        # reaches outside 0..n+1, matches no permutation
+        F = compute_profile(identity_perm(4), 1, True)
+        for t, m, M in ((2, 3, 3), (2, 2, 2), (4, -2, 5), (3, 3, 7)):
+            cons = dict(F.constraints)
+            cons[(t, 1)] = KConstraint(t=t, i=1, dir=L, m=m, M=M)
+            assert brute_force_solutions(Profile(n=4, k=1, directed=True, constraints=cons)) == []
+
+
+def _edited(rng, F):
+    """F with one entry changed: its direction flipped (directed only), or a
+    new m or M that still admits both ends of the pair."""
+    cons = dict(F.constraints)
+    key = rng.choice(sorted(cons))
+    c = cons[key]
+    m, M, d = c.m, c.M, c.dir
+    move = rng.random()
+    if F.directed and move < 0.3:
+        d = R if d is L else L
+    elif move < 0.65:
+        m = rng.randint(0, c.t)
+    else:
+        M = rng.randint(c.t + c.i, F.n + 1)
+    cons[key] = KConstraint(t=c.t, i=c.i, dir=d, m=m, M=M)
+    return Profile(n=F.n, k=F.k, directed=F.directed, constraints=cons)
+
+
+class TestOracleReferences:
+    """The oracle's lists, order included, against scans that share no code
+    with it."""
+
+    @pytest.mark.parametrize("directed", (True, False))
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_equals_itertools_scan(self, k, directed):
+        # every permutation's profile and one edited copy up to n = 6, and a
+        # seeded sample of them at n = 7
+        rng = random.Random(10 * k + directed)
+        for n in range(1, 8):
+            classes = defaultdict(list)
+            profiles = []
+            for inner in itertools.permutations(range(1, n + 1)):
+                P = Permutation(n=n, elems=(0, *inner, n + 1))
+                F = compute_profile(P, k, directed)
+                classes[tuple(F.entries())].append(P)
+                profiles.append(F)
+            if n == 7:
+                profiles = rng.sample(profiles, 150)
+            for F in profiles:
+                for G in (F, _edited(rng, F)):
+                    assert brute_force_solutions(G) == classes.get(tuple(G.entries()), []), G
+
+    @pytest.mark.parametrize("n, k", ((8, 1), (8, 2), (9, 1)))
+    def test_equals_code_scan(self, n, k):
+        rng = random.Random(100 * n + k)
+        rows = np.concatenate(list(iter_perm_arrays(n)))
+        for directed in (True, False):
+            codes = np.concatenate([batch_profile_codes(b, k, directed)
+                                    for b in iter_perm_arrays(n)])
+            for _ in range(3):
+                F = compute_profile(random_perm(rng, n), k, directed)
+                for G in (F, _edited(rng, F)):
+                    hits = rows[(codes == np.concatenate(G.to_arrays())).all(axis=1)]
+                    expected = [Permutation(n=n, elems=tuple(r)) for r in hits.tolist()]
+                    assert brute_force_solutions(G) == expected, G
+
+
+class TestOracleAboveCap:
+    def test_memory_bounded_with_many_solutions(self):
+        # 1 and 12 must lie between t and t+1 for every 1 <= t < 12: the
+        # solutions are 0, the evens 2..10 in any order, 12, 1, the odds
+        # 3..11 in any order, 13
+        n = 12
+        cons = {(t, 1): KConstraint(t=t, i=1, dir=U, m=0 if t == 0 else 1,
+                                    M=n + 1 if t == n else n) for t in range(n + 1)}
+        F = Profile(n=n, k=1, directed=False, constraints=cons)
+        tracemalloc.start()
+        try:
+            sols = brute_force_solutions(F, cap_n=n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        family = sorted((0, *a, 12, 1, *b, 13)
+                        for a in itertools.permutations(range(2, 11, 2))
+                        for b in itertools.permutations(range(3, 12, 2)))
+        assert len(family) == 14400
+        assert [P.elems for P in sols] == family
+        # the returned list alone takes about 3 MB; a search that held every
+        # surviving prefix of one level at once would need about 15 MB more
+        assert peak < 8 * 2**20
+
+    def test_agrees_with_solvers(self):
+        rng = random.Random(1216)
+        for n in range(12, 17):
+            for directed in (True, False):
+                P = random_perm(rng, n)
+                F = compute_profile(P, 1, directed)
+                for G in (F, (mutate_directed if directed else mutate_undirected)(rng, F)):
+                    sols = brute_force_solutions(G, cap_n=n)
+                    out = solve_fpt_directed(G) if directed else solve_undirected(G)
+                    assert out.is_no == (not sols), G
+                    assert out.is_no or out.witness in sols
+                    assert all(verify(Q, G) for Q in sols)
+                    assert G is not F or P in sols
 
 
 class TestSolveLinear:
