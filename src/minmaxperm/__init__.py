@@ -22,14 +22,10 @@ from .graph import (
     BArcPair,
     EasyArcsResult,
     PrecedenceGraph,
-    Verdict,
     b_arc_pairs,
     build_easy_arcs,
     endpoint_seeded_graph,
-    has_cycle,
-    is_settled,
     to_dot,
-    topo_sort,
 )
 from .profiles import (
     Direction,
@@ -55,7 +51,6 @@ from .reconstruction import (
     min_unique_k,
 )
 from .solvers import (
-    Orientation,
     SolveOutcome,
     brute_force_solutions,
     solve_fpt_directed,

@@ -39,8 +39,9 @@ from .errors import (
 from .formats import emit_permutation, emit_profile, parse_permutation, parse_profile
 from .graph import build_easy_arcs, require_solver_profile, to_dot
 from .profiles import Permutation, Profile, compute_profile
-from .reconstruction import collision_pair, is_unique, min_unique_k
+from .reconstruction import DEFAULT_GROUPING_CAP, collision_pair, is_unique, min_unique_k
 from .solvers import (
+    DEFAULT_BRUTE_CAP,
     SolveOutcome,
     brute_force_solutions,
     solve_fpt_directed,
@@ -242,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="find a permutation matching a profile file")
     p.add_argument("profile_file")
     p.add_argument("--method", choices=("linear", "fpt", "brute"), default="fpt")
-    p.add_argument("--cap", type=int, default=9,
+    p.add_argument("--cap", type=int, default=DEFAULT_BRUTE_CAP,
                    help="enumeration cap for --method brute")
     p.add_argument("--dump-graph", metavar="PATH",
                    help="write the closed precedence graph as DOT")
@@ -257,20 +258,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[common],
                        help="list all permutations matching a profile file")
     p.add_argument("profile_file")
-    p.add_argument("--cap", type=int, default=9)
+    p.add_argument("--cap", type=int, default=DEFAULT_BRUTE_CAP)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("check-unique", parents=[common],
                        help="classify a profile as unique / collision / empty")
     p.add_argument("profile_file")
-    p.add_argument("--cap", type=int, default=9)
+    p.add_argument("--cap", type=int, default=DEFAULT_BRUTE_CAP)
     p.set_defaults(func=_cmd_check_unique)
 
     p = sub.add_parser("min-k", parents=[common],
                        help="minimum k at which every k-profile is unique")
     p.add_argument("n", type=int)
     p.add_argument("--directed", action="store_true")
-    p.add_argument("--cap", type=int, default=8)
+    p.add_argument("--cap", type=int, default=DEFAULT_GROUPING_CAP)
     p.set_defaults(func=_cmd_min_k)
 
     p = sub.add_parser("counterexample", parents=[common],

@@ -17,9 +17,13 @@ whose orientations (the arc sets Arcs+/Arcs-) propagate as a unit.
 All closure runs through one incremental engine, `Closure`: successor and
 predecessor bitmasks kept transitively closed under arc insertion, with the
 NB and B rules fired only by the pairs they watch and a cycle detected at
-the insertion that closes it.  `close` and `build_easy_arcs` run it once
-to the fixpoint; the solvers' search copies its masks at each node and
-inserts only the arcs of one decision.
+the insertion that closes it.  `close` runs it on a given graph to the
+fixpoint.  `_solver_root` is the one front end that gates, seeds and
+closes a profile's root, for either directedness: `build_easy_arcs` and
+`solvers.undirected_base` take it to the fixpoint, the solvers as a search
+root whose masks the search copies at each node before inserting the arcs
+of one decision.  `topo_order` reads an order off a closure's predecessor
+masks.
 """
 
 from __future__ import annotations
@@ -113,22 +117,14 @@ class PrecedenceGraph:
         return f"PrecedenceGraph(n={self.n}, arcs={self.num_arcs})"
 
 
-class Verdict(enum.Enum):
-    SAT_SO_FAR = "sat-so-far"
-    NO = "no"
-
-
 @dataclass(frozen=True)
 class EasyArcsResult:
-    """Closed graph, remaining silent NB-constraints, and the cycle verdict."""
+    """Closed graph, remaining silent NB-constraints, and whether the
+    closed graph has a directed cycle (the verdict NO)."""
 
     graph: PrecedenceGraph
     silent: tuple[NBRecord, ...]
-    verdict: Verdict
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict is Verdict.SAT_SO_FAR
+    cyclic: bool
 
 
 @dataclass(frozen=True)
@@ -305,68 +301,25 @@ def close(graph: PrecedenceGraph, records: Sequence[NBRecord],
 
     The rules are monotone and inflationary, so the fixpoint is unique
     regardless of application order.  The output may contain 2-cycles when
-    the constraints are contradictory; callers run has_cycle.
+    the constraints are contradictory; `Closure(...).cyclic` tells whether
+    it does.
     """
     return Closure(graph, records, b_pairs).graph()
 
 
-def is_settled(G: PrecedenceGraph, r: NBRecord) -> bool:
-    """Whether one orientation of the NB-constraint is fully present."""
-    a = r.top
-    t, u = r.basis
-    return (G.has_arc(a, t) and G.has_arc(a, u)) or \
-           (G.has_arc(t, a) and G.has_arc(u, a))
-
-
 # ---------------------------------------------------------------------------
-# DAG utilities
+# Topological order
 # ---------------------------------------------------------------------------
 
-def _in_masks(g: PrecedenceGraph) -> list[int]:
-    V = len(g.rows)
-    incoming = [0] * V
-    for x in range(V):
-        r = g.rows[x]
-        while r:
-            b = r & -r
-            incoming[b.bit_length() - 1] |= 1 << x
-            r ^= b
-    return incoming
-
-
-def has_cycle(G: PrecedenceGraph) -> bool:
-    incoming = _in_masks(G)
-    V = len(G.rows)
-    remaining = (1 << V) - 1
-    while remaining:
-        picked = False
-        r = remaining
-        while r:
-            b = r & -r
-            v = b.bit_length() - 1
-            if not incoming[v] & remaining:
-                remaining &= ~b
-                picked = True
-                break
-            r ^= b
-        if not picked:
-            return True
-    return False
-
-
-def topo_sort(G: PrecedenceGraph) -> Permutation:
-    """Topological order with smallest-vertex tie-breaking, as a Permutation.
+def topo_order(incoming: Sequence[int]) -> Permutation:
+    """Topological order, smallest vertex first among the free ones, of the
+    graph whose vertex v has in-neighbour mask incoming[v] (a closure's
+    `pred` serves as it is), as a Permutation.
 
     Raises CyclicGraph when no order exists.  The order starts with 0 and
     ends with n+1 whenever the graph's constraints pin them there, which is
     the case for every graph the solvers produce.
     """
-    return topo_order(_in_masks(G))
-
-
-def topo_order(incoming: Sequence[int]) -> Permutation:
-    """`topo_sort` on the graph whose vertex v has in-neighbour mask
-    incoming[v] (a closed graph's predecessor masks serve as they are)."""
     V = len(incoming)
     remaining = (1 << V) - 1
     order = []
@@ -388,7 +341,7 @@ def topo_order(incoming: Sequence[int]) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# Build-Easy-Arcs (directed pipeline entry)
+# Solver front end
 # ---------------------------------------------------------------------------
 
 def require_solver_profile(F: Profile, *, directed: bool) -> None:
@@ -428,22 +381,6 @@ def easy_arc_seeds(F: Profile) -> PrecedenceGraph:
     return g
 
 
-def build_easy_arcs(F: Profile) -> EasyArcsResult:
-    """Seed R- and B-arcs from a directed gap-1 profile, close under the
-    T/NB rules, and report the NB-constraints left silent.
-
-    Verdict is NO exactly when the closed graph contains a directed cycle;
-    the graph and silent set are returned either way.
-    """
-    require_solver_profile(F, directed=True)
-    records = nb_records(F)
-    closure = Closure(easy_arc_seeds(F), records)
-    g = closure.graph()
-    silent = tuple(r for r in records if not closure.linked(r.top, r.basis[0]))
-    verdict = Verdict.NO if closure.cyclic else Verdict.SAT_SO_FAR
-    return EasyArcsResult(graph=g, silent=silent, verdict=verdict)
-
-
 def endpoint_seeded_graph(n: int) -> PrecedenceGraph:
     """Graph carrying only what the pinned endpoints give: 0 before
     everything, everything before n+1 (the undirected pipeline's seed)."""
@@ -453,6 +390,43 @@ def endpoint_seeded_graph(n: int) -> PrecedenceGraph:
     for x in range(0, n + 1):
         g.add_arc(x, n + 1, ArcKind.R)
     return g
+
+
+def _solver_root(F: Profile, *, directed: bool, search: bool) -> tuple[
+        Closure, list[NBRecord], list[BArcPair], list[NBRecord], list[BArcPair]]:
+    """A profile's root closure, a search root for the solvers and the full
+    fixpoint for `build_easy_arcs` and `solvers.undirected_base`: the gate,
+    the seeds (a directed profile's R/B arcs, or the endpoint arcs plus the
+    betweenness pairs of an undirected one), their closure, and the split
+    of the constraints.
+
+    Returns (closure, nb_records, b_pairs, silent_nb, silent_b).  A search
+    root stops at its first cycle, so when it is cyclic nothing is reported
+    silent; a full-fixpoint root always reports its silent sets.
+    """
+    require_solver_profile(F, directed=directed)
+    records = nb_records(F)
+    if directed:
+        seeds, pairs = easy_arc_seeds(F), []
+    else:
+        seeds, pairs = endpoint_seeded_graph(F.n), b_arc_pairs(F)
+    root = Closure(seeds, records, pairs, search=search)
+    if search and root.cyclic:
+        return root, records, pairs, [], []
+    silent_nb = [r for r in records if not root.linked(r.top, r.basis[0])]
+    silent_b = [bp for bp in pairs if not root.linked(bp.t, bp.t + 1)]
+    return root, records, pairs, silent_nb, silent_b
+
+
+def build_easy_arcs(F: Profile) -> EasyArcsResult:
+    """Seed R- and B-arcs from a directed gap-1 profile, close under the
+    T/NB rules, and report the NB-constraints left silent.
+
+    `cyclic` is set exactly when the closed graph contains a directed
+    cycle; the graph and silent set are returned either way.
+    """
+    root, _, _, silent, _ = _solver_root(F, directed=True, search=False)
+    return EasyArcsResult(graph=root.graph(), silent=tuple(silent), cyclic=root.cyclic)
 
 
 def to_dot(G: PrecedenceGraph) -> str:

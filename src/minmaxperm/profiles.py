@@ -180,19 +180,8 @@ class Profile:
         d = np.array([_DIR_CODE[c.dir] for c in ents], dtype=np.int8)
         return m, M, d
 
-    @classmethod
-    def from_arrays(cls, n: int, k: int, directed: bool,
-                    m: np.ndarray, M: np.ndarray, d: np.ndarray) -> "Profile":
-        constraints = {}
-        for idx, (t, i) in enumerate(profile_pairs(n, k)):
-            constraints[(t, i)] = KConstraint(
-                t=t, i=i, dir=_DIR_FROM_CODE[int(d[idx])],
-                m=int(m[idx]), M=int(M[idx]))
-        return cls(n=n, k=k, directed=directed, constraints=constraints)
-
 
 _DIR_CODE = {Direction.LEFT_TO_RIGHT: 1, Direction.RIGHT_TO_LEFT: -1, Direction.UNKNOWN: 0}
-_DIR_FROM_CODE = {1: Direction.LEFT_TO_RIGHT, -1: Direction.RIGHT_TO_LEFT, 0: Direction.UNKNOWN}
 
 
 def _segment(P: Permutation, pos: Sequence[int], t: int, i: int) -> tuple[int, int, Direction]:

@@ -36,7 +36,7 @@ DEFAULT_GROUPING_CAP = 8
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    """Verdict on one profile: unique witness, a collision pair, or empty."""
+    """Uniqueness of one profile: unique witness, a collision pair, or empty."""
 
     n: int
     k: int

@@ -25,7 +25,6 @@ of it (`_kernels.prefix_solutions`).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -43,10 +42,7 @@ from .graph import (
     BArcPair,
     Closure,
     PrecedenceGraph,
-    b_arc_pairs,
-    easy_arc_seeds,
-    endpoint_seeded_graph,
-    require_solver_profile,
+    _solver_root,
     topo_order,
 )
 from .profiles import (
@@ -55,18 +51,10 @@ from .profiles import (
     Profile,
     compute_profile,
     is_linear,
-    nb_records,
     nb_set,
 )
 
 DEFAULT_BRUTE_CAP = 9
-
-
-class Orientation(enum.Enum):
-    """Chosen side for a silent NB-constraint."""
-
-    TOP_FIRST = "top-first"      # arcs top->t, top->t+1
-    BASIS_FIRST = "basis-first"  # arcs t->top, t+1->top
 
 
 @dataclass(frozen=True)
@@ -110,14 +98,6 @@ def brute_force_solutions(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> list[Pe
             for rows in prefix_solutions(F.n, F.k, m, M, d) for row in rows.tolist()]
 
 
-def _nb_setting_arcs(rec: NBRecord, orient: Orientation) -> tuple[tuple[int, int], tuple[int, int]]:
-    t, u = rec.basis
-    a = rec.top
-    if orient is Orientation.TOP_FIRST:
-        return (a, t), (a, u)
-    return (t, a), (u, a)
-
-
 # ---------------------------------------------------------------------------
 # Branch-and-propagate search
 # ---------------------------------------------------------------------------
@@ -132,9 +112,10 @@ class _Choice(NamedTuple):
 
 
 def _nb_choice(rec: NBRecord) -> _Choice:
-    sides = tuple(tuple((x, y, ArcKind.NB) for x, y in _nb_setting_arcs(rec, orient))
-                  for orient in (Orientation.TOP_FIRST, Orientation.BASIS_FIRST))
-    return _Choice(rec.top, rec.basis[0], sides)
+    """Top-first (top left of t and t+1), then basis-first."""
+    top, (t, u) = rec.top, rec.basis
+    return _Choice(top, t, (((top, t, ArcKind.NB), (top, u, ArcKind.NB)),
+                            ((t, top, ArcKind.NB), (u, top, ArcKind.NB))))
 
 
 def _b_choice(bp: BArcPair) -> _Choice:
@@ -192,15 +173,6 @@ def _linear_branch(F: Profile, choices: list[_Choice]) -> _Branch:
     return branch
 
 
-def _directed_root(F: Profile) -> tuple[Closure, list[NBRecord]]:
-    require_solver_profile(F, directed=True)
-    records = nb_records(F)
-    root = Closure(easy_arc_seeds(F), records, search=True)
-    if root.cyclic:
-        return root, []
-    return root, [r for r in records if not root.linked(r.top, r.basis[0])]
-
-
 def solve_linear(F: Profile) -> SolveOutcome:
     """Polynomial decision procedure for directed linear gap-1 profiles.
 
@@ -214,7 +186,7 @@ def solve_linear(F: Profile) -> SolveOutcome:
         raise NotDirected("the linear solver needs a directed profile")
     if not is_linear(F):
         raise NotLinear("profile intervals do not form an inclusion chain")
-    root, silent = _directed_root(F)
+    root, _, _, silent, _ = _solver_root(F, directed=True, search=True)
     choices = [_nb_choice(r) for r in silent]
     w, nodes = _search(root, choices, F, "linear solver",
                        branch=_linear_branch(F, choices), backtrack=False)
@@ -231,20 +203,9 @@ def solve_fpt_directed(F: Profile) -> SolveOutcome:
     """
     if not F.directed:
         raise NotDirected("the FPT solver needs a directed profile")
-    root, silent = _directed_root(F)
+    root, _, _, silent, _ = _solver_root(F, directed=True, search=True)
     w, nodes = _search(root, [_nb_choice(r) for r in silent], F, "FPT solver")
     return SolveOutcome(witness=w, silent_nb=tuple(silent), settings_tested=nodes)
-
-
-def _undirected_root(F: Profile, search: bool) -> tuple[
-        Closure, list[NBRecord], list[BArcPair], list[NBRecord], list[BArcPair]]:
-    require_solver_profile(F, directed=False)
-    records = nb_records(F)
-    pairs = b_arc_pairs(F)
-    root = Closure(endpoint_seeded_graph(F.n), records, pairs, search=search)
-    silent_nb = [r for r in records if not root.linked(r.top, r.basis[0])]
-    silent_b = [bp for bp in pairs if not root.linked(bp.t, bp.t + 1)]
-    return root, records, pairs, silent_nb, silent_b
 
 
 def undirected_base(F: Profile) -> tuple[PrecedenceGraph, list[NBRecord],
@@ -255,7 +216,7 @@ def undirected_base(F: Profile) -> tuple[PrecedenceGraph, list[NBRecord],
     sets into settled and silent.  Returns (graph, nb_records, b_pairs,
     silent_nb, silent_b).
     """
-    root, records, pairs, silent_nb, silent_b = _undirected_root(F, search=False)
+    root, records, pairs, silent_nb, silent_b = _solver_root(F, directed=False, search=False)
     return root.graph(), records, pairs, silent_nb, silent_b
 
 
@@ -271,9 +232,7 @@ def solve_undirected(F: Profile, method: str = "fpt") -> SolveOutcome:
     """
     if method != "fpt":
         raise ValueError(f"unknown method {method!r}")
-    root, _, _, silent_nb, silent_b = _undirected_root(F, search=True)
-    if root.cyclic:
-        silent_nb, silent_b = [], []
+    root, _, _, silent_nb, silent_b = _solver_root(F, directed=False, search=True)
     choices = [_b_choice(bp) for bp in silent_b] + [_nb_choice(r) for r in silent_nb]
     w, nodes = _search(root, choices, F, "undirected solver")
     return SolveOutcome(witness=w, silent_nb=tuple(silent_nb),

@@ -1,5 +1,7 @@
 """Shared fixtures-in-code for the test suite: golden inputs, generators,
-and the slow randomized-order closure used as the confluence reference."""
+and the engine-free references: the slow randomized-order closure used as
+the confluence reference, and the settledness and cycle checks that read a
+graph's arcs directly."""
 
 from __future__ import annotations
 
@@ -196,6 +198,43 @@ def reference_close(graph: PrecedenceGraph, records, b_pairs, rng: random.Random
             return g
         x, y, kind = rng.choice(cands)
         g.add_arc(x, y, kind)
+
+
+def is_settled(G: PrecedenceGraph, r) -> bool:
+    """Whether one orientation of the NB-constraint is fully present."""
+    a = r.top
+    t, u = r.basis
+    return (G.has_arc(a, t) and G.has_arc(a, u)) or \
+           (G.has_arc(t, a) and G.has_arc(u, a))
+
+
+def has_cycle(G: PrecedenceGraph) -> bool:
+    """Whether G has a directed cycle: peel vertices with no incoming arc
+    from the rest until none is left (acyclic) or none can go (a cycle).
+    Reads only G's rows, so it checks `Closure.cyclic` from outside."""
+    V = len(G.rows)
+    incoming = [0] * V
+    for x in range(V):
+        r = G.rows[x]
+        while r:
+            b = r & -r
+            incoming[b.bit_length() - 1] |= 1 << x
+            r ^= b
+    remaining = (1 << V) - 1
+    while remaining:
+        picked = False
+        r = remaining
+        while r:
+            b = r & -r
+            v = b.bit_length() - 1
+            if not incoming[v] & remaining:
+                remaining &= ~b
+                picked = True
+                break
+            r ^= b
+        if not picked:
+            return True
+    return False
 
 
 def profile_restricted(F: Profile, k: int) -> Profile:

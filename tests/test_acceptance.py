@@ -17,16 +17,13 @@ import numpy as np
 
 from minmaxperm import (
     PrecedenceGraph,
-    Verdict,
     brute_force_solutions,
     build_easy_arcs,
     collision_pair,
     compute_profile,
     emit_profile,
     fixed_positions_check,
-    has_cycle,
     is_linear,
-    is_settled,
     min_unique_k,
     nb_records,
     parse_profile,
@@ -50,6 +47,8 @@ from helpers import (
     circuit_profile,
     golden_profile,
     golden_witness_family,
+    has_cycle,
+    is_settled,
     mutate_directed,
     random_perm,
     random_valid_directed,
@@ -178,7 +177,7 @@ def test_criterion_03_circuit_golden():
     proven = {(21, 27), (27, 21)} <= derived
     ref_cyclic = has_cycle(reference_close(easy_arc_seeds(F), nb_records(F), [],
                                            random.Random(3)))
-    verdict_no = (build_easy_arcs(F).verdict is Verdict.NO
+    verdict_no = (build_easy_arcs(F).cyclic
                   and solve_fpt_directed(F).is_no)
 
     # (b) The circuit construction itself, on the figure's system: the seed

@@ -2,8 +2,17 @@ import json
 
 import pytest
 
-from minmaxperm import emit_profile, validate_permutation, verify
+from minmaxperm import (
+    b_arc_pairs,
+    emit_profile,
+    endpoint_seeded_graph,
+    nb_records,
+    to_dot,
+    validate_permutation,
+    verify,
+)
 from minmaxperm.cli import main
+from minmaxperm.graph import close, easy_arc_seeds
 
 from helpers import GOLDEN_PERM, golden_profile, identity_perm, unsat2_profile
 
@@ -92,6 +101,23 @@ class TestSolveCommand:
         capsys.readouterr()
         text = dot.read_text()
         assert text.startswith("digraph") and '[label="R"]' in text
+
+    @pytest.mark.parametrize("F, code", [
+        (golden_profile(), 0),
+        (golden_profile(directed=False), 0),
+        (unsat2_profile(), 1),  # its closed graph has a cycle
+    ], ids=["directed", "undirected", "unsat2"])
+    def test_dump_graph_is_full_closure(self, F, code, tmp_path, capsys):
+        # the dump is the full T/NB(/B) fixpoint of the profile's seeds
+        prof, dot = tmp_path / "f.prof", tmp_path / "g.dot"
+        prof.write_text(emit_profile(F))
+        assert main(["solve", str(prof), "--dump-graph", str(dot)]) == code
+        capsys.readouterr()
+        if F.directed:
+            closed = close(easy_arc_seeds(F), nb_records(F))
+        else:
+            closed = close(endpoint_seeded_graph(F.n), nb_records(F), b_arc_pairs(F))
+        assert dot.read_bytes() == to_dot(closed).encode()
 
 
 class TestVerifyCommand:

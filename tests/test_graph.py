@@ -10,19 +10,21 @@ from minmaxperm import (
     PrecedenceGraph,
     PreconditionViolation,
     ProfileValidationError,
-    Verdict,
     b_arc_pairs,
     build_easy_arcs,
     compute_profile,
     endpoint_seeded_graph,
-    has_cycle,
-    is_settled,
     nb_records,
     to_dot,
-    topo_sort,
     validate_permutation,
 )
-from minmaxperm.graph import Closure, close, easy_arc_seeds, require_solver_profile
+from minmaxperm.graph import (
+    Closure,
+    close,
+    easy_arc_seeds,
+    require_solver_profile,
+    topo_order,
+)
 from minmaxperm.profiles import NBRecord
 
 from helpers import (
@@ -30,7 +32,9 @@ from helpers import (
     U,
     all_perms,
     golden_profile,
+    has_cycle,
     identity_perm,
+    is_settled,
     make_profile,
     reference_close,
     unsat2_profile,
@@ -148,47 +152,91 @@ class TestIsSettled:
         assert not is_settled(res.graph, NBRecord(basis=(6, 7), top=2))
 
 
+def order(g):
+    """The topological order of g, read off its closure's predecessor masks."""
+    return topo_order(Closure(g).pred)
+
+
 class TestCycleAndTopo:
     def test_chain(self):
         g = chain_graph(2, [(0, 1), (1, 2), (2, 3)])
-        assert not has_cycle(g)
-        assert topo_sort(g).elems == (0, 1, 2, 3)
+        assert not Closure(g).cyclic
+        assert order(g).elems == (0, 1, 2, 3)
 
     def test_two_cycle(self):
         g = chain_graph(2, [(1, 2), (2, 1)])
-        assert has_cycle(g)
+        assert Closure(g).cyclic
         with pytest.raises(CyclicGraph):
-            topo_sort(g)
+            order(g)
 
     def test_identity_total_order(self):
         res = build_easy_arcs(compute_profile(identity_perm(4), 1, True))
         expected = {(x, y) for x in range(6) for y in range(6) if x < y}
         assert res.graph.arc_pairs() == expected
-        assert topo_sort(res.graph).elems == (0, 1, 2, 3, 4, 5)
+        assert order(res.graph).elems == (0, 1, 2, 3, 4, 5)
 
     def test_smallest_tie_break(self):
         g = endpoint_seeded_graph(3)
-        assert topo_sort(g).elems == (0, 1, 2, 3, 4)
+        assert order(g).elems == (0, 1, 2, 3, 4)
         g.add_arc(2, 1, ArcKind.R)
-        assert topo_sort(g).elems == (0, 2, 1, 3, 4)
+        assert order(g).elems == (0, 2, 1, 3, 4)
+
+    def test_random_graphs_order_or_cycle(self):
+        # an order exists exactly when the engine-free check finds no
+        # cycle, and it keeps every arc; at each step it takes the smallest
+        # vertex with no remaining predecessor (the endpoint arcs pin 0 and
+        # n+1, as a Permutation requires)
+        rng = random.Random(1734)
+        cyclic_cases = 0
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            g = endpoint_seeded_graph(n)
+            for _ in range(rng.randint(0, 2 * n)):
+                g.add_arc(rng.randint(1, n), rng.randint(1, n), ArcKind.R)
+            if has_cycle(g):
+                cyclic_cases += 1
+                with pytest.raises(CyclicGraph):
+                    order(g)
+                continue
+            elems = order(g).elems
+            pos = {v: i for i, v in enumerate(elems)}
+            assert all(pos[x] < pos[y] for x, y in g.arc_pairs())
+            for i, v in enumerate(elems):
+                free = [u for u in elems[i:] if not any(g.has_arc(w, u) for w in elems[i:])]
+                assert v == min(free)
+        assert 30 <= cyclic_cases <= 270
 
 
 class TestBuildEasyArcs:
     def test_golden_silent_set(self):
         res = build_easy_arcs(golden_profile())
-        assert res.verdict is Verdict.SAT_SO_FAR and res.ok
+        assert not res.cyclic
         assert res.silent == (NBRecord(basis=(6, 7), top=2),)
 
     def test_identity_empty_silent(self):
         for n in (1, 3, 6):
             res = build_easy_arcs(compute_profile(identity_perm(n), 1, True))
             assert res.silent == ()
-            assert res.verdict is Verdict.SAT_SO_FAR
+            assert not res.cyclic
 
     def test_unsat_profile_reports_no(self):
         res = build_easy_arcs(unsat2_profile())
-        assert res.verdict is Verdict.NO
+        assert res.cyclic
         assert has_cycle(res.graph)
+
+    def test_cyclic_graph_still_reports_silent(self):
+        # the full fixpoint reports the records it leaves unjoined even when
+        # it has a cycle
+        from helpers import L, R
+        entries = [(0, L, 0, 9), (1, L, 1, 9), (2, L, 1, 9), (3, R, 3, 5), (4, L, 4, 5),
+                   (5, R, 1, 9), (6, R, 6, 7), (7, L, 1, 9), (8, R, 1, 9), (9, L, 1, 10)]
+        F = make_profile(entries)
+        res = build_easy_arcs(F)
+        g = res.graph
+        assert res.cyclic and has_cycle(g)
+        open_ = tuple(r for r in nb_records(F)
+                      if not g.has_arc(r.top, r.basis[0]) and not g.has_arc(r.basis[0], r.top))
+        assert len(open_) == 2 and res.silent == open_
 
     def test_setting_example_fully_settles(self):
         # The betweenness facts of the last two entries (both have m=3) chain
@@ -197,7 +245,7 @@ class TestBuildEasyArcs:
         # 02 checks the same against the reference closure.
         P = validate_permutation(SETTING_PERM)
         res = build_easy_arcs(compute_profile(P, 1, True))
-        assert res.verdict is Verdict.SAT_SO_FAR
+        assert not res.cyclic
         assert res.silent == ()
         g = res.graph
         assert g.has_arc(3, 11) and g.kinds[(3, 11)] is ArcKind.B

@@ -15,7 +15,7 @@ from minmaxperm._kernels import (
     prefix_solutions,
 )
 
-from helpers import golden_profile, random_perm
+from helpers import golden_profile, golden_witness_family, random_perm
 
 
 def reference_codes(rows, k, directed):
@@ -109,10 +109,12 @@ class TestKernelsMatchReference:
         for _ in range(200):
             rng.shuffle(base)
             rows.append((0, *base, 10))
+        rows.extend(sorted(P.elems for P in golden_witness_family(True)))
         rows = np.array(rows, np.int8)
         from minmaxperm import verify
         expected = np.array([
             verify(Permutation(n=9, elems=tuple(int(v) for v in r)), F) for r in rows])
+        assert expected.sum() == 12  # the golden witnesses; no shuffled row matches
         matched = {tuple(r) for block in prefix_solutions(9, 1, m, M, d) for r in block.tolist()}
         assert np.array_equal([tuple(r) in matched for r in rows.tolist()], expected)
 

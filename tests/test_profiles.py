@@ -103,12 +103,17 @@ class TestComputeProfile:
             compute_profile(P, 5, True)
 
     def test_array_roundtrip(self):
+        # the arrays hold the entries in canonical order, dir coded +1/-1/0
         P = validate_permutation(GOLDEN_PERM)
+        code = {Direction.LEFT_TO_RIGHT: 1, Direction.RIGHT_TO_LEFT: -1, Direction.UNKNOWN: 0}
         for k in (1, 2, 4):
-            F = compute_profile(P, k, True)
-            from minmaxperm.profiles import Profile
-            m, M, d = F.to_arrays()
-            assert Profile.from_arrays(F.n, k, True, m, M, d) == F
+            for directed in (True, False):
+                F = compute_profile(P, k, directed)
+                m, M, d = F.to_arrays()
+                ents = F.entries()
+                assert m.tolist() == [c.m for c in ents]
+                assert M.tolist() == [c.M for c in ents]
+                assert d.tolist() == [code[c.dir] for c in ents]
 
     def test_arrays_int8_bound(self):
         m, M, d = compute_profile(identity_perm(126), 1, True).to_arrays()

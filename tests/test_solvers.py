@@ -19,7 +19,6 @@ from minmaxperm import (
     build_easy_arcs,
     compute_profile,
     is_linear,
-    is_settled,
     nb_set,
     solve_fpt_directed,
     solve_linear,
@@ -28,16 +27,17 @@ from minmaxperm import (
     verify,
 )
 from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays
-from minmaxperm.graph import ArcKind, close, has_cycle
+from minmaxperm.graph import ArcKind, close
 from minmaxperm.profiles import KConstraint
-from minmaxperm.solvers import Orientation, _nb_setting_arcs
 
 from helpers import (
     GOLDEN_PERM,
     all_perms,
     golden_profile,
     golden_witness_family,
+    has_cycle,
     identity_perm,
+    is_settled,
     L,
     R,
     U,
@@ -343,10 +343,12 @@ class TestFptMonotonicity:
                     pos = W.positions()
                     g = res.graph.copy()
                     for rec in res.silent:
-                        orient = (Orientation.TOP_FIRST
-                                  if pos[rec.top] < pos[rec.basis[0]]
-                                  else Orientation.BASIS_FIRST)
-                        for x, y in _nb_setting_arcs(rec, orient):
+                        top, (t, u) = rec.top, rec.basis
+                        if pos[top] < pos[t]:
+                            arcs = (top, t), (top, u)
+                        else:
+                            arcs = (t, top), (u, top)
+                        for x, y in arcs:
                             g.add_arc(x, y, ArcKind.NB)
                     closed = close(g, res.silent)
                     assert not has_cycle(closed)
@@ -414,6 +416,18 @@ class TestSearch:
         out = solve_undirected(F)
         assert out.is_no and out.settings_tested == 3
         assert brute_force_solutions(F) == []
+
+    def test_cyclic_root_reports_nothing_silent(self):
+        # a search root stops at its first cycle, and the constraints its
+        # partial closure leaves unjoined (6 for the circuit profile, 2 for
+        # the undirected one) are not reported silent
+        from helpers import circuit_profile
+        undirected = make_profile([(0, U, 0, 1), (1, U, 1, 2), (2, U, 1, 3), (3, U, 3, 4)],
+                                  n=3, directed=False)
+        for F, solve in ((circuit_profile(), solve_fpt_directed), (undirected, solve_undirected)):
+            out = solve(F)
+            assert out.is_no and out.settings_tested == 1
+            assert out.silent_nb == () and out.silent_b == ()
 
     def test_backtrack_is_a_fault_when_disallowed(self, monkeypatch):
         # the linear solver searches without backtracking: a dead end there
