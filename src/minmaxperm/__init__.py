@@ -21,10 +21,9 @@ from .graph import (
     ArcKind,
     BArcPair,
     EasyArcsResult,
-    PrecedenceGraph,
     b_arc_pairs,
     build_easy_arcs,
-    endpoint_seeded_graph,
+    endpoint_arcs,
     to_dot,
 )
 from .profiles import (

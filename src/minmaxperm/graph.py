@@ -14,16 +14,17 @@ T/NB; NB-constraints that the closure orients neither way are reported as
 silent.  The undirected pipeline also feeds the closure betweenness pairs
 whose orientations (the arc sets Arcs+/Arcs-) propagate as a unit.
 
-All closure runs through one incremental engine, `Closure`: successor and
-predecessor bitmasks kept transitively closed under arc insertion, with the
-NB and B rules fired only by the pairs they watch and a cycle detected at
-the insertion that closes it.  `close` runs it on a given graph to the
-fixpoint.  `_solver_root` is the one front end that gates, seeds and
-closes a profile's root, for either directedness: `build_easy_arcs` and
-`solvers.undirected_base` take it to the fixpoint, the solvers as a search
-root whose masks the search copies at each node before inserting the arcs
-of one decision.  `topo_order` reads an order off a closure's predecessor
-masks.
+The one graph type is `Closure`, an incremental engine: successor and
+predecessor bitmasks kept transitively closed under arc insertion, with
+the NB and B rules fired only by the pairs they watch and a cycle detected
+at the insertion that closes it.  It is built from seed arcs, given as
+(x, y, kind) lists (`easy_arc_seeds`, `endpoint_arcs`), and lists its arcs
+back with their kinds for `to_dot`.  `_solver_root` is the one front end
+that gates, seeds and closes a profile's root, for either directedness:
+`build_easy_arcs` and `solvers.undirected_base` take it to the fixpoint,
+the solvers as a search root whose masks the search copies at each node
+before inserting the arcs of one decision.  `topo_order` reads an order
+off a closure's predecessor masks.
 """
 
 from __future__ import annotations
@@ -57,74 +58,13 @@ class ArcKind(enum.Enum):
     NB = "NB"
 
 
-class PrecedenceGraph:
-    """Simple digraph on {0..n+1}; each arc remembers the rule that first
-    derived it (diagnostic only, never consulted by the algorithms)."""
-
-    __slots__ = ("n", "rows", "kinds")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.rows: list[int] = [0] * (n + 2)
-        self.kinds: dict[tuple[int, int], ArcKind] = {}
-
-    @property
-    def num_vertices(self) -> int:
-        return self.n + 2
-
-    def copy(self) -> "PrecedenceGraph":
-        g = PrecedenceGraph.__new__(PrecedenceGraph)
-        g.n = self.n
-        g.rows = list(self.rows)
-        g.kinds = dict(self.kinds)
-        return g
-
-    def has_arc(self, x: int, y: int) -> bool:
-        return bool(self.rows[x] >> y & 1)
-
-    def add_arc(self, x: int, y: int, kind: ArcKind) -> bool:
-        """Add (x, y) unless it is a self-loop or already present."""
-        if x == y or self.rows[x] >> y & 1:
-            return False
-        self.rows[x] |= 1 << y
-        self.kinds[(x, y)] = kind
-        return True
-
-    def arcs(self) -> list[tuple[int, int, ArcKind]]:
-        out = []
-        for x in range(len(self.rows)):
-            r = self.rows[x]
-            while r:
-                b = r & -r
-                y = b.bit_length() - 1
-                out.append((x, y, self.kinds[(x, y)]))
-                r ^= b
-        return out
-
-    def arc_pairs(self) -> set[tuple[int, int]]:
-        return {(x, y) for x, y, _ in self.arcs()}
-
-    @property
-    def num_arcs(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PrecedenceGraph):
-            return NotImplemented
-        return self.n == other.n and self.rows == other.rows
-
-    def __repr__(self) -> str:
-        return f"PrecedenceGraph(n={self.n}, arcs={self.num_arcs})"
-
-
 @dataclass(frozen=True)
 class EasyArcsResult:
-    """Closed graph, remaining silent NB-constraints, and whether the
-    closed graph has a directed cycle (the verdict NO)."""
+    """The full-fixpoint closure of a directed profile's seeds and the
+    NB-constraints it leaves silent; `graph.cyclic` is the verdict NO."""
 
-    graph: PrecedenceGraph
+    graph: Closure
     silent: tuple[NBRecord, ...]
-    cyclic: bool
 
 
 @dataclass(frozen=True)
@@ -186,23 +126,30 @@ class Closure:
     t+1, and a B-pair side watches each of its arcs.  An insertion whose
     head already reaches its tail closes a cycle and sets `cyclic`.
 
-    By default the closure runs on to the full fixpoint, through cycles,
-    and `kinds` maps every pair to the rule that first derived it.  A
-    `search` closure stops at the first cycle and keeps no kinds; copies
-    never carry kinds either, so a search node copies two lists of masks.
+    The seeds are arcs (x, y, kind): each keeps the kind it was given (the
+    first, when it repeats), self-loops are dropped, and the seeds go to
+    `add` in ascending (x, y) order, which fixes the kinds of the derived
+    arcs.  By default the closure runs on to the full fixpoint, through cycles, and
+    `kinds` maps every pair to the rule that first derived it.  A `search`
+    closure stops at the first cycle and keeps no kinds; copies never
+    carry kinds either, so a search node copies two lists of masks.
     """
 
     __slots__ = ("succ", "pred", "cyclic", "stop_at_cycle", "kinds",
                  "_nb", "_b_mask", "_b_sides")
 
-    def __init__(self, graph: PrecedenceGraph, records: Sequence[NBRecord] = (),
+    def __init__(self, n: int, seeds: Iterable[Arc] = (), records: Sequence[NBRecord] = (),
                  b_pairs: Sequence[BArcPair] = (), *, search: bool = False):
-        V = graph.num_vertices
+        V = n + 2
         self.succ = [0] * V
         self.pred = [0] * V
         self.cyclic = False
         self.stop_at_cycle = search
-        self.kinds = None if search else dict(graph.kinds)
+        first: dict[tuple[int, int], ArcKind] = {}
+        for x, y, kind in seeds:
+            if x != y:
+                first.setdefault((x, y), kind)
+        self.kinds = None if search else first
         # _nb[a] has bit t for every NB record (a, (t, t+1))
         self._nb = [0] * V
         for rec in records:
@@ -215,7 +162,7 @@ class Closure:
                 for x, y in side:
                     self._b_mask[x] |= 1 << y
                     self._b_sides.setdefault((x, y), []).append(arcs)
-        self.add([(x, y, ArcKind.T) for x, row in enumerate(graph.rows) for y in _bits(row)])
+        self.add([(x, y, kind) for (x, y), kind in sorted(first.items())])
 
     def copy(self) -> "Closure":
         c = Closure.__new__(Closure)
@@ -286,25 +233,10 @@ class Closure:
                     if forced:
                         todo.extend((p, q, ArcKind.NB) for p in _bits(forced))
 
-    def graph(self) -> PrecedenceGraph:
-        """The closed arc set as a graph, kinds included (not for search
-        closures or copies, which keep none)."""
-        g = PrecedenceGraph(len(self.succ) - 2)
-        g.rows = list(self.succ)
-        g.kinds = self.kinds
-        return g
-
-
-def close(graph: PrecedenceGraph, records: Sequence[NBRecord],
-          b_pairs: Sequence[BArcPair] = ()) -> PrecedenceGraph:
-    """Least fixpoint of the T, NB and (optionally) B rules over the input.
-
-    The rules are monotone and inflationary, so the fixpoint is unique
-    regardless of application order.  The output may contain 2-cycles when
-    the constraints are contradictory; `Closure(...).cyclic` tells whether
-    it does.
-    """
-    return Closure(graph, records, b_pairs).graph()
+    def arcs(self) -> list[Arc]:
+        """The arcs (x, y, kind) by ascending (x, y); only a full-fixpoint
+        closure has them, since search closures and copies keep no kinds."""
+        return [(x, y, self.kinds[(x, y)]) for x, row in enumerate(self.succ) for y in _bits(row)]
 
 
 # ---------------------------------------------------------------------------
@@ -369,27 +301,24 @@ def require_solver_profile(F: Profile, *, directed: bool) -> None:
             raise PreconditionViolation("expected an undirected profile")
 
 
-def easy_arc_seeds(F: Profile) -> PrecedenceGraph:
-    """The unclosed graph of R- and B-arcs a directed gap-1 profile states."""
-    g = PrecedenceGraph(F.n)
+def easy_arc_seeds(F: Profile) -> list[Arc]:
+    """The R- and B-arcs a directed gap-1 profile states, entry by entry
+    (unclosed; B-arcs that are self-loops included)."""
+    out = []
     for c in F.entries():
         t = c.t
         tl, tr = (t, t + 1) if c.dir is Direction.LEFT_TO_RIGHT else (t + 1, t)
-        g.add_arc(tl, tr, ArcKind.R)
+        out.append((tl, tr, ArcKind.R))
         for x, y in ((tl, c.m), (c.m, tr), (tl, c.M), (c.M, tr)):
-            g.add_arc(x, y, ArcKind.B)
-    return g
+            out.append((x, y, ArcKind.B))
+    return out
 
 
-def endpoint_seeded_graph(n: int) -> PrecedenceGraph:
-    """Graph carrying only what the pinned endpoints give: 0 before
-    everything, everything before n+1 (the undirected pipeline's seed)."""
-    g = PrecedenceGraph(n)
-    for x in range(1, n + 2):
-        g.add_arc(0, x, ArcKind.R)
-    for x in range(0, n + 1):
-        g.add_arc(x, n + 1, ArcKind.R)
-    return g
+def endpoint_arcs(n: int) -> list[Arc]:
+    """Only what the pinned endpoints give: 0 before everything,
+    everything before n+1 (the undirected pipeline's seeds)."""
+    return ([(0, x, ArcKind.R) for x in range(1, n + 2)]
+            + [(x, n + 1, ArcKind.R) for x in range(0, n + 1)])
 
 
 def _solver_root(F: Profile, *, directed: bool, search: bool) -> tuple[
@@ -409,8 +338,8 @@ def _solver_root(F: Profile, *, directed: bool, search: bool) -> tuple[
     if directed:
         seeds, pairs = easy_arc_seeds(F), []
     else:
-        seeds, pairs = endpoint_seeded_graph(F.n), b_arc_pairs(F)
-    root = Closure(seeds, records, pairs, search=search)
+        seeds, pairs = endpoint_arcs(F.n), b_arc_pairs(F)
+    root = Closure(F.n, seeds, records, pairs, search=search)
     if search and root.cyclic:
         return root, records, pairs, [], []
     silent_nb = [r for r in records if not root.linked(r.top, r.basis[0])]
@@ -419,20 +348,22 @@ def _solver_root(F: Profile, *, directed: bool, search: bool) -> tuple[
 
 
 def build_easy_arcs(F: Profile) -> EasyArcsResult:
-    """Seed R- and B-arcs from a directed gap-1 profile, close under the
-    T/NB rules, and report the NB-constraints left silent.
+    """Seed R- and B-arcs from a directed gap-1 profile, close them under
+    the T/NB rules to the full fixpoint, and report the NB-constraints left
+    silent.
 
-    `cyclic` is set exactly when the closed graph contains a directed
-    cycle; the graph and silent set are returned either way.
+    The closure and silent set are returned whether or not the closure has
+    a directed cycle; `graph.cyclic` tells which.
     """
     root, _, _, silent, _ = _solver_root(F, directed=True, search=False)
-    return EasyArcsResult(graph=root.graph(), silent=tuple(silent), cyclic=root.cyclic)
+    return EasyArcsResult(graph=root, silent=tuple(silent))
 
 
-def to_dot(G: PrecedenceGraph) -> str:
-    """DOT rendering with the arc kind as edge label (debug dumps)."""
+def to_dot(G: Closure) -> str:
+    """DOT rendering of a full-fixpoint closure with the arc kind as edge
+    label (debug dumps)."""
     lines = ["digraph precedence {"]
-    for v in range(G.num_vertices):
+    for v in range(len(G.succ)):
         lines.append(f"  {v};")
     for x, y, kind in G.arcs():
         lines.append(f'  {x} -> {y} [label="{kind.value}"];')

@@ -41,7 +41,6 @@ from .graph import (
     ArcKind,
     BArcPair,
     Closure,
-    PrecedenceGraph,
     _solver_root,
     topo_order,
 )
@@ -208,16 +207,15 @@ def solve_fpt_directed(F: Profile) -> SolveOutcome:
     return SolveOutcome(witness=w, silent_nb=tuple(silent), settings_tested=nodes)
 
 
-def undirected_base(F: Profile) -> tuple[PrecedenceGraph, list[NBRecord],
+def undirected_base(F: Profile) -> tuple[Closure, list[NBRecord],
                                          list[BArcPair], list[NBRecord], list[BArcPair]]:
     """Shared front end of the undirected pipeline.
 
-    Seeds the endpoint arcs, closes under T/NB/B, and splits the constraint
-    sets into settled and silent.  Returns (graph, nb_records, b_pairs,
-    silent_nb, silent_b).
+    Seeds the endpoint arcs, closes under T/NB/B to the full fixpoint, and
+    splits the constraint sets into settled and silent.  Returns (closure,
+    nb_records, b_pairs, silent_nb, silent_b).
     """
-    root, records, pairs, silent_nb, silent_b = _solver_root(F, directed=False, search=False)
-    return root.graph(), records, pairs, silent_nb, silent_b
+    return _solver_root(F, directed=False, search=False)
 
 
 def solve_undirected(F: Profile, method: str = "fpt") -> SolveOutcome:

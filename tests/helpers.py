@@ -1,7 +1,8 @@
 """Shared fixtures-in-code for the test suite: golden inputs, generators,
 and the engine-free references: the slow randomized-order closure used as
-the confluence reference, and the settledness and cycle checks that read a
-graph's arcs directly."""
+the confluence reference, and the settledness and cycle checks.  The
+references work on plain sets of (x, y) arcs and never import the closure
+engine."""
 
 from __future__ import annotations
 
@@ -9,8 +10,6 @@ import itertools
 import random
 
 from minmaxperm import (
-    ArcKind,
-    PrecedenceGraph,
     Permutation,
     Profile,
     validate_permutation,
@@ -164,62 +163,64 @@ def seed_arcs(c: KConstraint) -> tuple[tuple[int, int], ...]:
     return (tl, tr), (tl, c.m), (c.m, tr), (tl, c.M), (c.M, tr)
 
 
-def reference_close(graph: PrecedenceGraph, records, b_pairs, rng: random.Random):
-    """Fixpoint computed by applying one randomly chosen applicable rule
-    instance at a time; order-independence of the result is the property
-    under test."""
-    g = graph.copy()
-    V = g.num_vertices
+def arc_set(arcs) -> set[tuple[int, int]]:
+    """The (x, y) pairs of arcs given as (x, y, kind) triples, without
+    self-loops, which never enter a closure."""
+    return {(x, y) for x, y, _ in arcs if x != y}
+
+
+def reference_close(n: int, arcs: set[tuple[int, int]], records, b_pairs,
+                    rng: random.Random) -> set[tuple[int, int]]:
+    """Fixpoint over {0..n+1} computed by applying one randomly chosen
+    applicable rule instance at a time; order-independence of the result is
+    the property under test."""
+    g = set(arcs)
+    V = n + 2
     while True:
         cands = []
         for x in range(V):
             for c in range(V):
-                if g.has_arc(x, c):
+                if (x, c) in g:
                     for y in range(V):
-                        if y != x and g.has_arc(c, y) and not g.has_arc(x, y):
-                            cands.append((x, y, ArcKind.T))
+                        if y != x and (c, y) in g and (x, y) not in g:
+                            cands.append((x, y))
         for r in records:
             a = r.top
             t, u = r.basis
-            if g.has_arc(a, t) and not g.has_arc(a, u):
-                cands.append((a, u, ArcKind.NB))
-            if g.has_arc(a, u) and not g.has_arc(a, t):
-                cands.append((a, t, ArcKind.NB))
-            if g.has_arc(t, a) and not g.has_arc(u, a):
-                cands.append((u, a, ArcKind.NB))
-            if g.has_arc(u, a) and not g.has_arc(t, a):
-                cands.append((t, a, ArcKind.NB))
+            if (a, t) in g and (a, u) not in g:
+                cands.append((a, u))
+            if (a, u) in g and (a, t) not in g:
+                cands.append((a, t))
+            if (t, a) in g and (u, a) not in g:
+                cands.append((u, a))
+            if (u, a) in g and (t, a) not in g:
+                cands.append((t, a))
         for bp in b_pairs:
             for side in (bp.plus, bp.minus):
-                if any(g.has_arc(x, y) for x, y in side):
-                    cands.extend((x, y, ArcKind.B)
-                                 for x, y in side if not g.has_arc(x, y))
+                if any((x, y) in g for x, y in side):
+                    cands.extend((x, y) for x, y in side if (x, y) not in g)
         if not cands:
             return g
-        x, y, kind = rng.choice(cands)
-        g.add_arc(x, y, kind)
+        g.add(rng.choice(cands))
 
 
-def is_settled(G: PrecedenceGraph, r) -> bool:
+def is_settled(arcs: set[tuple[int, int]], r) -> bool:
     """Whether one orientation of the NB-constraint is fully present."""
     a = r.top
     t, u = r.basis
-    return (G.has_arc(a, t) and G.has_arc(a, u)) or \
-           (G.has_arc(t, a) and G.has_arc(u, a))
+    return ((a, t) in arcs and (a, u) in arcs) or \
+           ((t, a) in arcs and (u, a) in arcs)
 
 
-def has_cycle(G: PrecedenceGraph) -> bool:
-    """Whether G has a directed cycle: peel vertices with no incoming arc
-    from the rest until none is left (acyclic) or none can go (a cycle).
-    Reads only G's rows, so it checks `Closure.cyclic` from outside."""
-    V = len(G.rows)
+def has_cycle(arcs: set[tuple[int, int]]) -> bool:
+    """Whether the arcs form a directed cycle: peel vertices with no
+    incoming arc from the rest until none is left (acyclic) or none can go
+    (a cycle).  Reads only the arc set, so it checks `Closure.cyclic` from
+    outside."""
+    V = max((max(a) for a in arcs), default=-1) + 1
     incoming = [0] * V
-    for x in range(V):
-        r = G.rows[x]
-        while r:
-            b = r & -r
-            incoming[b.bit_length() - 1] |= 1 << x
-            r ^= b
+    for x, y in arcs:
+        incoming[y] |= 1 << x
     remaining = (1 << V) - 1
     while remaining:
         picked = False

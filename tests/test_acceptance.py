@@ -16,7 +16,6 @@ import time
 import numpy as np
 
 from minmaxperm import (
-    PrecedenceGraph,
     brute_force_solutions,
     build_easy_arcs,
     collision_pair,
@@ -34,7 +33,7 @@ from minmaxperm import (
     verify,
 )
 from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays, pair_count
-from minmaxperm.graph import ArcKind, close, easy_arc_seeds
+from minmaxperm.graph import ArcKind, Closure, easy_arc_seeds
 from minmaxperm.profiles import NBRecord, profile_pairs
 
 from minmaxperm import b_arc_pairs
@@ -44,6 +43,7 @@ from helpers import (
     GOLDEN_PERM,
     SETTING_PERM,
     all_perms,
+    arc_set,
     circuit_profile,
     golden_profile,
     golden_witness_family,
@@ -104,17 +104,17 @@ def test_criterion_02_silent_set_goldens():
                      (8, 5), (8, 6), (8, 9), (8, 11), (9, 6), (9, 11), (11, 6)}
     sub = {3, 5, 6, 8, 9, 11}
 
-    def induced(g):
-        return {(x, y) for x, y, _ in g.arcs() if x in sub and y in sub}
+    def induced(arcs):
+        return {(x, y) for x, y in arcs if x in sub and y in sub}
 
-    second = res2.silent == () and induced(res2.graph) == expected_arcs
+    second = res2.silent == () and induced(arc_set(res2.graph.arcs())) == expected_arcs
 
     # the same values without graph.Closure: the seed arc, the one-rule-at-
     # a-time reference closure, and the permutation's own positions
-    seeds, records = easy_arc_seeds(F2), nb_records(F2)
-    ref = reference_close(seeds, records, [], random.Random(2))
+    seeds, records = arc_set(easy_arc_seeds(F2)), nb_records(F2)
+    ref = reference_close(F2.n, seeds, records, [], random.Random(2))
     pos = P.positions()
-    independent = (seeds.has_arc(3, 11)
+    independent = ((3, 11) in seeds
                    and induced(ref) == expected_arcs
                    and all(is_settled(ref, r) for r in records)
                    and all(pos[x] < pos[y] for x, y in expected_arcs))
@@ -123,7 +123,7 @@ def test_criterion_02_silent_set_goldens():
             f"first golden silent set {'ok' if first else 'differs'}; "
             f"second golden {'ok' if second else 'differs'} "
             f"(computed silent={sorted((r.top, r.basis) for r in res2.silent)}, "
-            f"{len(induced(res2.graph))} induced arcs); "
+            f"{len(induced(arc_set(res2.graph.arcs())))} induced arcs); "
             f"reference closure {'agrees' if independent else 'differs'}")
     assert first and second and independent
 
@@ -175,26 +175,22 @@ def test_criterion_03_circuit_golden():
     # reference closure.
     derived = _check_derivation(F, CIRCUIT_CONTRADICTION)
     proven = {(21, 27), (27, 21)} <= derived
-    ref_cyclic = has_cycle(reference_close(easy_arc_seeds(F), nb_records(F), [],
-                                           random.Random(3)))
-    verdict_no = (build_easy_arcs(F).cyclic
+    ref_cyclic = has_cycle(reference_close(F.n, arc_set(easy_arc_seeds(F)), nb_records(F),
+                                           [], random.Random(3)))
+    verdict_no = (build_easy_arcs(F).graph.cyclic
                   and solve_fpt_directed(F).is_no)
 
     # (b) The circuit construction itself, on the figure's system: the seed
     # arcs of the six special entries and four of their NB records.
-    g = PrecedenceGraph(F.n)
-    for t in (7, 12, 15, 18, 21, 24):
-        for x, y in seed_arcs(F.entry(t)):
-            g.add_arc(x, y, ArcKind.B)
+    g = [(x, y, ArcKind.B) for t in (7, 12, 15, 18, 21, 24) for x, y in seed_arcs(F.entry(t))]
     records = [NBRecord(basis=(21, 22), top=25), NBRecord(basis=(15, 16), top=8),
                NBRecord(basis=(18, 19), top=25), NBRecord(basis=(18, 19), top=12)]
     assert set(records) <= set(nb_records(F))
-    base = close(g, records)
-    base_acyclic = not has_cycle(base)
-    all_silent = not any(is_settled(base, r) for r in records)
-    trigger = base.copy()
-    trigger.add_arc(18, 12, ArcKind.NB)
-    cycle_after = has_cycle(close(trigger, records))
+    base = Closure(F.n, g, records).arcs()
+    base_acyclic = not has_cycle(arc_set(base))
+    all_silent = not any(is_settled(arc_set(base), r) for r in records)
+    trigger = base + [(18, 12, ArcKind.NB)]
+    cycle_after = has_cycle(arc_set(Closure(F.n, trigger, records).arcs()))
 
     ok = proven and ref_cyclic and verdict_no and base_acyclic and all_silent and cycle_after
     _report(3, ok,
@@ -329,26 +325,26 @@ def test_criterion_09_fixed_positions():
 
 def _confluence_cases():
     F1 = golden_profile()
-    yield easy_arc_seeds(F1), nb_records(F1), []
+    yield F1.n, easy_arc_seeds(F1), nb_records(F1), []
     F2 = compute_profile(validate_permutation(SETTING_PERM), 1, True)
-    yield easy_arc_seeds(F2), nb_records(F2), []
+    yield F2.n, easy_arc_seeds(F2), nb_records(F2), []
     rng = random.Random(55)
     for _ in range(2):
         F = mutate_directed(rng, compute_profile(random_perm(rng, 6), 1, True))
-        yield easy_arc_seeds(F), nb_records(F), []
+        yield F.n, easy_arc_seeds(F), nb_records(F), []
     Fu = golden_profile(directed=False)
-    from minmaxperm import endpoint_seeded_graph
-    yield endpoint_seeded_graph(9), nb_records(Fu), b_arc_pairs(Fu)
+    from minmaxperm import endpoint_arcs
+    yield 9, endpoint_arcs(9), nb_records(Fu), b_arc_pairs(Fu)
 
 
 def test_criterion_10_property_suites():
     t0 = time.perf_counter()
 
     # closure confluence: 50 randomized rule orders per instance
-    for seed_g, records, pairs in _confluence_cases():
-        fast = close(seed_g, records, pairs)
+    for n, seeds, records, pairs in _confluence_cases():
+        fast = arc_set(Closure(n, seeds, records, pairs).arcs())
         for trial in range(50):
-            ref = reference_close(seed_g, records, pairs, random.Random(trial))
+            ref = reference_close(n, arc_set(seeds), records, pairs, random.Random(trial))
             assert ref == fast
 
     # closure soundness against witness positions, all n <= 7

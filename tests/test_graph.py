@@ -7,20 +7,18 @@ from minmaxperm import (
     CyclicGraph,
     KMismatch,
     NotDirected,
-    PrecedenceGraph,
     PreconditionViolation,
     ProfileValidationError,
     b_arc_pairs,
     build_easy_arcs,
     compute_profile,
-    endpoint_seeded_graph,
+    endpoint_arcs,
     nb_records,
     to_dot,
     validate_permutation,
 )
 from minmaxperm.graph import (
     Closure,
-    close,
     easy_arc_seeds,
     require_solver_profile,
     topo_order,
@@ -31,6 +29,7 @@ from helpers import (
     SETTING_PERM,
     U,
     all_perms,
+    arc_set,
     golden_profile,
     has_cycle,
     identity_perm,
@@ -41,80 +40,75 @@ from helpers import (
 )
 
 
-def chain_graph(n, pairs, kind=ArcKind.R):
-    g = PrecedenceGraph(n)
-    for x, y in pairs:
-        g.add_arc(x, y, kind)
-    return g
+def chain(pairs, kind=ArcKind.R):
+    """Seed arcs (x, y, kind), one kind for all."""
+    return [(x, y, kind) for x, y in pairs]
 
 
-class TestPrecedenceGraph:
-    def test_add_and_query(self):
-        g = PrecedenceGraph(2)
-        assert g.add_arc(1, 2, ArcKind.R)
-        assert not g.add_arc(1, 2, ArcKind.T)  # first derivation keeps its kind
-        assert not g.add_arc(1, 1, ArcKind.T)  # self-loops never enter
-        assert g.has_arc(1, 2) and not g.has_arc(2, 1)
-        assert g.kinds[(1, 2)] is ArcKind.R
-        assert g.num_arcs == 1
+def closed_arcs(c):
+    """The (x, y) arcs of a full-fixpoint closure."""
+    return arc_set(c.arcs())
+
+
+class TestClosureSeeds:
+    def test_first_kind_and_no_self_loop(self):
+        c = Closure(2, [(1, 2, ArcKind.R), (1, 2, ArcKind.T), (1, 1, ArcKind.T)])
+        assert c.arcs() == [(1, 2, ArcKind.R)]  # first seed keeps its kind
+        assert not c.succ[1] >> 1 & 1           # self-loops never enter
+        assert c.kinds == {(1, 2): ArcKind.R}
 
     def test_copy_isolated(self):
-        g = PrecedenceGraph(2)
-        g.add_arc(0, 1, ArcKind.R)
-        h = g.copy()
-        h.add_arc(1, 2, ArcKind.T)
-        assert not g.has_arc(1, 2) and h.has_arc(1, 2)
-        assert g != h
+        c = Closure(2, [(0, 1, ArcKind.R)])
+        h = c.copy()
+        h.add([(1, 2, ArcKind.T)])
+        assert closed_arcs(c) == {(0, 1)}
+        assert h.succ[1] >> 2 & 1 and h.succ[0] >> 2 & 1
+        assert h.kinds is None and c.kinds == {(0, 1): ArcKind.R}
 
     def test_dot_dump(self):
-        g = chain_graph(1, [(0, 1), (1, 2)])
-        dot = to_dot(g)
+        dot = to_dot(Closure(1, chain([(0, 1), (1, 2)])))
         assert dot.startswith("digraph")
         assert '0 -> 1 [label="R"]' in dot
 
 
 class TestBuildClosure:
     def test_transitivity_step(self):
-        g = chain_graph(2, [(1, 2), (2, 3)])
-        closed = close(g, [])
-        assert closed.has_arc(1, 3)
+        closed = Closure(2, chain([(1, 2), (2, 3)]))
+        assert (1, 3) in closed_arcs(closed)
         assert closed.kinds[(1, 3)] is ArcKind.T
 
     def test_nb_rule_couples_arcs(self):
-        g = chain_graph(9, [(2, 6)])
         rec = NBRecord(basis=(6, 7), top=2)
-        closed = close(g, [rec])
-        assert closed.has_arc(2, 7)
+        closed = Closure(9, chain([(2, 6)]), [rec])
+        assert (2, 7) in closed_arcs(closed)
         assert closed.kinds[(2, 7)] is ArcKind.NB
 
     def test_nb_rule_basis_side(self):
-        g = chain_graph(9, [(6, 2)])
-        closed = close(g, [NBRecord(basis=(6, 7), top=2)])
-        assert closed.has_arc(7, 2)
+        closed = Closure(9, chain([(6, 2)]), [NBRecord(basis=(6, 7), top=2)])
+        assert (7, 2) in closed_arcs(closed)
 
     def test_input_untouched(self):
-        g = chain_graph(2, [(1, 2), (2, 3)])
-        close(g, [])
-        assert not g.has_arc(1, 3)
+        seeds = chain([(1, 2), (2, 3)])
+        Closure(2, seeds)
+        assert seeds == chain([(1, 2), (2, 3)])
 
     def test_confluence_small(self):
         F = golden_profile()
         recs = nb_records(F)
         seed = easy_arc_seeds(F)
-        fast = close(seed, recs)
+        fast = closed_arcs(Closure(F.n, seed, recs))
         for trial in range(8):
-            assert reference_close(seed, recs, [], random.Random(trial)) == fast
+            assert reference_close(F.n, arc_set(seed), recs, [], random.Random(trial)) == fast
 
     def test_b_rule_cascade(self):
         # one arc of an orientation drags in the full arc set
         F = golden_profile(directed=False)
         pairs = b_arc_pairs(F)
-        g = endpoint_seeded_graph(9)
-        closed = close(g, nb_records(F), pairs)
+        closed = closed_arcs(Closure(9, endpoint_arcs(9), nb_records(F), pairs))
         # entry 0's plus side is triggered by the seed (0,1): M_0=9 lands between
-        assert closed.has_arc(9, 1)
+        assert (9, 1) in closed
         # cascade resolves entry 1 to minus: 2 precedes 1
-        assert closed.has_arc(2, 1)
+        assert (2, 1) in closed
 
 
 class TestBArcPairs:
@@ -140,46 +134,45 @@ class TestBArcPairs:
 
 class TestIsSettled:
     def test_empty_graph(self):
-        g = PrecedenceGraph(9)
-        assert not is_settled(g, NBRecord(basis=(6, 7), top=2))
+        assert not is_settled(set(), NBRecord(basis=(6, 7), top=2))
 
     def test_top_first_complete(self):
-        g = chain_graph(9, [(2, 6), (2, 7)])
-        assert is_settled(g, NBRecord(basis=(6, 7), top=2))
+        assert is_settled({(2, 6), (2, 7)}, NBRecord(basis=(6, 7), top=2))
 
     def test_golden_record_stays_open(self):
         res = build_easy_arcs(golden_profile())
-        assert not is_settled(res.graph, NBRecord(basis=(6, 7), top=2))
+        assert not is_settled(closed_arcs(res.graph), NBRecord(basis=(6, 7), top=2))
 
 
-def order(g):
-    """The topological order of g, read off its closure's predecessor masks."""
-    return topo_order(Closure(g).pred)
+def order(n, seeds):
+    """The topological order of the seeds, read off their closure's
+    predecessor masks."""
+    return topo_order(Closure(n, seeds).pred)
 
 
 class TestCycleAndTopo:
     def test_chain(self):
-        g = chain_graph(2, [(0, 1), (1, 2), (2, 3)])
-        assert not Closure(g).cyclic
-        assert order(g).elems == (0, 1, 2, 3)
+        seeds = chain([(0, 1), (1, 2), (2, 3)])
+        assert not Closure(2, seeds).cyclic
+        assert order(2, seeds).elems == (0, 1, 2, 3)
 
     def test_two_cycle(self):
-        g = chain_graph(2, [(1, 2), (2, 1)])
-        assert Closure(g).cyclic
+        seeds = chain([(1, 2), (2, 1)])
+        assert Closure(2, seeds).cyclic
         with pytest.raises(CyclicGraph):
-            order(g)
+            order(2, seeds)
 
     def test_identity_total_order(self):
         res = build_easy_arcs(compute_profile(identity_perm(4), 1, True))
         expected = {(x, y) for x in range(6) for y in range(6) if x < y}
-        assert res.graph.arc_pairs() == expected
-        assert order(res.graph).elems == (0, 1, 2, 3, 4, 5)
+        assert closed_arcs(res.graph) == expected
+        assert topo_order(res.graph.pred).elems == (0, 1, 2, 3, 4, 5)
 
     def test_smallest_tie_break(self):
-        g = endpoint_seeded_graph(3)
-        assert order(g).elems == (0, 1, 2, 3, 4)
-        g.add_arc(2, 1, ArcKind.R)
-        assert order(g).elems == (0, 2, 1, 3, 4)
+        seeds = endpoint_arcs(3)
+        assert order(3, seeds).elems == (0, 1, 2, 3, 4)
+        seeds.append((2, 1, ArcKind.R))
+        assert order(3, seeds).elems == (0, 2, 1, 3, 4)
 
     def test_random_graphs_order_or_cycle(self):
         # an order exists exactly when the engine-free check finds no
@@ -190,19 +183,20 @@ class TestCycleAndTopo:
         cyclic_cases = 0
         for _ in range(300):
             n = rng.randint(1, 7)
-            g = endpoint_seeded_graph(n)
+            seeds = endpoint_arcs(n)
             for _ in range(rng.randint(0, 2 * n)):
-                g.add_arc(rng.randint(1, n), rng.randint(1, n), ArcKind.R)
-            if has_cycle(g):
+                seeds.append((rng.randint(1, n), rng.randint(1, n), ArcKind.R))
+            arcs = arc_set(seeds)
+            if has_cycle(arcs):
                 cyclic_cases += 1
                 with pytest.raises(CyclicGraph):
-                    order(g)
+                    order(n, seeds)
                 continue
-            elems = order(g).elems
+            elems = order(n, seeds).elems
             pos = {v: i for i, v in enumerate(elems)}
-            assert all(pos[x] < pos[y] for x, y in g.arc_pairs())
+            assert all(pos[x] < pos[y] for x, y in arcs)
             for i, v in enumerate(elems):
-                free = [u for u in elems[i:] if not any(g.has_arc(w, u) for w in elems[i:])]
+                free = [u for u in elems[i:] if not any((w, u) in arcs for w in elems[i:])]
                 assert v == min(free)
         assert 30 <= cyclic_cases <= 270
 
@@ -210,19 +204,19 @@ class TestCycleAndTopo:
 class TestBuildEasyArcs:
     def test_golden_silent_set(self):
         res = build_easy_arcs(golden_profile())
-        assert not res.cyclic
+        assert not res.graph.cyclic
         assert res.silent == (NBRecord(basis=(6, 7), top=2),)
 
     def test_identity_empty_silent(self):
         for n in (1, 3, 6):
             res = build_easy_arcs(compute_profile(identity_perm(n), 1, True))
             assert res.silent == ()
-            assert not res.cyclic
+            assert not res.graph.cyclic
 
     def test_unsat_profile_reports_no(self):
         res = build_easy_arcs(unsat2_profile())
-        assert res.cyclic
-        assert has_cycle(res.graph)
+        assert res.graph.cyclic
+        assert has_cycle(closed_arcs(res.graph))
 
     def test_cyclic_graph_still_reports_silent(self):
         # the full fixpoint reports the records it leaves unjoined even when
@@ -232,10 +226,10 @@ class TestBuildEasyArcs:
                    (5, R, 1, 9), (6, R, 6, 7), (7, L, 1, 9), (8, R, 1, 9), (9, L, 1, 10)]
         F = make_profile(entries)
         res = build_easy_arcs(F)
-        g = res.graph
-        assert res.cyclic and has_cycle(g)
+        g = closed_arcs(res.graph)
+        assert res.graph.cyclic and has_cycle(g)
         open_ = tuple(r for r in nb_records(F)
-                      if not g.has_arc(r.top, r.basis[0]) and not g.has_arc(r.basis[0], r.top))
+                      if (r.top, r.basis[0]) not in g and (r.basis[0], r.top) not in g)
         assert len(open_) == 2 and res.silent == open_
 
     def test_setting_example_fully_settles(self):
@@ -245,12 +239,12 @@ class TestBuildEasyArcs:
         # 02 checks the same against the reference closure.
         P = validate_permutation(SETTING_PERM)
         res = build_easy_arcs(compute_profile(P, 1, True))
-        assert not res.cyclic
+        assert not res.graph.cyclic
         assert res.silent == ()
-        g = res.graph
-        assert g.has_arc(3, 11) and g.kinds[(3, 11)] is ArcKind.B
-        assert g.has_arc(3, 5)   # settles top 3 over basis (5,6)
-        assert g.has_arc(9, 11)  # settles top 11 over basis (8,9)
+        g = closed_arcs(res.graph)
+        assert (3, 11) in g and res.graph.kinds[(3, 11)] is ArcKind.B
+        assert (3, 5) in g   # settles top 3 over basis (5,6)
+        assert (9, 11) in g  # settles top 11 over basis (8,9)
 
     def test_gate_rejections(self):
         with pytest.raises(NotDirected):
@@ -295,14 +289,13 @@ class TestFigureConfiguration:
     ]
 
     def test_propagated_circuit(self):
-        g = chain_graph(29, self.ARCS, kind=ArcKind.B)
-        base = close(g, self.RECORDS)
-        assert not has_cycle(base)
-        assert all(not is_settled(base, r) for r in self.RECORDS)
-        trigger = base.copy()
-        trigger.add_arc(18, 12, ArcKind.NB)
-        closed = close(trigger, self.RECORDS)
-        assert closed.has_arc(21, 25) and closed.has_arc(15, 8)
+        base = Closure(29, chain(self.ARCS, kind=ArcKind.B), self.RECORDS)
+        arcs = closed_arcs(base)
+        assert not has_cycle(arcs)
+        assert all(not is_settled(arcs, r) for r in self.RECORDS)
+        trigger = base.arcs() + [(18, 12, ArcKind.NB)]
+        closed = closed_arcs(Closure(29, trigger, self.RECORDS))
+        assert (21, 25) in closed and (15, 8) in closed
         assert has_cycle(closed)
 
 
@@ -331,14 +324,14 @@ class TestClosureInvariants:
             for P in all_perms(n):
                 F = compute_profile(P, 1, True)
                 res = build_easy_arcs(F)
-                g = res.graph
+                g = closed_arcs(res.graph)
                 for r in nb_records(F):
                     if is_settled(g, r):
                         continue
                     a = r.top
                     t, u = r.basis
                     for p, q in ((a, t), (a, u)):
-                        assert not g.has_arc(p, q) and not g.has_arc(q, p)
+                        assert (p, q) not in g and (q, p) not in g
 
 
 class TestClosureEngine:
@@ -349,9 +342,8 @@ class TestClosureEngine:
     def random_case(rng):
         n = rng.randint(1, 6)
         V = n + 2
-        g = PrecedenceGraph(n)
-        for _ in range(rng.randint(0, 2 * V)):
-            g.add_arc(rng.randrange(V), rng.randrange(V), ArcKind.R)
+        seeds = [(rng.randrange(V), rng.randrange(V), ArcKind.R)
+                 for _ in range(rng.randint(0, 2 * V))]
         records = []
         for _ in range(rng.randint(0, 2 * V)):
             t, top = rng.randrange(n + 1), rng.randrange(V)
@@ -360,39 +352,38 @@ class TestClosureEngine:
         entries = [(t, U, rng.randint(0, t), rng.randint(t + 1, n + 1)) for t in range(n + 1)]
         pairs = b_arc_pairs(make_profile(entries, n=n, directed=False))
         pairs = rng.sample(pairs, rng.randint(0, len(pairs)))
-        return g, records, pairs
+        return n, seeds, records, pairs
 
     def test_matches_reference_and_flags_cycles(self):
         rng = random.Random(1986)
         cyclic_cases = 0
         for _ in range(150):
-            g, records, pairs = self.random_case(rng)
-            closed = close(g, records, pairs)
-            assert closed == reference_close(g, records, pairs, rng)
-            assert len(closed.arcs()) == closed.num_arcs  # every arc has a kind
+            n, seeds, records, pairs = self.random_case(rng)
+            state = Closure(n, seeds, records, pairs)
+            closed = closed_arcs(state)
+            assert closed == reference_close(n, arc_set(seeds), records, pairs, rng)
+            # every arc has a kind
+            assert len(state.arcs()) == sum(row.bit_count() for row in state.succ)
             cyclic = has_cycle(closed)
             cyclic_cases += cyclic
-            state = Closure(g, records, pairs)
             assert state.cyclic == cyclic
-            V = g.num_vertices
+            V = n + 2
             assert all(state.pred[y] >> x & 1 == state.succ[x] >> y & 1
                        for x in range(V) for y in range(V))
-            assert Closure(g, records, pairs, search=True).cyclic == cyclic
+            assert Closure(n, seeds, records, pairs, search=True).cyclic == cyclic
         assert 20 <= cyclic_cases <= 130
 
     def test_incremental_equals_batch(self):
         # inserting arcs into a closed state and closing from scratch agree
         rng = random.Random(1962)
         for _ in range(100):
-            g, records, pairs = self.random_case(rng)
-            V = g.num_vertices
+            n, seeds, records, pairs = self.random_case(rng)
+            V = n + 2
             extra = [(rng.randrange(V), rng.randrange(V)) for _ in range(3)]
-            state = Closure(g, records, pairs)
+            state = Closure(n, seeds, records, pairs)
             step = state.copy()
             assert step.kinds is None
             step.add([(x, y, ArcKind.NB) for x, y in extra])
-            h = g.copy()
-            for x, y in extra:
-                h.add_arc(x, y, ArcKind.NB)
-            assert step.succ == close(h, records, pairs).rows
-            assert step.cyclic == has_cycle(close(h, records, pairs))
+            batch = Closure(n, seeds + [(x, y, ArcKind.NB) for x, y in extra], records, pairs)
+            assert step.succ == batch.succ
+            assert step.cyclic == has_cycle(closed_arcs(batch))

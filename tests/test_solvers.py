@@ -27,12 +27,13 @@ from minmaxperm import (
     verify,
 )
 from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays
-from minmaxperm.graph import ArcKind, close
+from minmaxperm.graph import ArcKind, Closure
 from minmaxperm.profiles import KConstraint
 
 from helpers import (
     GOLDEN_PERM,
     all_perms,
+    arc_set,
     golden_profile,
     golden_witness_family,
     has_cycle,
@@ -341,7 +342,7 @@ class TestFptMonotonicity:
                 res = build_easy_arcs(F)
                 for W in brute_force_solutions(F):
                     pos = W.positions()
-                    g = res.graph.copy()
+                    g = res.graph.arcs()
                     for rec in res.silent:
                         top, (t, u) = rec.top, rec.basis
                         if pos[top] < pos[t]:
@@ -349,10 +350,10 @@ class TestFptMonotonicity:
                         else:
                             arcs = (t, top), (u, top)
                         for x, y in arcs:
-                            g.add_arc(x, y, ArcKind.NB)
-                    closed = close(g, res.silent)
-                    assert not has_cycle(closed)
-                    assert all(pos[x] < pos[y] for x, y, _ in closed.arcs())
+                            g.append((x, y, ArcKind.NB))
+                    closed = Closure(F.n, g, res.silent).arcs()
+                    assert not has_cycle(arc_set(closed))
+                    assert all(pos[x] < pos[y] for x, y, _ in closed)
 
 
 def _paper_linear_rounds(F):
@@ -360,16 +361,15 @@ def _paper_linear_rounds(F):
     closure: set the silent top with the largest NB set after its smallest
     silent basis, re-close, repeat until nothing is silent."""
     res = build_easy_arcs(F)
-    g, silent = res.graph, list(res.silent)
+    g, silent = res.graph.arcs(), list(res.silent)
     rounds = 0
     while silent:
         top = max({r.top for r in silent}, key=lambda c: (len(nb_set(F, c)), -c))
         basis = min(r.basis[0] for r in silent if r.top == top)
-        g = g.copy()
-        g.add_arc(basis, top, ArcKind.NB)
-        g = close(g, silent)
-        assert not has_cycle(g)
-        silent = [r for r in silent if not is_settled(g, r)]
+        g = Closure(F.n, g + [(basis, top, ArcKind.NB)], silent).arcs()
+        arcs = arc_set(g)
+        assert not has_cycle(arcs)
+        silent = [r for r in silent if not is_settled(arcs, r)]
         rounds += 1
     return rounds
 
