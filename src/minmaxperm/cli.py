@@ -11,9 +11,12 @@ Subcommands:
     counterexample N K [--directed]       explicit collision pair
 
 Every subcommand accepts --json for a single structured report object.
-Exit codes: 0 success/witness, 1 NO / non-unique / mismatch, 2 input error,
-3 internal fault (a solver caught itself producing an inconsistent answer,
-or any other unexpected exception).
+Each `_cmd_*` returns (exit code, report, text) and `main` renders it: the
+report as JSON, headed by the command name, under --json, else the text.
+Exit codes: 0 success/witness, 1 NO / non-unique / mismatch, 2 input error
+(an unreadable file, or any MinMaxError but the two faults), 3 internal
+fault (InternalInconsistency or CyclicGraph: a solver caught itself
+producing an inconsistent answer; or any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -23,22 +26,10 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (
-    BadEndpoints,
-    COutOfRange,
-    KMismatch,
-    MinMaxError,
-    MismatchedN,
-    NotBijection,
-    NotDirected,
-    NotLinear,
-    PreconditionViolation,
-    ProfileSyntaxError,
-    TooLarge,
-)
+from .errors import CyclicGraph, InternalInconsistency, MinMaxError
 from .formats import emit_permutation, emit_profile, parse_permutation, parse_profile
 from .graph import build_easy_arcs, require_solver_profile, to_dot
-from .profiles import Permutation, Profile, compute_profile
+from .profiles import Profile, compute_profile
 from .reconstruction import DEFAULT_GROUPING_CAP, collision_pair, is_unique, min_unique_k
 from .solvers import (
     DEFAULT_BRUTE_CAP,
@@ -51,54 +42,22 @@ from .solvers import (
     verify,
 )
 
-_INPUT_ERRORS = (
-    ProfileSyntaxError,
-    PreconditionViolation,
-    NotDirected,
-    NotLinear,
-    NotBijection,
-    BadEndpoints,
-    MismatchedN,
-    KMismatch,
-    COutOfRange,
-    TooLarge,
-    OSError,
-    UnicodeDecodeError,
-)
+# The two errors that report a fault in this package rather than bad input.
+_FAULTS = (InternalInconsistency, CyclicGraph)
 
-
-def _perm_json(P: Permutation) -> list[int]:
-    return list(P.elems)
-
-
-def _profile_json(F: Profile) -> dict:
-    return {
-        "n": F.n,
-        "k": F.k,
-        "directed": F.directed,
-        "entries": [
-            {"t": c.t, "i": c.i, "dir": c.dir.symbol, "m": c.m, "M": c.M}
-            for c in F.entries()
-        ],
-    }
-
-
-def _emit_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
+# What a command returns: exit code, JSON report without "command", text.
+_Result = tuple[int, dict, str]
 
 
 def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _cmd_profile(args) -> int:
-    P = parse_permutation(_read(args.perm_file))
-    F = compute_profile(P, args.k, args.directed)
-    if args.json:
-        _emit_json({"command": "profile", **_profile_json(F)})
-    else:
-        sys.stdout.write(emit_profile(F))
-    return 0
+def _cmd_profile(args) -> _Result:
+    F = compute_profile(parse_permutation(_read(args.perm_file)), args.k, args.directed)
+    entries = [{"t": c.t, "i": c.i, "dir": c.dir.symbol, "m": c.m, "M": c.M}
+               for c in F.entries()]
+    return 0, {"n": F.n, "k": F.k, "directed": F.directed, "entries": entries}, emit_profile(F)
 
 
 def _solve_dispatch(F: Profile, method: str, cap: int) -> SolveOutcome:
@@ -115,7 +74,7 @@ def _solve_dispatch(F: Profile, method: str, cap: int) -> SolveOutcome:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> _Result:
     F = parse_profile(_read(args.profile_file))
     if args.dump_graph:
         if F.directed:
@@ -124,102 +83,65 @@ def _cmd_solve(args) -> int:
             g = undirected_base(F)[0]
         Path(args.dump_graph).write_text(to_dot(g))
     outcome = _solve_dispatch(F, args.method, args.cap)
-    if args.json:
-        _emit_json({
-            "command": "solve",
-            "method": args.method,
-            "n": F.n,
-            "k": F.k,
-            "directed": F.directed,
-            "outcome": "no" if outcome.is_no else "witness",
-            "witness": None if outcome.is_no else _perm_json(outcome.witness),
-            "silent_nb": [{"top": r.top, "basis": list(r.basis)} for r in outcome.silent_nb],
-            "silent_b": list(outcome.silent_b),
-            "settings_tested": outcome.settings_tested,
-        })
-    elif outcome.is_no:
-        print("NO")
-    else:
-        sys.stdout.write(emit_permutation(outcome.witness))
-    return 1 if outcome.is_no else 0
+    W = outcome.witness
+    return 1 if outcome.is_no else 0, {
+        "method": args.method,
+        "n": F.n,
+        "k": F.k,
+        "directed": F.directed,
+        "outcome": "no" if outcome.is_no else "witness",
+        "witness": None if outcome.is_no else list(W.elems),
+        "silent_nb": [{"top": r.top, "basis": list(r.basis)} for r in outcome.silent_nb],
+        "silent_b": list(outcome.silent_b),
+        "settings_tested": outcome.settings_tested,
+    }, "NO\n" if outcome.is_no else emit_permutation(W)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Result:
     P = parse_permutation(_read(args.perm_file))
-    F = parse_profile(_read(args.profile_file))
-    ok = verify(P, F)
-    if args.json:
-        _emit_json({"command": "verify", "match": ok})
-    else:
-        print("OK" if ok else "MISMATCH")
-    return 0 if ok else 1
+    ok = verify(P, parse_profile(_read(args.profile_file)))
+    return 0 if ok else 1, {"match": ok}, "OK\n" if ok else "MISMATCH\n"
 
 
-def _cmd_enumerate(args) -> int:
-    F = parse_profile(_read(args.profile_file))
-    sols = brute_force_solutions(F, args.cap)
-    if args.json:
-        _emit_json({
-            "command": "enumerate",
-            "count": len(sols),
-            "witnesses": [_perm_json(p) for p in sols],
-        })
-    else:
-        for p in sols:
-            sys.stdout.write(emit_permutation(p))
-    return 0 if sols else 1
+def _cmd_enumerate(args) -> _Result:
+    sols = brute_force_solutions(parse_profile(_read(args.profile_file)), args.cap)
+    return 0 if sols else 1, {
+        "count": len(sols),
+        "witnesses": [list(p.elems) for p in sols],
+    }, "".join(map(emit_permutation, sols))
 
 
-def _cmd_check_unique(args) -> int:
-    F = parse_profile(_read(args.profile_file))
-    report = is_unique(F, args.cap)
-    if args.json:
-        _emit_json({
-            "command": "check-unique",
-            "n": report.n,
-            "k": report.k,
-            "directed": report.directed,
-            "verdict": report.verdict,
-            "witnesses": [_perm_json(p) for p in report.witnesses],
-        })
-    else:
-        print(report.verdict.upper())
-        for p in report.witnesses:
-            sys.stdout.write(emit_permutation(p))
-    return 0 if report.verdict == "unique" else 1
+def _cmd_check_unique(args) -> _Result:
+    report = is_unique(parse_profile(_read(args.profile_file)), args.cap)
+    return 0 if report.verdict == "unique" else 1, {
+        "n": report.n,
+        "k": report.k,
+        "directed": report.directed,
+        "verdict": report.verdict,
+        "witnesses": [list(p.elems) for p in report.witnesses],
+    }, report.verdict.upper() + "\n" + "".join(map(emit_permutation, report.witnesses))
 
 
-def _cmd_min_k(args) -> int:
+def _cmd_min_k(args) -> _Result:
     result = min_unique_k(args.n, args.directed, args.cap)
-    if args.json:
-        _emit_json({
-            "command": "min-k",
-            "n": result.n,
-            "directed": result.directed,
-            "min_k": result.min_k,
-            "collision_at_previous_k": (
-                None if result.collision is None
-                else [_perm_json(p) for p in result.collision]),
-        })
-    else:
-        print(result.min_k)
-    return 0
+    return 0, {
+        "n": result.n,
+        "directed": result.directed,
+        "min_k": result.min_k,
+        "collision_at_previous_k": (
+            None if result.collision is None
+            else [list(p.elems) for p in result.collision]),
+    }, f"{result.min_k}\n"
 
 
-def _cmd_counterexample(args) -> int:
-    P, Q = collision_pair(args.n, args.k, args.directed)
-    if args.json:
-        _emit_json({
-            "command": "counterexample",
-            "n": args.n,
-            "k": args.k,
-            "directed": args.directed,
-            "pair": [_perm_json(P), _perm_json(Q)],
-        })
-    else:
-        sys.stdout.write(emit_permutation(P))
-        sys.stdout.write(emit_permutation(Q))
-    return 0
+def _cmd_counterexample(args) -> _Result:
+    pair = collision_pair(args.n, args.k, args.directed)
+    return 0, {
+        "n": args.n,
+        "k": args.k,
+        "directed": args.directed,
+        "pair": [list(p.elems) for p in pair],
+    }, "".join(map(emit_permutation, pair))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -288,13 +210,20 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except _INPUT_ERRORS as exc:
+        code, report, text = args.func(args)
+        if args.json:
+            print(json.dumps({"command": args.command, **report}, indent=2))
+        else:
+            sys.stdout.write(text)
+        return code
+    except _FAULTS as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except (MinMaxError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        detail = exc if isinstance(exc, MinMaxError) else f"{type(exc).__name__}: {exc}"
-        print(f"internal error: {detail}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

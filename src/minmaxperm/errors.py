@@ -4,7 +4,11 @@ from __future__ import annotations
 
 
 class MinMaxError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Every subclass reports bad input, except InternalInconsistency and
+    CyclicGraph, which report a fault in the package itself; the CLI exits
+    2 for the former and 3 for the latter."""
 
 
 class NotBijection(MinMaxError):

@@ -28,10 +28,14 @@ from .errors import (
     PreconditionViolation,
     TooLarge,
 )
-from .profiles import Permutation, Profile, compute_profile
+from .profiles import Permutation, Profile, compute_profile, pair_count
 from .solvers import DEFAULT_BRUTE_CAP, brute_force_solutions
 
 DEFAULT_GROUPING_CAP = 8
+# collision_pair re-checks its pair through two full profiles, so its time
+# and memory grow with pair_count(n, k): 2-4 s and about 125 MB at this cap
+# on a 2-core machine, depending on k.
+COLLISION_PAIR_CAP = 120_000
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,8 @@ def collision_pair(n: int, k: int, directed: bool) -> tuple[Permutation, Permuta
     k-profile unchanged because every pair constraint reaching past 1 and n
     is saturated and the swapped values sit more than k apart from anything
     that could separate them.  The profile equality is re-checked before
-    returning.
+    returning; that check is why n, k with more than COLLISION_PAIR_CAP
+    profile pairs raise TooLarge.
     """
     if directed:
         bound = -(-(n - 3) // 2)  # ceil((n-3)/2)
@@ -142,6 +147,9 @@ def collision_pair(n: int, k: int, directed: bool) -> tuple[Permutation, Permuta
             raise PreconditionViolation(
                 f"undirected collision needs 1 <= k < n-3 = {n - 3}, got k={k}")
         p2 = k + 3
+    if pair_count(n, k) > COLLISION_PAIR_CAP:
+        raise TooLarge(f"n={n}, k={k} has {pair_count(n, k)} profile pairs, "
+                       f"above the cap {COLLISION_PAIR_CAP}")
     head = [k + 2, p2, 1, n]
     tail = sorted(set(range(1, n + 1)) - set(head))
     P = Permutation(n=n, elems=(0, *head, *tail, n + 1))

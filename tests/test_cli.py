@@ -84,6 +84,106 @@ digraph precedence {
 """
 
 
+# stdout and exit code of every subcommand, in text and with --json, on
+# the golden profiles, the unsatisfiable unsat2 profile and the golden
+# permutation.  A JSON row gives the report object; the CLI prints it as
+# json.dumps(report, indent=2) plus a newline, so key order counts.
+W = [0, 2, 6, 4, 7, 9, 1, 3, 5, 8, 10]
+W_LINEAR = [0, 6, 4, 7, 2, 9, 1, 3, 5, 8, 10]
+W_2ND = [0, 2, 6, 4, 7, 9, 1, 3, 8, 5, 10]
+GOLDEN_ENTRIES_JSON = [
+    {"t": t, "i": 1, "dir": d, "m": m, "M": M} for t, d, m, M in (
+        (0, ">", 0, 9), (1, "<", 1, 9), (2, ">", 1, 9), (3, "<", 1, 9), (4, ">", 1, 9),
+        (5, "<", 1, 9), (6, ">", 4, 7), (7, ">", 1, 9), (8, "<", 1, 9), (9, ">", 1, 10))]
+SILENT_NB = [{"top": 2, "basis": [6, 7]}]
+PINNED = [
+    (["profile", "PERM", "--directed"], 0,
+     "minmax-profile 1\nn 9\nk 1\ndirected 1\n0 1 > 0 9\n1 1 < 1 9\n2 1 > 1 9\n"
+     "3 1 < 1 9\n4 1 > 1 9\n5 1 < 1 9\n6 1 > 4 7\n7 1 > 1 9\n8 1 < 1 9\n9 1 > 1 10\n"),
+    (["profile", "PERM", "--directed", "--json"], 0,
+     {"command": "profile", "n": 9, "k": 1, "directed": True, "entries": GOLDEN_ENTRIES_JSON}),
+    (["solve", "DIRECTED"], 0, "0 2 6 4 7 9 1 3 5 8 10\n"),
+    (["solve", "DIRECTED", "--json"], 0,
+     {"command": "solve", "method": "fpt", "n": 9, "k": 1, "directed": True,
+      "outcome": "witness", "witness": W, "silent_nb": SILENT_NB, "silent_b": [],
+      "settings_tested": 2}),
+    (["solve", "DIRECTED", "--method", "linear"], 0, "0 6 4 7 2 9 1 3 5 8 10\n"),
+    (["solve", "DIRECTED", "--method", "linear", "--json"], 0,
+     {"command": "solve", "method": "linear", "n": 9, "k": 1, "directed": True,
+      "outcome": "witness", "witness": W_LINEAR, "silent_nb": SILENT_NB, "silent_b": [],
+      "settings_tested": 2}),
+    (["solve", "UNDIRECTED"], 0, "0 2 6 4 7 9 1 3 5 8 10\n"),
+    (["solve", "UNDIRECTED", "--json"], 0,
+     {"command": "solve", "method": "fpt", "n": 9, "k": 1, "directed": False,
+      "outcome": "witness", "witness": W, "silent_nb": SILENT_NB, "silent_b": [6],
+      "settings_tested": 3}),
+    (["solve", "UNDIRECTED", "--method", "brute", "--json"], 0,
+     {"command": "solve", "method": "brute", "n": 9, "k": 1, "directed": False,
+      "outcome": "witness", "witness": W, "silent_nb": [], "silent_b": [],
+      "settings_tested": 0}),
+    (["solve", "UNSAT2"], 1, "NO\n"),
+    (["solve", "UNSAT2", "--json"], 1,
+     {"command": "solve", "method": "fpt", "n": 2, "k": 1, "directed": True,
+      "outcome": "no", "witness": None, "silent_nb": [], "silent_b": [],
+      "settings_tested": 1}),
+    (["verify", "PERM", "DIRECTED"], 0, "OK\n"),
+    (["verify", "PERM", "DIRECTED", "--json"], 0, {"command": "verify", "match": True}),
+    (["verify", "ID_PERM", "DIRECTED"], 1, "MISMATCH\n"),
+    (["verify", "ID_PERM", "DIRECTED", "--json"], 1, {"command": "verify", "match": False}),
+    (["enumerate", "DIRECTED"], 0,
+     "0 2 6 4 7 9 1 3 5 8 10\n0 2 6 4 7 9 1 3 8 5 10\n0 2 6 4 7 9 1 5 3 8 10\n"
+     "0 2 6 4 7 9 1 5 8 3 10\n0 2 6 4 7 9 1 8 3 5 10\n0 2 6 4 7 9 1 8 5 3 10\n"
+     "0 6 4 7 2 9 1 3 5 8 10\n0 6 4 7 2 9 1 3 8 5 10\n0 6 4 7 2 9 1 5 3 8 10\n"
+     "0 6 4 7 2 9 1 5 8 3 10\n0 6 4 7 2 9 1 8 3 5 10\n0 6 4 7 2 9 1 8 5 3 10\n"),
+    (["enumerate", "DIRECTED", "--json"], 0,
+     {"command": "enumerate", "count": 12, "witnesses": [
+         [0, *a, 9, 1, *tail, 10] for a in ([2, 6, 4, 7], [6, 4, 7, 2])
+         for tail in ([3, 5, 8], [3, 8, 5], [5, 3, 8], [5, 8, 3], [8, 3, 5], [8, 5, 3])]}),
+    (["enumerate", "UNSAT2"], 1, ""),
+    (["enumerate", "UNSAT2", "--json"], 1, {"command": "enumerate", "count": 0, "witnesses": []}),
+    (["check-unique", "UNDIRECTED"], 1,
+     "COLLISION\n0 2 6 4 7 9 1 3 5 8 10\n0 2 6 4 7 9 1 3 8 5 10\n"),
+    (["check-unique", "UNDIRECTED", "--json"], 1,
+     {"command": "check-unique", "n": 9, "k": 1, "directed": False, "verdict": "collision",
+      "witnesses": [W, W_2ND]}),
+    (["check-unique", "UNSAT2"], 1, "EMPTY\n"),
+    (["check-unique", "UNSAT2", "--json"], 1,
+     {"command": "check-unique", "n": 2, "k": 1, "directed": True, "verdict": "empty",
+      "witnesses": []}),
+    (["min-k", "5"], 0, "2\n"),
+    (["min-k", "5", "--json"], 0,
+     {"command": "min-k", "n": 5, "directed": False, "min_k": 2,
+      "collision_at_previous_k": [[0, 2, 5, 1, 3, 4, 6], [0, 2, 5, 1, 4, 3, 6]]}),
+    (["min-k", "5", "--directed", "--json"], 0,
+     {"command": "min-k", "n": 5, "directed": True, "min_k": 1,
+      "collision_at_previous_k": None}),
+    (["counterexample", "8", "2", "--directed"], 0,
+     "0 4 7 1 8 2 3 5 6 9\n0 7 4 1 8 2 3 5 6 9\n"),
+    (["counterexample", "8", "2", "--directed", "--json"], 0,
+     {"command": "counterexample", "n": 8, "k": 2, "directed": True,
+      "pair": [[0, 4, 7, 1, 8, 2, 3, 5, 6, 9], [0, 7, 4, 1, 8, 2, 3, 5, 6, 9]]}),
+]
+
+
+@pytest.mark.parametrize("argv, code, expected", PINNED, ids=[" ".join(a) for a, _, _ in PINNED])
+def test_pinned_output(argv, code, expected, tmp_path, capsys):
+    inputs = {
+        "PERM": " ".join(str(v) for v in GOLDEN_PERM) + "\n",
+        "ID_PERM": " ".join(str(v) for v in identity_perm(9).elems),
+        "DIRECTED": emit_profile(golden_profile()),
+        "UNDIRECTED": emit_profile(golden_profile(directed=False)),
+        "UNSAT2": emit_profile(unsat2_profile()),
+    }
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    assert main([str(tmp_path / a) if a in inputs else a for a in argv]) == code
+    captured = capsys.readouterr()
+    if isinstance(expected, dict):
+        expected = json.dumps(expected, indent=2) + "\n"
+    assert captured.out == expected
+    assert captured.err == ""
+
+
 @pytest.fixture
 def golden_perm_file(tmp_path):
     path = tmp_path / "golden.perm"
@@ -284,6 +384,22 @@ class TestCounterexampleCommand:
         assert main(["counterexample", "5", "2"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["100000000", "1"], ["3000", "2000"],
+                                      ["3000", "1000", "--directed"]])
+    def test_oversized_is_input_error(self, argv, capsys):
+        import time
+        start = time.perf_counter()
+        assert main(["counterexample", *argv]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "above the cap" in captured.err
+
+    def test_k_range_is_checked_first(self, capsys):
+        # out of range and oversized: the k-range error wins
+        assert main(["counterexample", "100000000", "100000000"]) == 2
+        assert capsys.readouterr().err.startswith("error: undirected collision needs")
+
 
 class TestInternalFault:
     def test_exit_code_3(self, golden_profile_file, monkeypatch, capsys):
@@ -309,6 +425,53 @@ class TestInternalFault:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["internal error: ValueError: bad index"]
+
+
+def _package_errors():
+    import minmaxperm.errors as errors
+    return [c for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, errors.MinMaxError)]
+
+
+class TestExitCodePolicy:
+    """Every error class of the package reports bad input (exit 2), except
+    the two that report a fault in the package itself (exit 3)."""
+
+    @staticmethod
+    def _raise_from_min_k(monkeypatch, exc):
+        import minmaxperm.cli as cli
+
+        def broken(*args):
+            raise exc
+        monkeypatch.setattr(cli, "min_unique_k", broken)
+        return main(["min-k", "5"])
+
+    @pytest.mark.parametrize("cls", _package_errors(), ids=lambda c: c.__name__)
+    def test_package_errors(self, cls, monkeypatch, capsys):
+        from minmaxperm import CyclicGraph, InternalInconsistency, ProfileValidationError
+        exc = cls(["boom"]) if cls is ProfileValidationError else cls("boom")
+        fault = cls in (InternalInconsistency, CyclicGraph)
+        assert self._raise_from_min_k(monkeypatch, exc) == (3 if fault else 2)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{'internal error' if fault else 'error'}: {exc}\n"
+
+    # a missing file, undecodable bytes and a ValueError are covered by
+    # TestInputErrors and TestInternalFault
+    def test_os_error_is_input_error(self, monkeypatch, capsys):
+        assert self._raise_from_min_k(monkeypatch, OSError("disk gone")) == 2
+        assert capsys.readouterr().err == "error: disk gone\n"
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_failed_write_is_input_error(self, json_flag, monkeypatch, capsys):
+        import sys
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["counterexample", "5", "1", *json_flag]) == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 class TestInputErrors:
