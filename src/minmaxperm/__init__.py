@@ -20,10 +20,10 @@ from .formats import emit_permutation, emit_profile, parse_permutation, parse_pr
 from .graph import (
     ArcKind,
     BArcPair,
-    EasyArcsResult,
+    RootClosure,
     b_arc_pairs,
-    build_easy_arcs,
     endpoint_arcs,
+    root_closure,
     to_dot,
 )
 from .profiles import (

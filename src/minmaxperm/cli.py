@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .errors import CyclicGraph, InternalInconsistency, MinMaxError
 from .formats import emit_permutation, emit_profile, parse_permutation, parse_profile
-from .graph import build_easy_arcs, require_solver_profile, to_dot
+from .graph import require_solver_profile, root_closure, to_dot
 from .profiles import Profile, compute_profile
 from .reconstruction import DEFAULT_GROUPING_CAP, collision_pair, is_unique, min_unique_k
 from .solvers import (
@@ -38,7 +38,6 @@ from .solvers import (
     solve_fpt_directed,
     solve_linear,
     solve_undirected,
-    undirected_base,
     verify,
 )
 
@@ -55,7 +54,7 @@ def _read(path: str) -> str:
 
 def _cmd_profile(args) -> _Result:
     F = compute_profile(parse_permutation(_read(args.perm_file)), args.k, args.directed)
-    entries = [{"t": c.t, "i": c.i, "dir": c.dir.symbol, "m": c.m, "M": c.M}
+    entries = [{"t": c.t, "i": c.i, "dir": c.dir.value, "m": c.m, "M": c.M}
                for c in F.entries()]
     return 0, {"n": F.n, "k": F.k, "directed": F.directed, "entries": entries}, emit_profile(F)
 
@@ -68,7 +67,7 @@ def _solve_dispatch(F: Profile, method: str, cap: int) -> SolveOutcome:
             return solve_fpt_directed(F)
         return solve_undirected(F, method="fpt")
     if method == "brute":
-        require_solver_profile(F, directed=F.directed)  # same gate as the other methods
+        require_solver_profile(F)  # same gate as the other methods
         sols = brute_force_solutions(F, cap)
         return SolveOutcome(witness=sols[0] if sols else None)
     raise ValueError(f"unknown method {method!r}")
@@ -77,11 +76,7 @@ def _solve_dispatch(F: Profile, method: str, cap: int) -> SolveOutcome:
 def _cmd_solve(args) -> _Result:
     F = parse_profile(_read(args.profile_file))
     if args.dump_graph:
-        if F.directed:
-            g = build_easy_arcs(F).graph
-        else:
-            g = undirected_base(F)[0]
-        Path(args.dump_graph).write_text(to_dot(g))
+        Path(args.dump_graph).write_text(to_dot(root_closure(F).closure))
     outcome = _solve_dispatch(F, args.method, args.cap)
     W = outcome.witness
     return 1 if outcome.is_no else 0, {

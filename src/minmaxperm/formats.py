@@ -37,7 +37,7 @@ from .profiles import (
 FORMAT_TAG = "minmax-profile"
 FORMAT_VERSION = "1"
 
-_DIR_BY_SYMBOL = {d.symbol: d for d in Direction}
+_DIR_BY_SYMBOL = {d.value: d for d in Direction}
 
 
 def _content_lines(text: str) -> list[tuple[int, list[str]]]:
@@ -138,7 +138,7 @@ def emit_profile(F: Profile) -> str:
         f"directed {1 if F.directed else 0}",
     ]
     for c in F.entries():
-        lines.append(f"{c.t} {c.i} {c.dir.symbol} {c.m} {c.M}")
+        lines.append(f"{c.t} {c.i} {c.dir.value} {c.m} {c.M}")
     return "\n".join(lines) + "\n"
 
 

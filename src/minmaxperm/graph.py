@@ -9,29 +9,28 @@ the profile under construction.  Four rules create arcs:
   NB  a non-betweenness fact: once an arc ties the top of an NB-constraint
       to one basis element, the same orientation is forced on the other.
 
-`build_easy_arcs` seeds R/B arcs from a directed profile and closes under
-T/NB; NB-constraints that the closure orients neither way are reported as
-silent.  The undirected pipeline also feeds the closure betweenness pairs
-whose orientations (the arc sets Arcs+/Arcs-) propagate as a unit.
-
 The one graph type is `Closure`, an incremental engine: successor and
 predecessor bitmasks kept transitively closed under arc insertion, with
 the NB and B rules fired only by the pairs they watch and a cycle detected
 at the insertion that closes it.  It is built from seed arcs, given as
 (x, y, kind) lists (`easy_arc_seeds`, `endpoint_arcs`), and lists its arcs
-back with their kinds for `to_dot`.  `_solver_root` is the one front end
-that gates, seeds and closes a profile's root, for either directedness:
-`build_easy_arcs` and `solvers.undirected_base` take it to the fixpoint,
-the solvers as a search root whose masks the search copies at each node
-before inserting the arcs of one decision.  `topo_order` reads an order
-off a closure's predecessor masks.
+back with their kinds for `to_dot`.
+
+`root_closure` is the one front end for either directedness: it gates a
+profile, seeds it (a directed profile's R/B arcs, or the endpoint arcs
+plus the betweenness pairs, whose orientations Arcs+/Arcs- propagate as a
+unit, of an undirected one), closes it, and reports the NB-constraints
+and B pairs the closure orients neither way as silent.  The full fixpoint
+serves debug dumps; the solvers take a search root, whose masks the
+search copies at each node before inserting the arcs of one decision.
+`topo_order` reads an order off a closure's predecessor masks.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     CyclicGraph,
@@ -56,15 +55,6 @@ class ArcKind(enum.Enum):
     B = "B"
     T = "T"
     NB = "NB"
-
-
-@dataclass(frozen=True)
-class EasyArcsResult:
-    """The full-fixpoint closure of a directed profile's seeds and the
-    NB-constraints it leaves silent; `graph.cyclic` is the verdict NO."""
-
-    graph: Closure
-    silent: tuple[NBRecord, ...]
 
 
 @dataclass(frozen=True)
@@ -276,9 +266,9 @@ def topo_order(incoming: Sequence[int]) -> Permutation:
 # Solver front end
 # ---------------------------------------------------------------------------
 
-def require_solver_profile(F: Profile, *, directed: bool) -> None:
+def require_solver_profile(F: Profile) -> None:
     """The hard gate run before any solver: structural validity plus, for
-    directed inputs, full directionality with the boundary pairs running
+    a directed profile, full directionality with the boundary pairs running
     left-to-right (0 and n+1 are pinned to the outermost places, so any
     other boundary direction admits no permutation and is rejected)."""
     if F.k != 1:
@@ -286,9 +276,7 @@ def require_solver_profile(F: Profile, *, directed: bool) -> None:
     violations = validate_profile(F)
     if violations:
         raise ProfileValidationError(violations)
-    if directed:
-        if not F.directed:
-            raise NotDirected("profile is undirected")
+    if F.directed:
         if any(c.dir is Direction.UNKNOWN for c in F.entries()):
             raise NotDirected("directed profile has entries with unknown direction")
         if F.entry(0).dir is not Direction.LEFT_TO_RIGHT \
@@ -296,9 +284,6 @@ def require_solver_profile(F: Profile, *, directed: bool) -> None:
             raise PreconditionViolation(
                 "entries (0,1) and (n,n+1) must run left-to-right: "
                 "0 and n+1 occupy the outermost places")
-    else:
-        if F.directed:
-            raise PreconditionViolation("expected an undirected profile")
 
 
 def easy_arc_seeds(F: Profile) -> list[Arc]:
@@ -321,42 +306,38 @@ def endpoint_arcs(n: int) -> list[Arc]:
             + [(x, n + 1, ArcKind.R) for x in range(0, n + 1)])
 
 
-def _solver_root(F: Profile, *, directed: bool, search: bool) -> tuple[
-        Closure, list[NBRecord], list[BArcPair], list[NBRecord], list[BArcPair]]:
-    """A profile's root closure, a search root for the solvers and the full
-    fixpoint for `build_easy_arcs` and `solvers.undirected_base`: the gate,
-    the seeds (a directed profile's R/B arcs, or the endpoint arcs plus the
-    betweenness pairs of an undirected one), their closure, and the split
-    of the constraints.
+class RootClosure(NamedTuple):
+    """A profile's root closure and the constraints it leaves silent: the
+    NB records and B pairs (undirected profiles only) whose two ends no arc
+    joins.  `closure.cyclic` is the verdict NO."""
 
-    Returns (closure, nb_records, b_pairs, silent_nb, silent_b).  A search
-    root stops at its first cycle, so when it is cyclic nothing is reported
-    silent; a full-fixpoint root always reports its silent sets.
+    closure: Closure
+    silent_nb: tuple[NBRecord, ...]
+    silent_b: tuple[BArcPair, ...]
+
+
+def root_closure(F: Profile, *, search: bool = False) -> RootClosure:
+    """Gate, seed and close a gap-1 profile of either directedness: a
+    directed profile's R/B arcs, or the endpoint arcs plus the betweenness
+    pairs of an undirected one.
+
+    By default the closure runs to the full fixpoint, through cycles, and
+    reports its silent sets either way.  A `search` root, the solvers'
+    starting node, stops at its first cycle, and then nothing is reported
+    silent.
     """
-    require_solver_profile(F, directed=directed)
+    require_solver_profile(F)
     records = nb_records(F)
-    if directed:
+    if F.directed:
         seeds, pairs = easy_arc_seeds(F), []
     else:
         seeds, pairs = endpoint_arcs(F.n), b_arc_pairs(F)
     root = Closure(F.n, seeds, records, pairs, search=search)
     if search and root.cyclic:
-        return root, records, pairs, [], []
-    silent_nb = [r for r in records if not root.linked(r.top, r.basis[0])]
-    silent_b = [bp for bp in pairs if not root.linked(bp.t, bp.t + 1)]
-    return root, records, pairs, silent_nb, silent_b
-
-
-def build_easy_arcs(F: Profile) -> EasyArcsResult:
-    """Seed R- and B-arcs from a directed gap-1 profile, close them under
-    the T/NB rules to the full fixpoint, and report the NB-constraints left
-    silent.
-
-    The closure and silent set are returned whether or not the closure has
-    a directed cycle; `graph.cyclic` tells which.
-    """
-    root, _, _, silent, _ = _solver_root(F, directed=True, search=False)
-    return EasyArcsResult(graph=root, silent=tuple(silent))
+        return RootClosure(root, (), ())
+    return RootClosure(root,
+                       tuple(r for r in records if not root.linked(r.top, r.basis[0])),
+                       tuple(bp for bp in pairs if not root.linked(bp.t, bp.t + 1)))
 
 
 def to_dot(G: Closure) -> str:

@@ -39,10 +39,6 @@ class Direction(enum.Enum):
     RIGHT_TO_LEFT = "<"  # t+i left of t
     UNKNOWN = "?"
 
-    @property
-    def symbol(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Permutation:

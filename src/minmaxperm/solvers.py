@@ -1,12 +1,13 @@
 """Solvers for profile satisfiability: linear, FPT, undirected, brute force.
 
 The three structured solvers run one depth-first branch-and-propagate
-search.  Its root is the closure of the arcs a profile states; a node adds
-one orientation of an open silent constraint to its parent's closure and
-propagates it incrementally, a node whose closure hits a cycle is pruned,
-and a node with no open constraint left yields a witness read off a
-topological order.  The search keeps an explicit stack, so its depth is
-not bounded by Python's recursion limit; its worst case stays 2^s nodes
+search.  Its root, `graph.root_closure(F, search=True)`, is the closure of
+the arcs a profile states; a node adds one orientation of an open silent
+constraint of that root to its parent's closure and propagates it
+incrementally, a node whose closure hits a cycle is pruned, and a node
+with no open constraint left yields a witness read off a topological
+order.  The search keeps an explicit stack, so its depth is not bounded
+by Python's recursion limit; its worst case stays 2^s nodes
 for s silent constraints (betweenness is NP-complete), but propagation
 settles most constraints without a branch.  The linear solver is the same
 search with the paper's branching rule, which never backtracks on a
@@ -34,6 +35,7 @@ from .errors import (
     MismatchedN,
     NotDirected,
     NotLinear,
+    PreconditionViolation,
     TooLarge,
 )
 from .graph import (
@@ -41,7 +43,7 @@ from .graph import (
     ArcKind,
     BArcPair,
     Closure,
-    _solver_root,
+    root_closure,
     topo_order,
 )
 from .profiles import (
@@ -185,11 +187,11 @@ def solve_linear(F: Profile) -> SolveOutcome:
         raise NotDirected("the linear solver needs a directed profile")
     if not is_linear(F):
         raise NotLinear("profile intervals do not form an inclusion chain")
-    root, _, _, silent, _ = _solver_root(F, directed=True, search=True)
+    root, silent, _ = root_closure(F, search=True)
     choices = [_nb_choice(r) for r in silent]
     w, nodes = _search(root, choices, F, "linear solver",
                        branch=_linear_branch(F, choices), backtrack=False)
-    return SolveOutcome(witness=w, silent_nb=tuple(silent), settings_tested=nodes)
+    return SolveOutcome(witness=w, silent_nb=silent, settings_tested=nodes)
 
 
 def solve_fpt_directed(F: Profile) -> SolveOutcome:
@@ -202,20 +204,9 @@ def solve_fpt_directed(F: Profile) -> SolveOutcome:
     """
     if not F.directed:
         raise NotDirected("the FPT solver needs a directed profile")
-    root, _, _, silent, _ = _solver_root(F, directed=True, search=True)
+    root, silent, _ = root_closure(F, search=True)
     w, nodes = _search(root, [_nb_choice(r) for r in silent], F, "FPT solver")
-    return SolveOutcome(witness=w, silent_nb=tuple(silent), settings_tested=nodes)
-
-
-def undirected_base(F: Profile) -> tuple[Closure, list[NBRecord],
-                                         list[BArcPair], list[NBRecord], list[BArcPair]]:
-    """Shared front end of the undirected pipeline.
-
-    Seeds the endpoint arcs, closes under T/NB/B to the full fixpoint, and
-    splits the constraint sets into settled and silent.  Returns (closure,
-    nb_records, b_pairs, silent_nb, silent_b).
-    """
-    return _solver_root(F, directed=False, search=False)
+    return SolveOutcome(witness=w, silent_nb=silent, settings_tested=nodes)
 
 
 def solve_undirected(F: Profile, method: str = "fpt") -> SolveOutcome:
@@ -230,8 +221,10 @@ def solve_undirected(F: Profile, method: str = "fpt") -> SolveOutcome:
     """
     if method != "fpt":
         raise ValueError(f"unknown method {method!r}")
-    root, _, _, silent_nb, silent_b = _solver_root(F, directed=False, search=True)
+    if F.directed:
+        raise PreconditionViolation("expected an undirected profile")
+    root, silent_nb, silent_b = root_closure(F, search=True)
     choices = [_b_choice(bp) for bp in silent_b] + [_nb_choice(r) for r in silent_nb]
     w, nodes = _search(root, choices, F, "undirected solver")
-    return SolveOutcome(witness=w, silent_nb=tuple(silent_nb),
+    return SolveOutcome(witness=w, silent_nb=silent_nb,
                         silent_b=tuple(bp.t for bp in silent_b), settings_tested=nodes)

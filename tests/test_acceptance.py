@@ -17,7 +17,6 @@ import numpy as np
 
 from minmaxperm import (
     brute_force_solutions,
-    build_easy_arcs,
     collision_pair,
     compute_profile,
     emit_profile,
@@ -26,6 +25,7 @@ from minmaxperm import (
     min_unique_k,
     nb_records,
     parse_profile,
+    root_closure,
     solve_fpt_directed,
     solve_linear,
     validate_permutation,
@@ -89,8 +89,8 @@ def _timed(fn):
 
 
 def test_criterion_02_silent_set_goldens():
-    res1 = build_easy_arcs(golden_profile())
-    first = res1.silent == (NBRecord(basis=(6, 7), top=2),)
+    res1 = root_closure(golden_profile())
+    first = res1.silent_nb == (NBRecord(basis=(6, 7), top=2),)
 
     # Second worked example.  Entry (11,1) is `<` with m = 3: 3 lies between
     # 12 and 11 with 12 on the left, so (3,11) is a seed B-arc.  With the
@@ -99,7 +99,7 @@ def test_criterion_02_silent_set_goldens():
     # then forces (3,5).  Neither record can stay silent, and none does.
     P = validate_permutation(SETTING_PERM)
     F2 = compute_profile(P, 1, True)
-    res2 = build_easy_arcs(F2)
+    res2 = root_closure(F2)
     expected_arcs = {(3, 5), (3, 6), (3, 9), (3, 11), (5, 6), (5, 11), (8, 3),
                      (8, 5), (8, 6), (8, 9), (8, 11), (9, 6), (9, 11), (11, 6)}
     sub = {3, 5, 6, 8, 9, 11}
@@ -107,7 +107,7 @@ def test_criterion_02_silent_set_goldens():
     def induced(arcs):
         return {(x, y) for x, y in arcs if x in sub and y in sub}
 
-    second = res2.silent == () and induced(arc_set(res2.graph.arcs())) == expected_arcs
+    second = res2.silent_nb == () and induced(arc_set(res2.closure.arcs())) == expected_arcs
 
     # the same values without graph.Closure: the seed arc, the one-rule-at-
     # a-time reference closure, and the permutation's own positions
@@ -122,8 +122,8 @@ def test_criterion_02_silent_set_goldens():
     _report(2, first and second and independent,
             f"first golden silent set {'ok' if first else 'differs'}; "
             f"second golden {'ok' if second else 'differs'} "
-            f"(computed silent={sorted((r.top, r.basis) for r in res2.silent)}, "
-            f"{len(induced(arc_set(res2.graph.arcs())))} induced arcs); "
+            f"(computed silent={sorted((r.top, r.basis) for r in res2.silent_nb)}, "
+            f"{len(induced(arc_set(res2.closure.arcs())))} induced arcs); "
             f"reference closure {'agrees' if independent else 'differs'}")
     assert first and second and independent
 
@@ -177,7 +177,7 @@ def test_criterion_03_circuit_golden():
     proven = {(21, 27), (27, 21)} <= derived
     ref_cyclic = has_cycle(reference_close(F.n, arc_set(easy_arc_seeds(F)), nb_records(F),
                                            [], random.Random(3)))
-    verdict_no = (build_easy_arcs(F).graph.cyclic
+    verdict_no = (root_closure(F).closure.cyclic
                   and solve_fpt_directed(F).is_no)
 
     # (b) The circuit construction itself, on the figure's system: the seed
@@ -350,9 +350,9 @@ def test_criterion_10_property_suites():
     # closure soundness against witness positions, all n <= 7
     for n in range(1, 8):
         for P in all_perms(n):
-            res = build_easy_arcs(compute_profile(P, 1, True))
+            res = root_closure(compute_profile(P, 1, True))
             pos = P.positions()
-            assert all(pos[x] < pos[y] for x, y, _ in res.graph.arcs())
+            assert all(pos[x] < pos[y] for x, y, _ in res.closure.arcs())
 
     # complement duality of directed k-profiles, all n <= 7, all k
     for n in range(1, 8):

@@ -6,14 +6,13 @@ from minmaxperm import (
     ArcKind,
     CyclicGraph,
     KMismatch,
-    NotDirected,
     PreconditionViolation,
     ProfileValidationError,
     b_arc_pairs,
-    build_easy_arcs,
     compute_profile,
     endpoint_arcs,
     nb_records,
+    root_closure,
     to_dot,
     validate_permutation,
 )
@@ -35,6 +34,8 @@ from helpers import (
     identity_perm,
     is_settled,
     make_profile,
+    mutate_undirected,
+    random_perm,
     reference_close,
     unsat2_profile,
 )
@@ -140,8 +141,8 @@ class TestIsSettled:
         assert is_settled({(2, 6), (2, 7)}, NBRecord(basis=(6, 7), top=2))
 
     def test_golden_record_stays_open(self):
-        res = build_easy_arcs(golden_profile())
-        assert not is_settled(closed_arcs(res.graph), NBRecord(basis=(6, 7), top=2))
+        res = root_closure(golden_profile())
+        assert not is_settled(closed_arcs(res.closure), NBRecord(basis=(6, 7), top=2))
 
 
 def order(n, seeds):
@@ -163,10 +164,10 @@ class TestCycleAndTopo:
             order(2, seeds)
 
     def test_identity_total_order(self):
-        res = build_easy_arcs(compute_profile(identity_perm(4), 1, True))
+        res = root_closure(compute_profile(identity_perm(4), 1, True))
         expected = {(x, y) for x in range(6) for y in range(6) if x < y}
-        assert closed_arcs(res.graph) == expected
-        assert topo_order(res.graph.pred).elems == (0, 1, 2, 3, 4, 5)
+        assert closed_arcs(res.closure) == expected
+        assert topo_order(res.closure.pred).elems == (0, 1, 2, 3, 4, 5)
 
     def test_smallest_tie_break(self):
         seeds = endpoint_arcs(3)
@@ -201,22 +202,25 @@ class TestCycleAndTopo:
         assert 30 <= cyclic_cases <= 270
 
 
-class TestBuildEasyArcs:
+class TestRootClosure:
     def test_golden_silent_set(self):
-        res = build_easy_arcs(golden_profile())
-        assert not res.graph.cyclic
-        assert res.silent == (NBRecord(basis=(6, 7), top=2),)
+        res = root_closure(golden_profile())
+        assert not res.closure.cyclic
+        assert res.silent_nb == (NBRecord(basis=(6, 7), top=2),)
+        res = root_closure(golden_profile(directed=False))
+        assert not res.closure.cyclic
+        assert [bp.t for bp in res.silent_b] == [6]
 
     def test_identity_empty_silent(self):
         for n in (1, 3, 6):
-            res = build_easy_arcs(compute_profile(identity_perm(n), 1, True))
-            assert res.silent == ()
-            assert not res.graph.cyclic
+            res = root_closure(compute_profile(identity_perm(n), 1, True))
+            assert res.silent_nb == ()
+            assert not res.closure.cyclic
 
     def test_unsat_profile_reports_no(self):
-        res = build_easy_arcs(unsat2_profile())
-        assert res.graph.cyclic
-        assert has_cycle(closed_arcs(res.graph))
+        res = root_closure(unsat2_profile())
+        assert res.closure.cyclic
+        assert has_cycle(closed_arcs(res.closure))
 
     def test_cyclic_graph_still_reports_silent(self):
         # the full fixpoint reports the records it leaves unjoined even when
@@ -225,12 +229,12 @@ class TestBuildEasyArcs:
         entries = [(0, L, 0, 9), (1, L, 1, 9), (2, L, 1, 9), (3, R, 3, 5), (4, L, 4, 5),
                    (5, R, 1, 9), (6, R, 6, 7), (7, L, 1, 9), (8, R, 1, 9), (9, L, 1, 10)]
         F = make_profile(entries)
-        res = build_easy_arcs(F)
-        g = closed_arcs(res.graph)
-        assert res.graph.cyclic and has_cycle(g)
+        res = root_closure(F)
+        g = closed_arcs(res.closure)
+        assert res.closure.cyclic and has_cycle(g)
         open_ = tuple(r for r in nb_records(F)
                       if (r.top, r.basis[0]) not in g and (r.basis[0], r.top) not in g)
-        assert len(open_) == 2 and res.silent == open_
+        assert len(open_) == 2 and res.silent_nb == open_
 
     def test_setting_example_fully_settles(self):
         # The betweenness facts of the last two entries (both have m=3) chain
@@ -238,29 +242,48 @@ class TestBuildEasyArcs:
         # so nothing stays silent for this permutation.  Acceptance criterion
         # 02 checks the same against the reference closure.
         P = validate_permutation(SETTING_PERM)
-        res = build_easy_arcs(compute_profile(P, 1, True))
-        assert not res.graph.cyclic
-        assert res.silent == ()
-        g = closed_arcs(res.graph)
-        assert (3, 11) in g and res.graph.kinds[(3, 11)] is ArcKind.B
+        res = root_closure(compute_profile(P, 1, True))
+        assert not res.closure.cyclic
+        assert res.silent_nb == ()
+        g = closed_arcs(res.closure)
+        assert (3, 11) in g and res.closure.kinds[(3, 11)] is ArcKind.B
         assert (3, 5) in g   # settles top 3 over basis (5,6)
         assert (9, 11) in g  # settles top 11 over basis (8,9)
 
+    def test_undirected_full_fixpoint_matches_reference(self):
+        # the endpoint arcs closed under T/NB/B by the one-rule-at-a-time
+        # reference give the cycle flag and both silent sets, cyclic or not
+        rng = random.Random(2014)
+        profiles = [golden_profile(directed=False)]
+        for _ in range(30):
+            n = rng.randint(2, 8)
+            profiles.append(mutate_undirected(rng, compute_profile(random_perm(rng, n), 1, False)))
+        cyclic_cases = 0
+        for F in profiles:
+            records, pairs = nb_records(F), b_arc_pairs(F)
+            ref = reference_close(F.n, arc_set(endpoint_arcs(F.n)), records, pairs, rng)
+            res = root_closure(F)
+            assert closed_arcs(res.closure) == ref
+            assert res.closure.cyclic == has_cycle(ref)
+            cyclic_cases += res.closure.cyclic
+            joined = ref | {(y, x) for x, y in ref}
+            assert res.silent_nb == tuple(r for r in records if (r.top, r.basis[0]) not in joined)
+            assert res.silent_b == tuple(bp for bp in pairs if (bp.t, bp.t + 1) not in joined)
+        assert 0 < cyclic_cases < len(profiles)
+
     def test_gate_rejections(self):
-        with pytest.raises(NotDirected):
-            build_easy_arcs(golden_profile(directed=False))
         with pytest.raises(KMismatch):
-            build_easy_arcs(compute_profile(identity_perm(4), 2, True))
+            root_closure(compute_profile(identity_perm(4), 2, True))
         bad = make_profile([(0, None, 0, 3), (1, None, 0, 3), (2, None, 1, 3), (3, None, 1, 4)],
                            n=3, directed=False)
         with pytest.raises(ProfileValidationError):
-            require_solver_profile(bad, directed=False)
+            require_solver_profile(bad)
 
     def test_gate_boundary_direction(self):
         from helpers import L, R
         entries = [(0, R, 0, 2), (1, L, 1, 2), (2, L, 2, 3)]
         with pytest.raises(PreconditionViolation):
-            build_easy_arcs(make_profile(entries, n=2))
+            root_closure(make_profile(entries, n=2))
 
 
 class TestFigureConfiguration:
@@ -307,15 +330,15 @@ class TestClosureInvariants:
             for P in all_perms(n):
                 F = compute_profile(P, 1, True)
                 pos = P.positions()
-                res = build_easy_arcs(F)
-                assert all(pos[x] < pos[y] for x, y, _ in res.graph.arcs())
+                res = root_closure(F)
+                assert all(pos[x] < pos[y] for x, y, _ in res.closure.arcs())
 
     def test_endpoint_arcs_never_reversed(self):
         # nothing ever enters 0 or leaves n+1
         for n in range(1, 6):
             for P in all_perms(n):
-                res = build_easy_arcs(compute_profile(P, 1, True))
-                for x, y, _ in res.graph.arcs():
+                res = root_closure(compute_profile(P, 1, True))
+                for x, y, _ in res.closure.arcs():
                     assert y != 0 and x != n + 1
 
     def test_post_closure_dichotomy(self):
@@ -323,8 +346,8 @@ class TestClosureInvariants:
         for n in range(1, 7):
             for P in all_perms(n):
                 F = compute_profile(P, 1, True)
-                res = build_easy_arcs(F)
-                g = closed_arcs(res.graph)
+                res = root_closure(F)
+                g = closed_arcs(res.closure)
                 for r in nb_records(F):
                     if is_settled(g, r):
                         continue

@@ -16,10 +16,10 @@ from minmaxperm import (
     ProfileValidationError,
     TooLarge,
     brute_force_solutions,
-    build_easy_arcs,
     compute_profile,
     is_linear,
     nb_set,
+    root_closure,
     solve_fpt_directed,
     solve_linear,
     solve_undirected,
@@ -339,11 +339,11 @@ class TestFptMonotonicity:
         for n in range(2, 6):
             for P in all_perms(n):
                 F = compute_profile(P, 1, True)
-                res = build_easy_arcs(F)
+                res = root_closure(F)
                 for W in brute_force_solutions(F):
                     pos = W.positions()
-                    g = res.graph.arcs()
-                    for rec in res.silent:
+                    g = res.closure.arcs()
+                    for rec in res.silent_nb:
                         top, (t, u) = rec.top, rec.basis
                         if pos[top] < pos[t]:
                             arcs = (top, t), (top, u)
@@ -351,7 +351,7 @@ class TestFptMonotonicity:
                             arcs = (t, top), (u, top)
                         for x, y in arcs:
                             g.append((x, y, ArcKind.NB))
-                    closed = Closure(F.n, g, res.silent).arcs()
+                    closed = Closure(F.n, g, res.silent_nb).arcs()
                     assert not has_cycle(arc_set(closed))
                     assert all(pos[x] < pos[y] for x, y, _ in closed)
 
@@ -360,8 +360,8 @@ def _paper_linear_rounds(F):
     """Rounds of the paper's linear algorithm, replayed on the public
     closure: set the silent top with the largest NB set after its smallest
     silent basis, re-close, repeat until nothing is silent."""
-    res = build_easy_arcs(F)
-    g, silent = res.graph.arcs(), list(res.silent)
+    res = root_closure(F)
+    g, silent = res.closure.arcs(), list(res.silent_nb)
     rounds = 0
     while silent:
         top = max({r.top for r in silent}, key=lambda c: (len(nb_set(F, c)), -c))
@@ -379,6 +379,13 @@ def _paper_linear_rounds(F):
 BRANCHING_NO_ENTRIES = [
     (0, U, 0, 9), (1, U, 1, 9), (2, U, 2, 3), (3, U, 2, 9), (4, U, 4, 7),
     (5, U, 4, 6), (6, U, 4, 7), (7, U, 2, 9), (8, U, 2, 9), (9, U, 1, 10),
+]
+
+# One of the 4 valid n = 6 profiles, the smallest size with any, that are NO
+# only after search: the root leaves the B pairs t = 3 and 4 silent
+SMALLEST_BRANCHING_NO_ENTRIES = [
+    (0, U, 0, 5), (1, U, 1, 6), (2, U, 1, 6), (3, U, 3, 5), (4, U, 3, 5),
+    (5, U, 1, 6), (6, U, 2, 7),
 ]
 
 
@@ -411,8 +418,10 @@ class TestSearch:
                 out = solve_linear(F)
                 assert out.settings_tested == _paper_linear_rounds(F) + 1, P
 
-    def test_branching_no(self):
-        F = make_profile(BRANCHING_NO_ENTRIES, n=9, directed=False)
+    @pytest.mark.parametrize("entries", [BRANCHING_NO_ENTRIES, SMALLEST_BRANCHING_NO_ENTRIES],
+                             ids=["n9", "n6"])
+    def test_branching_no(self, entries):
+        F = make_profile(entries, directed=False)
         out = solve_undirected(F)
         assert out.is_no and out.settings_tested == 3
         assert brute_force_solutions(F) == []
