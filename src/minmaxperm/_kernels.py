@@ -7,9 +7,12 @@ Every kernel is whole-array numpy:
   one block per prefix of the first n-s values, with the table mapped onto
   the values that prefix leaves.  Nothing is kept between calls.  The
   uniqueness grouping enumerates all n! rows with it.
-- `batch_profile_codes` builds per-row range tables mn[b, lo, hi] and
-  mx[b, lo, hi] (min and max of the values at positions lo..hi) and reads
-  all slots of one gap i from them with a single gather.
+- `batch_profile_codes` works value-major: range tables mn[lo, hi, :] and
+  mx[lo, hi, :] (min and max of the values at positions lo..hi, one
+  length-B array per cell) are built with one binary np.minimum /
+  np.maximum per cell, and all slots of one gap i are read from them with
+  a single gather by flat index.  `value_positions` is the (V, B)
+  inverse permutation both it and the fixed-positions check use.
 - `prefix_solutions` is the oracle's search: it extends blocks of
   permutation prefixes one position at a time and drops a prefix as soon
   as a profile entry rules out every extension of it, so it never builds
@@ -32,13 +35,6 @@ from .errors import TooLarge
 from .profiles import pair_count
 
 
-def _positions(perms: np.ndarray) -> np.ndarray:
-    B, V = perms.shape
-    pos = np.empty((B, V), np.int16)
-    pos[np.arange(B)[:, None], perms] = np.arange(V, dtype=np.int16)[None, :]
-    return pos
-
-
 def _as_int8_rows(perms) -> np.ndarray:
     arr = np.ascontiguousarray(perms, dtype=np.int8)
     if arr.ndim != 2:
@@ -46,37 +42,72 @@ def _as_int8_rows(perms) -> np.ndarray:
     return arr
 
 
-def _range_tables(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B, V*V) tables whose entry lo*V + hi, lo <= hi, is the min (max) of
-    perms[b, lo..hi]; entries with lo > hi are never read and left unset."""
+def value_positions(perms: np.ndarray) -> np.ndarray:
+    """Inverse of a (B, V) int8 block of permutation rows of range(V), as a
+    (V, B) int8 array: entry [v, b] is the position of value v in row b.
+    One scatter through flat indices v*B + b."""
     B, V = perms.shape
-    mn = np.empty((B, V, V), np.int8)
-    mx = np.empty((B, V, V), np.int8)
-    for lo in range(V):
-        np.minimum.accumulate(perms[:, lo:], axis=1, out=mn[:, lo, lo:])
-        np.maximum.accumulate(perms[:, lo:], axis=1, out=mx[:, lo, lo:])
-    return mn.reshape(B, V * V), mx.reshape(B, V * V)
+    flat = perms.T.astype(np.intp)
+    flat *= B
+    flat += np.arange(B)
+    pos = np.empty(V * B, np.int8)
+    pos[flat] = np.arange(V, dtype=np.int8)[:, None]
+    return pos.reshape(V, B)
 
 
 def batch_profile_codes(perms, k: int, directed: bool) -> np.ndarray:
-    """Profile code rows [m | M | dir] for a batch of permutation rows."""
+    """Profile code rows [m | M | dir] for a batch of permutation rows, as a
+    (B, 3L) int8 C-contiguous array.
+
+    Everything runs value-major, one length-B array per table cell:
+    mn[lo, hi] and mx[lo, hi] hold the min and max of the values at
+    positions lo..hi of every row, each cell one binary np.minimum /
+    np.maximum of the cell before it (hi - 1) and column hi of the
+    transposed rows, then copied to mn[hi, lo] so that either order of the
+    two ends reads the same cell.  Slot (t, t+i) of row b is cell
+    (pos[t, b]*V + pos[t+i, b])*B + b of the flat tables; each gap's slots
+    are gathered at once into a (3L, B) block, which is transposed once at
+    the end."""
     perms = _as_int8_rows(perms)
     B, V = perms.shape
     L = pair_count(V - 2, k)
-    pos = _positions(perms).astype(np.intp)
-    mn, mx = _range_tables(perms)
-    out = np.empty((B, 3 * L), np.int8)
+    cols = np.ascontiguousarray(perms.T)
+    mn = np.empty((V, V, B), np.int8)
+    mx = np.empty((V, V, B), np.int8)
+    for lo in range(V):
+        mn[lo, lo] = mx[lo, lo] = cols[lo]
+        for hi in range(lo + 1, V):
+            np.minimum(mn[lo, hi - 1], cols[hi], out=mn[lo, hi])
+            np.maximum(mx[lo, hi - 1], cols[hi], out=mx[lo, hi])
+        mn[lo + 1:, lo] = mn[lo, lo + 1:]
+        mx[lo + 1:, lo] = mx[lo, lo + 1:]
+    mn, mx = mn.reshape(-1), mx.reshape(-1)
+    pos = value_positions(perms)
+    second = pos.astype(np.intp)
+    second *= B
+    first = second * V
+    first += np.arange(B)
+    cells = np.empty((V - 1, B), np.intp)
+    codes = np.empty((3 * L, B), np.int8)
+    dirs = codes[2 * L:]
     idx = 0
     for i in range(1, min(k, V - 1) + 1):
         width = V - i
-        p1 = pos[:, :width]
-        p2 = pos[:, i:]
-        cell = np.minimum(p1, p2) * V + np.maximum(p1, p2)
-        out[:, idx:idx + width] = np.take_along_axis(mn, cell, axis=1)
-        out[:, L + idx:L + idx + width] = np.take_along_axis(mx, cell, axis=1)
-        out[:, 2 * L + idx:2 * L + idx + width] = np.where(p1 < p2, 1, -1) if directed else 0
+        cell = np.add(first[:width], second[i:], out=cells[:width])
+        codes[idx:idx + width] = mn[cell]
+        codes[L + idx:L + idx + width] = mx[cell]
+        if directed:
+            dirs[idx:idx + width] = pos[:width] < pos[i:]
         idx += width
-    return out
+    if directed:
+        # 1 where t lies left of t+i and 0 where right, to +1 and -1
+        dirs *= 2
+        dirs -= 1
+    else:
+        dirs[:] = 0
+    # freed first, so that the transposed copy does not add to their peak
+    del mn, mx, first, second, cells, cell
+    return np.ascontiguousarray(codes.T)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import batch_profile_codes, iter_perm_arrays
+from ._kernels import batch_profile_codes, iter_perm_arrays, value_positions
 from .errors import (
     InternalInconsistency,
     PreconditionViolation,
@@ -171,7 +171,7 @@ def fixed_positions_check(n: int, k: int, directed: bool,
     rows, leader = _profile_classes(n, k, directed)
     # per row: position of 1, position of n, then the block (0 before both,
     # 1 between, 2 after) of every value
-    pos = rows.argsort(axis=1).astype(np.int8)
+    pos = value_positions(rows).T
     lo = np.minimum(pos[:, 1], pos[:, n])[:, None]
     hi = np.maximum(pos[:, 1], pos[:, n])[:, None]
     feats = np.concatenate([pos[:, [1, n]], (pos > lo).astype(np.int8) + (pos > hi)], axis=1)

@@ -13,6 +13,7 @@ from minmaxperm._kernels import (
     iter_perm_arrays,
     pair_count,
     prefix_solutions,
+    value_positions,
 )
 
 from helpers import golden_profile, golden_witness_family, random_perm
@@ -126,10 +127,56 @@ class TestKernelsMatchReference:
         assert P.elems in matched
 
 
-class TestExhaustiveAgreement:
-    def test_all_n5_profiles(self):
-        rows = np.concatenate(list(iter_perm_arrays(5)))
+def assert_codes(rows, k, directed):
+    """batch_profile_codes of rows is the (B, 3L) int8 C-contiguous array
+    of their reference codes."""
+    codes = batch_profile_codes(rows, k, directed)
+    assert codes.dtype == np.int8 and codes.flags.c_contiguous
+    assert codes.shape == (len(rows), 3 * pair_count(np.shape(rows)[1] - 2, k))
+    assert np.array_equal(codes, reference_codes(rows, k, directed).reshape(codes.shape))
+
+
+class TestKernelEdgeCases:
+    def test_value_positions_inverts_rows(self):
+        rows = np.concatenate(list(iter_perm_arrays(6)))
+        pos = value_positions(rows)
+        assert pos.dtype == np.int8 and pos.shape == (8, len(rows))
+        assert np.array_equal(pos.T, rows.argsort(axis=1))
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_empty_and_single_row_blocks(self, directed):
+        rows = random_rows(random.Random(11), 6, 5)
+        for k in (1, 3, 7):
+            assert_codes(rows[:0], k, directed)
+            assert_codes(rows[:1], k, directed)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_n1(self, directed):
+        rows = np.array([[0, 1, 2]], np.int8)
+        for k in (1, 2):
+            assert_codes(rows, k, directed)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_k_is_n_plus_one(self, directed):
+        rng = random.Random(5)
+        for n in (2, 7, 9):
+            rows = random_rows(rng, n, 30)
+            assert_codes(rows, n + 1, directed)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_int64_and_non_contiguous_input(self, directed):
+        rows = random_rows(random.Random(9), 8, 40)
         for k in (1, 3):
-            for directed in (True, False):
-                ref = reference_codes(rows, k, directed)
-                assert np.array_equal(batch_profile_codes(rows, k, directed), ref)
+            assert_codes(rows.astype(np.int64), k, directed)
+            assert not rows[::-1].flags.c_contiguous
+            assert_codes(rows[::-1], k, directed)
+            assert_codes(rows.astype(np.int64)[::-1], k, directed)
+
+
+class TestExhaustiveAgreement:
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_all_profiles_up_to_n6(self, directed):
+        for n in range(1, 7):
+            rows = np.concatenate(list(iter_perm_arrays(n)))
+            for k in range(1, n + 2):
+                assert_codes(rows, k, directed)

@@ -112,6 +112,13 @@ class TestCollisionPairsExact:
         assert P.elems == (0, 3, 4, 6, 7, 1, 8, 2, 5, 9)
         assert Q.elems == (0, 3, 4, 6, 7, 1, 8, 5, 2, 9)
 
+    def test_undirected_n8_pair(self):
+        result = min_unique_k(8, False)
+        assert result.min_k == 5
+        P, Q = result.collision
+        assert P.elems == (0, 4, 5, 6, 7, 1, 8, 2, 3, 9)
+        assert Q.elems == (0, 4, 5, 6, 7, 1, 8, 3, 2, 9)
+
 
 class TestCollisionPair:
     def test_undirected_n5(self):
