@@ -36,6 +36,7 @@ from .profiles import (
     compute_profile,
     compute_set_profile,
     is_linear,
+    nb_masks,
     nb_records,
     nb_set,
     validate_permutation,

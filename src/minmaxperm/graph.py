@@ -13,16 +13,19 @@ The one graph type is `Closure`, an incremental engine: successor and
 predecessor bitmasks kept transitively closed under arc insertion, with
 the NB and B rules fired only by the pairs they watch and a cycle detected
 at the insertion that closes it.  It is built from seed arcs, given as
-(x, y, kind) lists (`easy_arc_seeds`, `endpoint_arcs`), and lists its arcs
-back with their kinds for `to_dot`.
+(x, y, kind) lists (`easy_arc_seeds`, `endpoint_arcs`), the NB facts as
+one bitmask of bases per top (`profiles.nb_masks`) and the B pairs, and
+lists its arcs back with their kinds for `to_dot`.
 
 `root_closure` is the one front end for either directedness: it gates a
 profile, seeds it (a directed profile's R/B arcs, or the endpoint arcs
 plus the betweenness pairs, whose orientations Arcs+/Arcs- propagate as a
 unit, of an undirected one), closes it, and reports the NB-constraints
-and B pairs the closure orients neither way as silent.  The full fixpoint
-serves debug dumps; the solvers take a search root, whose masks the
-search copies at each node before inserting the arcs of one decision.
+and B pairs the closure orients neither way as silent.  The silent bases
+of a top are its NB mask less its successor and predecessor masks, and
+only those become `NBRecord`s.  The full fixpoint serves debug dumps; the
+solvers take a search root, whose masks the search copies at each node
+before inserting the arcs of one decision.
 `topo_order` reads an order off a closure's predecessor masks.
 """
 
@@ -44,7 +47,7 @@ from .profiles import (
     NBRecord,
     Permutation,
     Profile,
-    nb_records,
+    nb_masks,
     validate_permutation,
     validate_profile,
 )
@@ -112,11 +115,14 @@ class Closure:
     y, never x or y itself.  Inserting (x, y) ORs succ[y] | bit(y) into x
     and into every predecessor of x (incremental transitive closure,
     Italiano 1986).  The pairs this creates fire only the rules watching
-    them: an NB record (a, (t, t+1)) watches a's row and column at t and
-    t+1, and a B-pair side watches each of its arcs.  An insertion whose
-    head already reaches its tail closes a cycle and sets `cyclic`.
+    them: bit t of nb[a], the NB fact "a does not lie between t and t+1",
+    watches a's row and column at t and t+1, and a B-pair side watches
+    each of its arcs.  An insertion whose head already reaches its tail
+    closes a cycle and sets `cyclic`.
 
-    The seeds are arcs (x, y, kind): each keeps the kind it was given (the
+    nb is empty (no NB facts) or holds one mask per vertex, as
+    `profiles.nb_masks` gives them; the closure keeps its own copy.  The
+    seeds are arcs (x, y, kind): each keeps the kind it was given (the
     first, when it repeats), self-loops are dropped, and the seeds go to
     `add` in ascending (x, y) order, which fixes the kinds of the derived
     arcs.  By default the closure runs on to the full fixpoint, through cycles, and
@@ -128,7 +134,7 @@ class Closure:
     __slots__ = ("succ", "pred", "cyclic", "stop_at_cycle", "kinds",
                  "_nb", "_b_mask", "_b_sides")
 
-    def __init__(self, n: int, seeds: Iterable[Arc] = (), records: Sequence[NBRecord] = (),
+    def __init__(self, n: int, seeds: Iterable[Arc] = (), nb: Sequence[int] = (),
                  b_pairs: Sequence[BArcPair] = (), *, search: bool = False):
         V = n + 2
         self.succ = [0] * V
@@ -140,10 +146,7 @@ class Closure:
             if x != y:
                 first.setdefault((x, y), kind)
         self.kinds = None if search else first
-        # _nb[a] has bit t for every NB record (a, (t, t+1))
-        self._nb = [0] * V
-        for rec in records:
-            self._nb[rec.top] |= 1 << rec.basis[0]
+        self._nb = list(nb) if nb else [0] * V
         self._b_mask = [0] * V
         self._b_sides: dict[tuple[int, int], list[tuple[Arc, ...]]] = {}
         for bp in b_pairs:
@@ -327,16 +330,19 @@ def root_closure(F: Profile, *, search: bool = False) -> RootClosure:
     silent.
     """
     require_solver_profile(F)
-    records = nb_records(F)
+    nb = nb_masks(F)
     if F.directed:
         seeds, pairs = easy_arc_seeds(F), []
     else:
         seeds, pairs = endpoint_arcs(F.n), b_arc_pairs(F)
-    root = Closure(F.n, seeds, records, pairs, search=search)
+    root = Closure(F.n, seeds, nb, pairs, search=search)
     if search and root.cyclic:
         return RootClosure(root, (), ())
+    succ, pred = root.succ, root.pred
+    silent = sorted((t, a) for a, bases in enumerate(nb)
+                    for t in _bits(bases & ~(succ[a] | pred[a])))
     return RootClosure(root,
-                       tuple(r for r in records if not root.linked(r.top, r.basis[0])),
+                       tuple(NBRecord(basis=(t, t + 1), top=a) for t, a in silent),
                        tuple(bp for bp in pairs if not root.linked(bp.t, bp.t + 1)))
 
 

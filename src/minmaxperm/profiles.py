@@ -9,8 +9,10 @@ additionally records which of t, t+i sits further left.
 
 Every betweenness fact a profile encodes decomposes into B-constraints
 ("m and M lie between t and t+i") and NB-constraints ("each value outside
-[m, M] does not lie between t and t+i"); the decomposition helpers at the
-bottom feed the precedence-graph solvers.
+[m, M] does not lie between t and t+i").  The helpers at the bottom list a
+gap-1 profile's NB-constraints two ways: `nb_records`, one record per fact
+in (basis, top) order, and `nb_masks`, one bitmask of bases per top, the
+form the precedence-graph solvers read.
 """
 
 from __future__ import annotations
@@ -310,3 +312,32 @@ def nb_records(F: Profile) -> list[NBRecord]:
             out.append(NBRecord(basis=basis, top=top))
     out.sort()
     return out
+
+
+def nb_masks(F: Profile) -> list[int]:
+    """The NB-constraints of a gap-1 profile as one bitmask per top:
+    mask[a], for a in 0..n+1, has bit t for every entry t with a < m_t or
+    a > M_t (the records of `nb_records` folded by top).
+
+    Entries are bucketed by m_t and by M_t + 1 (clamped to 0..n+2), then
+    one descending and one ascending OR-scan build every mask, so the cost
+    does not grow with the number of records.
+    """
+    if F.k != 1:
+        raise KMismatch(f"B/NB decomposition is defined for k=1, got k={F.k}")
+    V = F.n + 2
+    by_m = [0] * (V + 1)
+    by_after_M = [0] * (V + 1)
+    for c in F.entries():
+        by_m[min(max(c.m, 0), V)] |= 1 << c.t
+        by_after_M[min(max(c.M + 1, 0), V)] |= 1 << c.t
+    masks = [0] * V
+    above = 0  # entries with M_t < a
+    for a in range(V):
+        above |= by_after_M[a]
+        masks[a] = above
+    below = 0  # entries with m_t > a
+    for a in range(V - 1, -1, -1):
+        below |= by_m[a + 1]
+        masks[a] |= below
+    return masks

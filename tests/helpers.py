@@ -169,6 +169,15 @@ def arc_set(arcs) -> set[tuple[int, int]]:
     return {(x, y) for x, y, _ in arcs if x != y}
 
 
+def masks_of(n: int, records) -> list[int]:
+    """NB records folded into the per-top masks `Closure` takes: record
+    (a, (t, t+1)) sets bit t of mask a (for hand-made record lists)."""
+    masks = [0] * (n + 2)
+    for r in records:
+        masks[r.top] |= 1 << r.basis[0]
+    return masks
+
+
 def reference_close(n: int, arcs: set[tuple[int, int]], records, b_pairs,
                     rng: random.Random) -> set[tuple[int, int]]:
     """Fixpoint over {0..n+1} computed by applying one randomly chosen

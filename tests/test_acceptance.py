@@ -23,6 +23,7 @@ from minmaxperm import (
     fixed_positions_check,
     is_linear,
     min_unique_k,
+    nb_masks,
     nb_records,
     parse_profile,
     root_closure,
@@ -49,6 +50,7 @@ from helpers import (
     golden_witness_family,
     has_cycle,
     is_settled,
+    masks_of,
     mutate_directed,
     random_perm,
     random_valid_directed,
@@ -186,11 +188,11 @@ def test_criterion_03_circuit_golden():
     records = [NBRecord(basis=(21, 22), top=25), NBRecord(basis=(15, 16), top=8),
                NBRecord(basis=(18, 19), top=25), NBRecord(basis=(18, 19), top=12)]
     assert set(records) <= set(nb_records(F))
-    base = Closure(F.n, g, records).arcs()
+    base = Closure(F.n, g, masks_of(F.n, records)).arcs()
     base_acyclic = not has_cycle(arc_set(base))
     all_silent = not any(is_settled(arc_set(base), r) for r in records)
     trigger = base + [(18, 12, ArcKind.NB)]
-    cycle_after = has_cycle(arc_set(Closure(F.n, trigger, records).arcs()))
+    cycle_after = has_cycle(arc_set(Closure(F.n, trigger, masks_of(F.n, records)).arcs()))
 
     ok = proven and ref_cyclic and verdict_no and base_acyclic and all_silent and cycle_after
     _report(3, ok,
@@ -325,26 +327,27 @@ def test_criterion_09_fixed_positions():
 
 def _confluence_cases():
     F1 = golden_profile()
-    yield F1.n, easy_arc_seeds(F1), nb_records(F1), []
+    yield F1, easy_arc_seeds(F1), []
     F2 = compute_profile(validate_permutation(SETTING_PERM), 1, True)
-    yield F2.n, easy_arc_seeds(F2), nb_records(F2), []
+    yield F2, easy_arc_seeds(F2), []
     rng = random.Random(55)
     for _ in range(2):
         F = mutate_directed(rng, compute_profile(random_perm(rng, 6), 1, True))
-        yield F.n, easy_arc_seeds(F), nb_records(F), []
+        yield F, easy_arc_seeds(F), []
     Fu = golden_profile(directed=False)
     from minmaxperm import endpoint_arcs
-    yield 9, endpoint_arcs(9), nb_records(Fu), b_arc_pairs(Fu)
+    yield Fu, endpoint_arcs(9), b_arc_pairs(Fu)
 
 
 def test_criterion_10_property_suites():
     t0 = time.perf_counter()
 
     # closure confluence: 50 randomized rule orders per instance
-    for n, seeds, records, pairs in _confluence_cases():
-        fast = arc_set(Closure(n, seeds, records, pairs).arcs())
+    for F, seeds, pairs in _confluence_cases():
+        fast = arc_set(Closure(F.n, seeds, nb_masks(F), pairs).arcs())
+        records = nb_records(F)
         for trial in range(50):
-            ref = reference_close(n, arc_set(seeds), records, pairs, random.Random(trial))
+            ref = reference_close(F.n, arc_set(seeds), records, pairs, random.Random(trial))
             assert ref == fast
 
     # closure soundness against witness positions, all n <= 7

@@ -6,7 +6,7 @@ from minmaxperm import (
     b_arc_pairs,
     emit_profile,
     endpoint_arcs,
-    nb_records,
+    nb_masks,
     to_dot,
     validate_permutation,
     verify,
@@ -281,9 +281,9 @@ class TestSolveCommand:
         assert main(["solve", str(prof), "--dump-graph", str(dot)]) == code
         capsys.readouterr()
         if F.directed:
-            closed = Closure(F.n, easy_arc_seeds(F), nb_records(F))
+            closed = Closure(F.n, easy_arc_seeds(F), nb_masks(F))
         else:
-            closed = Closure(F.n, endpoint_arcs(F.n), nb_records(F), b_arc_pairs(F))
+            closed = Closure(F.n, endpoint_arcs(F.n), nb_masks(F), b_arc_pairs(F))
         assert dot.read_bytes() == to_dot(closed).encode()
 
     def test_dump_graph_golden_bytes(self, golden_profile_file, tmp_path, capsys):

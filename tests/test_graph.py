@@ -11,6 +11,7 @@ from minmaxperm import (
     b_arc_pairs,
     compute_profile,
     endpoint_arcs,
+    nb_masks,
     nb_records,
     root_closure,
     to_dot,
@@ -34,6 +35,8 @@ from helpers import (
     identity_perm,
     is_settled,
     make_profile,
+    masks_of,
+    mutate_directed,
     mutate_undirected,
     random_perm,
     reference_close,
@@ -80,24 +83,34 @@ class TestBuildClosure:
 
     def test_nb_rule_couples_arcs(self):
         rec = NBRecord(basis=(6, 7), top=2)
-        closed = Closure(9, chain([(2, 6)]), [rec])
+        closed = Closure(9, chain([(2, 6)]), masks_of(9, [rec]))
         assert (2, 7) in closed_arcs(closed)
         assert closed.kinds[(2, 7)] is ArcKind.NB
 
     def test_nb_rule_basis_side(self):
-        closed = Closure(9, chain([(6, 2)]), [NBRecord(basis=(6, 7), top=2)])
+        closed = Closure(9, chain([(6, 2)]), masks_of(9, [NBRecord(basis=(6, 7), top=2)]))
         assert (7, 2) in closed_arcs(closed)
 
     def test_input_untouched(self):
         seeds = chain([(1, 2), (2, 3)])
         Closure(2, seeds)
         assert seeds == chain([(1, 2), (2, 3)])
+        # the NB masks are copied: add() leaves the caller's list as it
+        # was, and a later change to that list does not reach the closure
+        nb = masks_of(9, [NBRecord(basis=(6, 7), top=2)])
+        given = nb[:]
+        c = Closure(9, chain([(0, 1)]), nb)
+        c.add(chain([(2, 6)]))
+        assert nb == given and (2, 7) in closed_arcs(c)
+        nb[3] = 1 << 6
+        c.add(chain([(3, 6)]))
+        assert (3, 7) not in closed_arcs(c)
 
     def test_confluence_small(self):
         F = golden_profile()
         recs = nb_records(F)
         seed = easy_arc_seeds(F)
-        fast = closed_arcs(Closure(F.n, seed, recs))
+        fast = closed_arcs(Closure(F.n, seed, nb_masks(F)))
         for trial in range(8):
             assert reference_close(F.n, arc_set(seed), recs, [], random.Random(trial)) == fast
 
@@ -105,7 +118,7 @@ class TestBuildClosure:
         # one arc of an orientation drags in the full arc set
         F = golden_profile(directed=False)
         pairs = b_arc_pairs(F)
-        closed = closed_arcs(Closure(9, endpoint_arcs(9), nb_records(F), pairs))
+        closed = closed_arcs(Closure(9, endpoint_arcs(9), nb_masks(F), pairs))
         # entry 0's plus side is triggered by the seed (0,1): M_0=9 lands between
         assert (9, 1) in closed
         # cascade resolves entry 1 to minus: 2 precedes 1
@@ -271,6 +284,30 @@ class TestRootClosure:
             assert res.silent_b == tuple(bp for bp in pairs if (bp.t, bp.t + 1) not in joined)
         assert 0 < cyclic_cases < len(profiles)
 
+    def test_directed_full_fixpoint_matches_reference(self):
+        # the directed counterpart: R/B seeds closed under T/NB by the
+        # reference give the arcs, the cycle flag and the silent NB set; an
+        # acyclic search root leaves the same records silent
+        rng = random.Random(1402)
+        profiles = [golden_profile()]
+        for _ in range(30):
+            n = rng.randint(2, 8)
+            profiles.append(mutate_directed(rng, compute_profile(random_perm(rng, n), 1, True)))
+        cyclic_cases = 0
+        for F in profiles:
+            records = nb_records(F)
+            ref = reference_close(F.n, arc_set(easy_arc_seeds(F)), records, [], rng)
+            res = root_closure(F)
+            assert closed_arcs(res.closure) == ref
+            assert res.closure.cyclic == has_cycle(ref)
+            cyclic_cases += res.closure.cyclic
+            joined = ref | {(y, x) for x, y in ref}
+            assert res.silent_nb == tuple(r for r in records if (r.top, r.basis[0]) not in joined)
+            assert res.silent_b == ()
+            if not res.closure.cyclic:
+                assert root_closure(F, search=True).silent_nb == res.silent_nb
+        assert 0 < cyclic_cases < len(profiles)
+
     def test_gate_rejections(self):
         with pytest.raises(KMismatch):
             root_closure(compute_profile(identity_perm(4), 2, True))
@@ -312,12 +349,12 @@ class TestFigureConfiguration:
     ]
 
     def test_propagated_circuit(self):
-        base = Closure(29, chain(self.ARCS, kind=ArcKind.B), self.RECORDS)
+        base = Closure(29, chain(self.ARCS, kind=ArcKind.B), masks_of(29, self.RECORDS))
         arcs = closed_arcs(base)
         assert not has_cycle(arcs)
         assert all(not is_settled(arcs, r) for r in self.RECORDS)
         trigger = base.arcs() + [(18, 12, ArcKind.NB)]
-        closed = closed_arcs(Closure(29, trigger, self.RECORDS))
+        closed = closed_arcs(Closure(29, trigger, masks_of(29, self.RECORDS)))
         assert (21, 25) in closed and (15, 8) in closed
         assert has_cycle(closed)
 
@@ -382,7 +419,7 @@ class TestClosureEngine:
         cyclic_cases = 0
         for _ in range(150):
             n, seeds, records, pairs = self.random_case(rng)
-            state = Closure(n, seeds, records, pairs)
+            state = Closure(n, seeds, masks_of(n, records), pairs)
             closed = closed_arcs(state)
             assert closed == reference_close(n, arc_set(seeds), records, pairs, rng)
             # every arc has a kind
@@ -393,7 +430,7 @@ class TestClosureEngine:
             V = n + 2
             assert all(state.pred[y] >> x & 1 == state.succ[x] >> y & 1
                        for x in range(V) for y in range(V))
-            assert Closure(n, seeds, records, pairs, search=True).cyclic == cyclic
+            assert Closure(n, seeds, masks_of(n, records), pairs, search=True).cyclic == cyclic
         assert 20 <= cyclic_cases <= 130
 
     def test_incremental_equals_batch(self):
@@ -403,10 +440,11 @@ class TestClosureEngine:
             n, seeds, records, pairs = self.random_case(rng)
             V = n + 2
             extra = [(rng.randrange(V), rng.randrange(V)) for _ in range(3)]
-            state = Closure(n, seeds, records, pairs)
+            state = Closure(n, seeds, masks_of(n, records), pairs)
             step = state.copy()
             assert step.kinds is None
             step.add([(x, y, ArcKind.NB) for x, y in extra])
-            batch = Closure(n, seeds + [(x, y, ArcKind.NB) for x, y in extra], records, pairs)
+            batch = Closure(n, seeds + [(x, y, ArcKind.NB) for x, y in extra],
+                            masks_of(n, records), pairs)
             assert step.succ == batch.succ
             assert step.cyclic == has_cycle(closed_arcs(batch))

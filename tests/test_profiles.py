@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from minmaxperm import (
     compute_profile,
     compute_set_profile,
     is_linear,
+    nb_masks,
     nb_records,
     nb_set,
     validate_permutation,
@@ -29,7 +32,11 @@ from helpers import (
     golden_profile,
     identity_perm,
     make_profile,
+    masks_of,
+    mutate_directed,
+    mutate_undirected,
     profile_restricted,
+    random_perm,
 )
 
 
@@ -229,6 +236,29 @@ class TestDecomposition:
     def test_record_ordering(self):
         assert NBRecord(basis=(1, 2), top=5) < NBRecord(basis=(2, 3), top=0)
         assert NBRecord(basis=(1, 2), top=3) < NBRecord(basis=(1, 2), top=5)
+
+    @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+    def test_nb_masks_fold_the_records(self, directed):
+        # every permutation profile with n <= 6, then 200 seeded edited
+        # profiles with n from 2 to 64
+        profiles = [compute_profile(P, 1, directed) for n in range(1, 7) for P in all_perms(n)]
+        rng = random.Random(150 + directed)
+        mutate = mutate_directed if directed else mutate_undirected
+        for _ in range(200):
+            P = random_perm(rng, rng.randint(2, 64))
+            profiles.append(mutate(rng, compute_profile(P, 1, directed)))
+        for F in profiles:
+            assert nb_masks(F) == masks_of(F.n, nb_records(F))
+
+    def test_nb_masks_golden(self):
+        masks = nb_masks(golden_profile())
+        assert len(masks) == 11
+        # entry 6 is [4, 7]: bit 6 is set exactly on the tops outside it
+        assert [a for a in range(11) if masks[a] >> 6 & 1] == [0, 1, 2, 3, 8, 9, 10]
+
+    def test_nb_masks_k_mismatch(self):
+        with pytest.raises(KMismatch):
+            nb_masks(compute_profile(identity_perm(3), 2, True))
 
 
 class TestProfileInvariants:
