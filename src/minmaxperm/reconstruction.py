@@ -8,12 +8,17 @@ fixed-positions consistency check (all members of a profile class place 1
 and n identically and split the remaining elements into the same three
 blocks).
 
-The two exhaustive checks share one grouping: profile codes of every
-permutation, computed one enumeration block at a time, are grouped by
-their bytes with `np.unique`, and each row is compared with its class
-leader, the first row in lexicographic order with the same code.  A
-collision is the first row whose leader lies before it; a fixed-positions
-failure is a row whose position features differ from its leader's.
+The two exhaustive checks share one grouping: profile codes of a set of
+permutation rows, computed at most one enumeration block at a time, are
+grouped by their bytes with `np.unique`, and each row is compared with its
+class leader, the first row in lexicographic order with the same code.  A
+fixed-positions failure is a row whose position features differ from its
+leader's, over one grouping of all n! rows.  The minimum k refines instead
+of regrouping: equal k-profiles have equal (k-1)-profiles, so a row alone
+in its class stays alone as k grows.  All rows are grouped at k = 1, and
+each later k groups only the rows whose class at k - 1 had another member,
+still in lexicographic order.  A collision is the first row whose leader
+lies before it.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ from .profiles import Permutation, Profile, compute_profile, pair_count
 from .solvers import DEFAULT_BRUTE_CAP, brute_force_solutions
 
 DEFAULT_GROUPING_CAP = 8
+# No cap_n lets a grouping pass this n: at n = 10, fixed_positions_check
+# at k = 2 peaks above 1 GB of resident memory (docs/min_k.md).
+GROUPING_LIMIT = 9
 # collision_pair re-checks its pair through two full profiles, so its time
 # and memory grow with pair_count(n, k): 2-4 s and about 125 MB at this cap
 # on a 2-core machine, depending on k.
@@ -73,37 +81,30 @@ def is_unique(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> UniquenessReport:
                             verdict=verdict, witnesses=witnesses)
 
 
-def _profile_classes(n: int, k: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
-    """All permutation rows in lexicographic order, and for each row the
-    index of the first row sharing its k-profile (its class leader).
-
-    Codes are computed one enumeration block at a time, which bounds the
-    kernel's range tables by the block size, then grouped by their bytes."""
+def _all_rows(n: int) -> tuple[np.ndarray, int]:
+    """All permutation rows in lexicographic order, and the size of one
+    enumeration block."""
     blocks = list(iter_perm_arrays(n))
-    codes = np.concatenate([batch_profile_codes(rows, k, directed) for rows in blocks])
+    return np.concatenate(blocks), len(blocks[0])
+
+
+def _leaders(rows: np.ndarray, k: int, directed: bool, step: int) -> np.ndarray:
+    """For each of the rows, the index of the first row sharing its
+    k-profile (its class leader).
+
+    Codes are computed at most `step` rows at a time, which bounds the
+    kernel's range tables, then grouped by their bytes; `np.unique` sorts
+    stably, so a leader is the first of its class in the order given."""
+    codes = None
+    for at in range(0, len(rows), step):
+        block = batch_profile_codes(rows[at:at + step], k, directed)
+        if codes is None:
+            codes = np.empty((len(rows), block.shape[1]), np.int8)
+        codes[at:at + len(block)] = block
+    del block  # so that the last block is not held through the sort
     keys = codes.view(np.dtype((np.void, codes.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return np.concatenate(blocks), first[inverse.ravel()]
-
-
-def _first_collision(n: int, k: int, directed: bool) -> tuple[Permutation, Permutation] | None:
-    """First pair of distinct permutations (lexicographic enumeration)
-    sharing a k-profile, or None when every class is a singleton.
-
-    The pair is the first row whose class leader lies before it, together
-    with that leader."""
-    rows, leader = _profile_classes(n, k, directed)
-    later = np.flatnonzero(leader != np.arange(len(rows)))
-    if later.size == 0:
-        return None
-    j = later[0]
-    P, Q = (Permutation(n=n, elems=tuple(int(v) for v in rows[i])) for i in (leader[j], j))
-    # grouped by code bytes; re-check entry-wise through the scalar path
-    # before reporting
-    if compute_profile(P, k, directed) != compute_profile(Q, k, directed):
-        raise InternalInconsistency(
-            f"code grouping disagrees with recomputed profiles at n={n}, k={k}")
-    return P, Q
+    return first[inverse.ravel()]
 
 
 def _require_n(n: int, cap_n: int) -> None:
@@ -111,17 +112,37 @@ def _require_n(n: int, cap_n: int) -> None:
         raise PreconditionViolation(f"n must be at least 1, got n={n}")
     if n > cap_n:
         raise TooLarge(f"n={n} exceeds the grouping cap {cap_n}")
+    if n > GROUPING_LIMIT:
+        raise TooLarge(f"n={n} exceeds the grouping limit {GROUPING_LIMIT}")
 
 
 def min_unique_k(n: int, directed: bool, cap_n: int = DEFAULT_GROUPING_CAP) -> MinKResult:
-    """Exhaustive minimum k such that no two permutations share a k-profile."""
+    """Exhaustive minimum k such that no two permutations share a k-profile,
+    with the first colliding pair (lexicographic enumeration) at k - 1.
+
+    A k-profile refines the (k-1)-profile, so a row alone in its class
+    stays alone at every larger k.  The rows are grouped at k = 1, and at
+    each later k only the live rows, those whose class at k - 1 had
+    another member, are grouped again.  The live rows keep their
+    lexicographic order, so each leader and the first row whose leader
+    lies before it are those of a grouping of all rows."""
     _require_n(n, cap_n)
+    live, step = _all_rows(n)
     previous = None
     for k in range(1, n + 2):
-        coll = _first_collision(n, k, directed)
-        if coll is None:
+        leader = _leaders(live, k, directed, step)
+        later = np.flatnonzero(leader != np.arange(len(live)))
+        if later.size == 0:
             return MinKResult(n=n, directed=directed, min_k=k, collision=previous)
-        previous = coll
+        j = later[0]
+        P, Q = (Permutation(n=n, elems=tuple(int(v) for v in live[i])) for i in (leader[j], j))
+        # grouped by code bytes; re-check entry-wise through the scalar path
+        # before reporting
+        if compute_profile(P, k, directed) != compute_profile(Q, k, directed):
+            raise InternalInconsistency(
+                f"code grouping disagrees with recomputed profiles at n={n}, k={k}")
+        previous = P, Q
+        live = live[np.bincount(leader, minlength=len(live))[leader] > 1]
     raise InternalInconsistency(f"no k up to n+1 separates all permutations of n={n}")
 
 
@@ -168,7 +189,8 @@ def fixed_positions_check(n: int, k: int, directed: bool,
     _require_n(n, cap_n)
     if not 1 <= k <= n + 1:
         raise PreconditionViolation(f"need 1 <= k <= n+1, got k={k}, n={n}")
-    rows, leader = _profile_classes(n, k, directed)
+    rows, step = _all_rows(n)
+    leader = _leaders(rows, k, directed, step)
     # per row: position of 1, position of n, then the block (0 before both,
     # 1 between, 2 after) of every value
     pos = value_positions(rows).T

@@ -372,6 +372,15 @@ class TestMinKCommand:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    def test_cap_above_grouping_limit_is_input_error(self, capsys):
+        # a raised --cap meets the fixed grouping limit before any of the
+        # 12! rows is built
+        assert main(["min-k", "12", "--cap", "12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
 
 class TestCounterexampleCommand:
     def test_pair(self, capsys):

@@ -1,4 +1,6 @@
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from minmaxperm import (
     validate_permutation,
 )
 from minmaxperm import reconstruction
+from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays
 
 from helpers import GOLDEN_PERM, golden_profile, identity_perm, unsat2_profile
 
@@ -78,6 +81,100 @@ class TestMinUniqueK:
                 min_unique_k(n, False)
 
 
+class TestGroupingLimit:
+    @pytest.fixture(autouse=True)
+    def no_enumeration(self, monkeypatch):
+        def forbidden(n):
+            raise AssertionError(f"enumeration of n={n} started")
+
+        monkeypatch.setattr(reconstruction, "iter_perm_arrays", forbidden)
+
+    @pytest.mark.parametrize("n", [reconstruction.GROUPING_LIMIT + 1, 11])
+    def test_raised_cap_stops_at_limit(self, n):
+        start = time.perf_counter()
+        for directed in (True, False):
+            with pytest.raises(TooLarge):
+                min_unique_k(n, directed, cap_n=n)
+            with pytest.raises(TooLarge):
+                fixed_positions_check(n, 2, directed, cap_n=n)
+        assert time.perf_counter() - start < 1.0
+
+
+class TestRefinement:
+    """min_unique_k groups, at each k > 1, only the rows whose class at
+    k - 1 had another member; checked against one grouping of all rows."""
+
+    @staticmethod
+    def full_leaders(rows, k, directed):
+        first = {}
+        return np.array([first.setdefault(code.tobytes(), i)
+                         for i, code in enumerate(batch_profile_codes(rows, k, directed))])
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_live_rows_match_full_grouping(self, directed, monkeypatch):
+        calls = []
+        real = reconstruction._leaders
+
+        def recording(rows, k, directed, step):
+            leader = real(rows, k, directed, step)
+            calls.append((rows.copy(), k, leader))
+            return leader
+
+        monkeypatch.setattr(reconstruction, "_leaders", recording)
+        for n in range(1, 8):
+            calls.clear()
+            min_k = min_unique_k(n, directed).min_k
+            rows = np.concatenate(list(iter_perm_arrays(n)))
+            index = {row.tobytes(): i for i, row in enumerate(rows)}
+            assert [k for _, k, _ in calls] == list(range(1, min_k + 1))
+            assert len(calls[0][0]) == len(rows)
+            for j, (live, k, leader) in enumerate(calls):
+                full = self.full_leaders(rows, k, directed)
+                at = np.array([index[row.tobytes()] for row in live])
+                # each live row's leader is its leader among all rows
+                assert (at[leader] == full[at]).all()
+                # the next live set is exactly the rows not alone at k
+                kept = np.zeros(len(rows), bool)
+                if j + 1 < len(calls):
+                    kept[[index[row.tobytes()] for row in calls[j + 1][0]]] = True
+                size = np.bincount(full, minlength=len(rows))[full]
+                assert (size[~kept] == 1).all()
+                assert (size[kept] > 1).all()
+
+
+class TestGroupingMemory:
+    @pytest.mark.parametrize("directed, min_k, pair", [
+        (True, 3, ((0, 1, 4, 5, 7, 8, 2, 9, 3, 6, 10), (0, 1, 4, 5, 7, 8, 2, 9, 6, 3, 10))),
+        (False, 6, ((0, 4, 5, 6, 7, 8, 1, 9, 2, 3, 10), (0, 4, 5, 6, 7, 8, 1, 9, 3, 2, 10))),
+    ])
+    def test_n9_kernel_calls_stay_within_one_block(self, directed, min_k, pair, monkeypatch):
+        # at k = 2 more than one block of rows is still live
+        sizes = []
+
+        def recording(rows, k, directed):
+            sizes.append(len(rows))
+            return batch_profile_codes(rows, k, directed)
+
+        monkeypatch.setattr(reconstruction, "batch_profile_codes", recording)
+        result = min_unique_k(9, directed, cap_n=9)
+        assert result.min_k == min_k
+        assert tuple(P.elems for P in result.collision) == pair
+        assert max(sizes) <= 40_320
+
+    # One full regrouping per k peaked at 20.88 MiB directed and 22.15 MiB
+    # undirected; the bounds sit 0.5 MiB below those, and the refinement
+    # pass peaks at 19.15 MiB either way.
+    @pytest.mark.parametrize("directed, bound_mib", [(True, 20.4), (False, 21.7)])
+    def test_n8_traced_peak(self, directed, bound_mib):
+        tracemalloc.start()
+        try:
+            min_unique_k(8, directed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
+
+
 def scan_first_collision(n, k, directed):
     """First pair sharing a k-profile, by a dict scan over itertools order
     with profiles from the scalar path."""
@@ -93,13 +190,25 @@ def scan_first_collision(n, k, directed):
 
 class TestCollisionPairsExact:
     @pytest.mark.parametrize("directed", [True, False])
-    def test_first_pair_matches_scan(self, directed):
+    def test_first_pair_matches_scan(self, directed, monkeypatch):
+        # min_unique_k re-checks the first pair of every k below min_k
+        # through compute_profile, P then Q; record those calls
+        checked = []
+
+        def recording(P, k, directed):
+            checked.append((P, k))
+            return compute_profile(P, k, directed)
+
+        monkeypatch.setattr(reconstruction, "compute_profile", recording)
         for n in range(1, 8):
+            checked.clear()
             result = min_unique_k(n, directed)
+            assert [k for _, k in checked] == [k for k in range(1, result.min_k) for _ in "PQ"]
+            perms = [P for P, _ in checked]
             for k in range(1, result.min_k):
                 expected = scan_first_collision(n, k, directed)
                 assert expected is not None
-                assert reconstruction._first_collision(n, k, directed) == expected
+                assert tuple(perms[2 * k - 2:2 * k]) == expected
             if result.min_k > 1:
                 assert result.collision == scan_first_collision(n, result.min_k - 1, directed)
             else:
@@ -182,4 +291,4 @@ class TestGroupingFaults:
 
     def test_collision_is_rechecked(self):
         with pytest.raises(InternalInconsistency):
-            reconstruction._first_collision(6, 1, True)
+            min_unique_k(6, True)
