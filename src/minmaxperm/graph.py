@@ -26,6 +26,17 @@ of a top are its NB mask less its successor and predecessor masks, and
 only those become `NBRecord`s.  The full fixpoint serves debug dumps; the
 solvers take a search root, whose masks the search copies at each node
 before inserting the arcs of one decision.
+
+Insertion suits a search node, which adds two arcs to a closed parent.
+The directed search root instead closes about 5n seeds, and per-arc
+insertion there pays a row or column update for every pair it derives,
+so it is built in bulk rounds (`_closed_in_rounds`: one topological
+closure pass, then the NB rule on every row and column at once, until a
+round forces nothing), which a handful of rounds settle.  Undirected
+roots stay on insertion, since their B pairs cascade through many more
+rounds, and so do full-fixpoint closures, which label every pair with the
+rule that derived it.
+
 `topo_order` reads an order off a closure's predecessor masks.
 """
 
@@ -129,6 +140,11 @@ class Closure:
     `kinds` maps every pair to the rule that first derived it.  A `search`
     closure stops at the first cycle and keeps no kinds; copies never
     carry kinds either, so a search node copies two lists of masks.
+
+    Every closure but one grows here, arc by arc: the directed search root
+    is closed in bulk rounds by `_closed_in_rounds`, which hands back a
+    search `Closure` with the same masks, and its copies grow by `add`
+    like any other.
     """
 
     __slots__ = ("succ", "pred", "cyclic", "stop_at_cycle", "kinds",
@@ -232,6 +248,106 @@ class Closure:
         return [(x, y, self.kinds[(x, y)]) for x, row in enumerate(self.succ) for y in _bits(row)]
 
 
+def _postorder(succ: list[int]) -> list[int] | None:
+    """The vertices of the digraph with successor masks succ, each after
+    everything it reaches (a depth-first postorder, read backwards a
+    topological order), or None when the digraph has a cycle.
+
+    Masks pick the next unvisited successor, so the walk costs O(V) mask
+    steps however many arcs there are; a vertex that finishes while one
+    of its successors is still on the stack closes a cycle."""
+    seen = done = 0
+    order = []
+    for root in range(len(succ)):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            row = succ[v]
+            fresh = row & ~seen
+            if fresh:
+                low = fresh & -fresh
+                seen |= low
+                stack.append(low.bit_length() - 1)
+                continue
+            if row & ~done:
+                return None
+            done |= 1 << v
+            order.append(v)
+            stack.pop()
+    return order
+
+
+def _close_along(masks: list[int], order: Iterable[int]) -> None:
+    """Close masks transitively in place, given an order that visits each
+    vertex after every vertex its mask names: a row ORs in the closed rows
+    of the vertices it names and does not yet cover."""
+    for v in order:
+        row = todo = masks[v]
+        while todo:
+            low = todo & -todo
+            below = masks[low.bit_length() - 1]
+            row |= below
+            todo = (todo ^ low) & ~below
+        masks[v] = row
+
+
+def _closed_in_rounds(F: Profile, seeds: Iterable[Arc], nb: Sequence[int]) -> Closure:
+    """The search closure of a directed profile's seeds under T and NB
+    (nb = `nb_masks(F)`), built in bulk rounds (semi-naive evaluation)
+    instead of arc by arc.
+
+    A round closes the arc masks with one pass in reverse topological
+    order, then fires the NB rule on every row and column at once: row
+    p gains t+1 when it holds t and bit t of nb[p] is set, or the reverse;
+    with tops[t] the values outside [m_t, M_t], which may not lie between
+    t and t+1, succ[t+1] gains succ[t] & tops[t] and succ[t] gains
+    succ[t+1] & tops[t].  Rounds repeat until one forces nothing; the
+    predecessor masks, which until then hold only the tails of the arcs
+    put in, are closed once, in topological order.  A cycle in some
+    round's order sets `cyclic`, and the masks are then left partly
+    closed, as a per-arc search closure leaves them at its first cycle.
+    """
+    full = (1 << F.n + 2) - 1
+    tops = [full ^ ((1 << c.M + 1) - (1 << c.m)) for c in F.entries()]
+    c = Closure(F.n, nb=nb, search=True)
+    succ, pred = c.succ, c.pred
+    for x, y, _ in seeds:
+        if x != y:
+            succ[x] |= 1 << y
+            pred[y] |= 1 << x
+    while True:
+        order = _postorder(succ)
+        if order is None:
+            c.cyclic = True
+            return c
+        _close_along(succ, order)
+        forced = False
+        for p, bases in enumerate(nb):
+            if bases:
+                row = succ[p]
+                new = ((row & bases) << 1 | (row >> 1) & bases) & ~row
+                if new:
+                    succ[p] = row | new
+                    for q in _bits(new):
+                        pred[q] |= 1 << p
+                    forced = True
+        for t, top in enumerate(tops):
+            for a, b in ((t, t + 1), (t + 1, t)):
+                new = succ[a] & top & ~succ[b]
+                if new:
+                    succ[b] |= new
+                    for q in _bits(new):
+                        pred[q] |= 1 << b
+                    forced = True
+        if not forced:
+            break
+    _close_along(pred, reversed(order))
+    return c
+
+
 # ---------------------------------------------------------------------------
 # Topological order
 # ---------------------------------------------------------------------------
@@ -327,7 +443,9 @@ def root_closure(F: Profile, *, search: bool = False) -> RootClosure:
     By default the closure runs to the full fixpoint, through cycles, and
     reports its silent sets either way.  A `search` root, the solvers'
     starting node, stops at its first cycle, and then nothing is reported
-    silent.
+    silent.  A directed search root is closed in bulk rounds, every other
+    root arc by arc with `Closure.add`; an acyclic root has the same masks
+    either way, since both reach the least fixpoint of the same rules.
     """
     require_solver_profile(F)
     nb = nb_masks(F)
@@ -335,7 +453,10 @@ def root_closure(F: Profile, *, search: bool = False) -> RootClosure:
         seeds, pairs = easy_arc_seeds(F), []
     else:
         seeds, pairs = endpoint_arcs(F.n), b_arc_pairs(F)
-    root = Closure(F.n, seeds, nb, pairs, search=search)
+    if F.directed and search:
+        root = _closed_in_rounds(F, seeds, nb)
+    else:
+        root = Closure(F.n, seeds, nb, pairs, search=search)
     if search and root.cyclic:
         return RootClosure(root, (), ())
     succ, pred = root.succ, root.pred

@@ -120,6 +120,24 @@ def random_valid_directed(rng: random.Random, n: int) -> Profile:
     return Profile(n=n, k=1, directed=True, constraints=cons)
 
 
+def all_valid_directed(n: int):
+    """Every directed gap-1 profile on n that passes the validity gate, the
+    set `random_valid_directed` draws from."""
+    options = []
+    for t in range(n + 1):
+        if t == 0:
+            options.append([(0, M, L) for M in range(1, n + 1)])
+        elif t == n:
+            options.append([(m, n + 1, L) for m in range(1, n + 1)])
+        else:
+            options.append([(m, M, d) for m in range(1, t + 1)
+                            for M in range(t + 1, n + 1) for d in (L, R)])
+    for combo in itertools.product(*options):
+        cons = {(t, 1): KConstraint(t=t, i=1, dir=d, m=m, M=M)
+                for t, (m, M, d) in enumerate(combo)}
+        yield Profile(n=n, k=1, directed=True, constraints=cons)
+
+
 def mutate_undirected(rng: random.Random, F: Profile) -> Profile:
     """Random valid edits of the m/M values of an undirected gap-1 profile."""
     cons = dict(F.constraints)

@@ -29,6 +29,7 @@ from helpers import (
     SETTING_PERM,
     U,
     all_perms,
+    all_valid_directed,
     arc_set,
     golden_profile,
     has_cycle,
@@ -52,6 +53,11 @@ def chain(pairs, kind=ArcKind.R):
 def closed_arcs(c):
     """The (x, y) arcs of a full-fixpoint closure."""
     return arc_set(c.arcs())
+
+
+def mask_arcs(masks):
+    """The (x, y) pairs with bit y set in masks[x]."""
+    return {(x, y) for x, row in enumerate(masks) for y in range(row.bit_length()) if row >> y & 1}
 
 
 class TestClosureSeeds:
@@ -304,9 +310,48 @@ class TestRootClosure:
             joined = ref | {(y, x) for x, y in ref}
             assert res.silent_nb == tuple(r for r in records if (r.top, r.basis[0]) not in joined)
             assert res.silent_b == ()
+            search = root_closure(F, search=True)
+            assert search.closure.cyclic == res.closure.cyclic
             if not res.closure.cyclic:
-                assert root_closure(F, search=True).silent_nb == res.silent_nb
+                assert search.silent_nb == res.silent_nb
+                assert mask_arcs(search.closure.succ) == ref
+                assert {(x, y) for y, x in mask_arcs(search.closure.pred)} == ref
         assert 0 < cyclic_cases < len(profiles)
+
+    @staticmethod
+    def _bulk_matches_per_arc(F) -> bool:
+        """The directed search root, built in bulk rounds, against the
+        per-arc closure of the same seeds; returns the cycle flag."""
+        bulk = root_closure(F, search=True)
+        per_arc = Closure(F.n, easy_arc_seeds(F), nb_masks(F), search=True)
+        assert bulk.closure.cyclic == per_arc.cyclic
+        if per_arc.cyclic:
+            # both stop at a cycle, with masks closed as far as their
+            # insertion order got; the verdict is all that is read
+            assert bulk.silent_nb == ()
+        else:
+            assert bulk.closure.succ == per_arc.succ
+            assert bulk.closure.pred == per_arc.pred
+            assert bulk.silent_nb == root_closure(F).silent_nb
+        return per_arc.cyclic
+
+    def test_bulk_search_root_every_valid_profile(self):
+        # every valid directed gap-1 profile with n <= 4; all but 33 are NO
+        flags = [self._bulk_matches_per_arc(F)
+                 for n in range(1, 5) for F in all_valid_directed(n)]
+        assert (len(flags), sum(flags)) == (4761, 4728)
+
+    def test_bulk_search_root_permutation_profiles(self):
+        for n in range(1, 8):
+            for P in all_perms(n):
+                assert not self._bulk_matches_per_arc(compute_profile(P, 1, True)), P
+
+    def test_bulk_search_root_mutated(self):
+        rng = random.Random(1986)
+        cyclic = sum(self._bulk_matches_per_arc(
+            mutate_directed(rng, compute_profile(random_perm(rng, rng.randint(2, 150)), 1, True)))
+            for _ in range(200))
+        assert 0 < cyclic < 200
 
     def test_gate_rejections(self):
         with pytest.raises(KMismatch):

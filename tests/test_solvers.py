@@ -15,9 +15,12 @@ from minmaxperm import (
     Profile,
     ProfileValidationError,
     TooLarge,
+    b_arc_pairs,
     brute_force_solutions,
     compute_profile,
+    endpoint_arcs,
     is_linear,
+    nb_masks,
     nb_set,
     root_closure,
     solve_fpt_directed,
@@ -399,6 +402,22 @@ class TestSearch:
         assert len(out.silent_nb) == 15 and len(out.silent_b) == 5
         assert out.witness is not None and verify(out.witness, F)
         assert out.settings_tested <= 10
+
+    def test_undirected_n6_search_no(self):
+        # one of the four n = 6 undirected profiles whose NO needs search:
+        # the root is acyclic, both orientations of its first silent B pair
+        # hit a cycle.  Undirected roots are closed arc by arc, with the B
+        # pairs cascading through `add`.
+        F = make_profile([(0, L, 0, 5), (1, L, 1, 6), (2, L, 1, 6), (3, L, 3, 5),
+                          (4, L, 3, 5), (5, L, 1, 6), (6, L, 2, 7)], directed=False)
+        root = root_closure(F, search=True)
+        per_arc = Closure(F.n, endpoint_arcs(F.n), nb_masks(F), b_arc_pairs(F), search=True)
+        assert not root.closure.cyclic
+        assert (root.closure.succ, root.closure.pred) == (per_arc.succ, per_arc.pred)
+        out = solve_undirected(F)
+        assert out.witness is None
+        assert out.silent_b == (3, 4) and out.settings_tested == 3
+        assert brute_force_solutions(F) == []
 
     def test_directed_n150(self):
         F = compute_profile(random_perm(random.Random(1), 150), 1, True)
