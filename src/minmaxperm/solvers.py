@@ -9,9 +9,11 @@ with no open constraint left yields a witness read off a topological
 order.  The search keeps an explicit stack, so its depth is not bounded
 by Python's recursion limit; its worst case stays 2^s nodes
 for s silent constraints (betweenness is NP-complete), but propagation
-settles most constraints without a branch.  The linear solver is the same
-search with the paper's branching rule, which never backtracks on a
-linear profile.
+settles most constraints without a branch.  The search walks one ordered
+list of choices with a cursor: a node branches on the first choice its
+closure leaves open, and its children resume after it.  The linear solver
+is the same search, with its choices in the paper's order and one side
+each; it never backtracks on a linear profile.
 
 A returned witness is always re-verified against the input profile
 (recompute and compare) before being handed out; a verification failure
@@ -27,7 +29,7 @@ of it (`_kernels.prefix_solutions`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from ._kernels import prefix_solutions
 from .errors import (
@@ -105,11 +107,12 @@ def brute_force_solutions(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> list[Pe
 
 class _Choice(NamedTuple):
     """A silent constraint: open while no arc joins x and y; sides are its
-    two orientations as arc sets, in the order the default rule tries them."""
+    orientations as arc sets, each with an arc between x and y, in the
+    order the search tries them."""
 
     x: int
     y: int
-    sides: tuple[tuple[Arc, ...], tuple[Arc, ...]]
+    sides: tuple[tuple[Arc, ...], ...]
 
 
 def _nb_choice(rec: NBRecord) -> _Choice:
@@ -124,24 +127,18 @@ def _b_choice(bp: BArcPair) -> _Choice:
     return _Choice(bp.t, bp.t + 1, sides)
 
 
-_Branch = Callable[[list[_Choice]], Sequence[tuple[Arc, ...]]]
-
-
-def _first_open(open_: list[_Choice]) -> Sequence[tuple[Arc, ...]]:
-    return open_[0].sides
-
-
 def _search(root: Closure, choices: list[_Choice], F: Profile, context: str,
-            branch: _Branch = _first_open, backtrack: bool = True
-            ) -> tuple[Permutation | None, int]:
+            backtrack: bool = True) -> tuple[Permutation | None, int]:
     """Depth-first search from a closed root; returns (witness or None,
-    nodes visited).  `branch` maps the open constraints of a node to the
-    arc sets of its children, in the order they are tried.  Without
-    `backtrack`, a child whose closure hits a cycle is a fault."""
-    stack: list[tuple[Closure, tuple[Arc, ...], list[_Choice]]] = [(root, (), choices)]
+    nodes visited).  A node branches on the first open choice at or after
+    its parent's, one child per side, and its children resume after it:
+    the choices it skips stay joined, since a closure only grows along a
+    path, and so does the one it decided.  Without `backtrack`, a child
+    whose closure hits a cycle is a fault."""
+    stack: list[tuple[Closure, tuple[Arc, ...], int]] = [(root, (), 0)]
     nodes = 0
     while stack:
-        node, arcs, pending = stack.pop()
+        node, arcs, i = stack.pop()
         nodes += 1
         if arcs:
             node = node.copy()
@@ -150,48 +147,50 @@ def _search(root: Closure, choices: list[_Choice], F: Profile, context: str,
             if arcs and not backtrack:
                 raise InternalInconsistency(f"{context}: a decision produced a cycle")
             continue
-        open_ = [c for c in pending if not node.linked(c.x, c.y)]
-        if not open_:
+        while i < len(choices) and node.linked(choices[i].x, choices[i].y):
+            i += 1
+        if i == len(choices):
             w = topo_order(node.pred)
             if not verify(w, F):
                 raise InternalInconsistency(
                     f"{context}: topological order {w} does not reproduce the profile")
             return w, nodes
-        for side in reversed(branch(open_)):
-            stack.append((node, side, open_))
+        for side in reversed(choices[i].sides):
+            stack.append((node, side, i + 1))
     return None, nodes
-
-
-def _linear_branch(F: Profile, choices: list[_Choice]) -> _Branch:
-    """The paper's rule: the open top with the largest NB set (ties: the
-    smallest top) goes after its smallest open basis."""
-    nb_size = {top: len(nb_set(F, top)) for top in {c.x for c in choices}}
-
-    def branch(open_: list[_Choice]) -> Sequence[tuple[Arc, ...]]:
-        top = max({c.x for c in open_}, key=lambda a: (nb_size[a], -a))
-        pick = min((c for c in open_ if c.x == top), key=lambda c: c.y)
-        return (pick.sides[1],)
-    return branch
 
 
 def solve_linear(F: Profile) -> SolveOutcome:
     """Polynomial decision procedure for directed linear gap-1 profiles.
 
-    The search with the paper's branching rule: repeatedly set the silent
-    top with the largest NB set (ties: smallest top) after the smallest
-    silent basis naming it.  Linearity guarantees no cycle ever appears
-    after a clean root, so the search visits one node per decision plus
-    the root; a cycle raises InternalInconsistency.
+    The search with its choices in the paper's order: the silent records
+    sorted by NB-set size of the top (largest first), then top, then
+    basis, each with its basis-first side only.  The first open choice
+    then sets the open top with the largest NB set (ties: smallest top)
+    after its smallest open basis.  Linearity guarantees no cycle ever
+    appears after a clean root, so the search visits one node per
+    decision plus the root; a cycle raises InternalInconsistency.
     """
     if not F.directed:
         raise NotDirected("the linear solver needs a directed profile")
     if not is_linear(F):
         raise NotLinear("profile intervals do not form an inclusion chain")
     root, silent, _ = root_closure(F, search=True)
-    choices = [_nb_choice(r) for r in silent]
-    w, nodes = _search(root, choices, F, "linear solver",
-                       branch=_linear_branch(F, choices), backtrack=False)
+    nb_size = {top: len(nb_set(F, top)) for top in {r.top for r in silent}}
+    order = sorted(silent, key=lambda r: (-nb_size[r.top], r.top, r.basis))
+    choices = [c._replace(sides=c.sides[1:]) for c in map(_nb_choice, order)]
+    w, nodes = _search(root, choices, F, "linear solver", backtrack=False)
     return SolveOutcome(witness=w, silent_nb=silent, settings_tested=nodes)
+
+
+def _solve_search(F: Profile, context: str) -> SolveOutcome:
+    """The FPT search of either directedness: silent B pairs first (a
+    directed root has none), then silent NB records."""
+    root, silent_nb, silent_b = root_closure(F, search=True)
+    choices = [_b_choice(bp) for bp in silent_b] + [_nb_choice(r) for r in silent_nb]
+    w, nodes = _search(root, choices, F, context)
+    return SolveOutcome(witness=w, silent_nb=silent_nb,
+                        silent_b=tuple(bp.t for bp in silent_b), settings_tested=nodes)
 
 
 def solve_fpt_directed(F: Profile) -> SolveOutcome:
@@ -204,9 +203,7 @@ def solve_fpt_directed(F: Profile) -> SolveOutcome:
     """
     if not F.directed:
         raise NotDirected("the FPT solver needs a directed profile")
-    root, silent, _ = root_closure(F, search=True)
-    w, nodes = _search(root, [_nb_choice(r) for r in silent], F, "FPT solver")
-    return SolveOutcome(witness=w, silent_nb=silent, settings_tested=nodes)
+    return _solve_search(F, "FPT solver")
 
 
 def solve_undirected(F: Profile, method: str = "fpt") -> SolveOutcome:
@@ -223,8 +220,4 @@ def solve_undirected(F: Profile, method: str = "fpt") -> SolveOutcome:
         raise ValueError(f"unknown method {method!r}")
     if F.directed:
         raise PreconditionViolation("expected an undirected profile")
-    root, silent_nb, silent_b = root_closure(F, search=True)
-    choices = [_b_choice(bp) for bp in silent_b] + [_nb_choice(r) for r in silent_nb]
-    w, nodes = _search(root, choices, F, "undirected solver")
-    return SolveOutcome(witness=w, silent_nb=silent_nb,
-                        silent_b=tuple(bp.t for bp in silent_b), settings_tested=nodes)
+    return _solve_search(F, "undirected solver")

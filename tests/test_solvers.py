@@ -30,7 +30,7 @@ from minmaxperm import (
     verify,
 )
 from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays
-from minmaxperm.graph import ArcKind, Closure
+from minmaxperm.graph import ArcKind, Closure, topo_order
 from minmaxperm.profiles import KConstraint
 
 from helpers import (
@@ -363,19 +363,21 @@ class TestFptMonotonicity:
 def _paper_linear_rounds(F):
     """Rounds of the paper's linear algorithm, replayed on the public
     closure: set the silent top with the largest NB set after its smallest
-    silent basis, re-close, repeat until nothing is silent."""
+    silent basis, re-close, repeat until nothing is silent.  Returns the
+    number of rounds and the final closure's topological order."""
     res = root_closure(F)
-    g, silent = res.closure.arcs(), list(res.silent_nb)
+    closure, silent = res.closure, list(res.silent_nb)
     rounds = 0
     while silent:
         top = max({r.top for r in silent}, key=lambda c: (len(nb_set(F, c)), -c))
         basis = min(r.basis[0] for r in silent if r.top == top)
-        g = Closure(F.n, g + [(basis, top, ArcKind.NB)], masks_of(F.n, silent)).arcs()
-        arcs = arc_set(g)
+        closure = Closure(F.n, closure.arcs() + [(basis, top, ArcKind.NB)],
+                          masks_of(F.n, silent))
+        arcs = arc_set(closure.arcs())
         assert not has_cycle(arcs)
         silent = [r for r in silent if not is_settled(arcs, r)]
         rounds += 1
-    return rounds
+    return rounds, topo_order(closure.pred)
 
 
 # An undirected NO profile (n = 9) that the search refutes only after
@@ -428,6 +430,32 @@ class TestSearch:
         # silent constraint, where the counter loop faced 2^s settings
         assert out.settings_tested <= len(out.silent_nb) + 1
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_each_choice_tested_once_on_a_clean_path(self, monkeypatch, seed):
+        # these searches meet no dead end, so the path to the leaf is the
+        # whole search, and along a path each choice is asked about once
+        F = compute_profile(random_perm(random.Random(seed), 150), 1, True)
+        calls = 0
+        linked = Closure.linked
+
+        def counted(self, x, y):
+            nonlocal calls
+            calls += 1
+            return linked(self, x, y)
+        monkeypatch.setattr(Closure, "linked", counted)
+        out = solve_fpt_directed(F)
+        assert out.witness is not None and verify(out.witness, F)
+        assert calls == len(out.silent_nb)
+
+    def test_undirected_n150_deep_search(self):
+        # a deep undirected search that backtracks: it pins the order in
+        # which the choices are tried (B pairs, then NB records)
+        F = compute_profile(random_perm(random.Random(4), 150), 1, False)
+        out = solve_undirected(F)
+        assert len(out.silent_b) == 59 and len(out.silent_nb) == 840
+        assert out.settings_tested == 4751
+        assert out.witness is not None and verify(out.witness, F)
+
     def test_linear_one_node_per_decision(self):
         # n = 8 is the first size with profiles that take two decisions
         for n in range(1, 9):
@@ -436,7 +464,9 @@ class TestSearch:
                 if not is_linear(F):
                     continue
                 out = solve_linear(F)
-                assert out.settings_tested == _paper_linear_rounds(F) + 1, P
+                rounds, order = _paper_linear_rounds(F)
+                assert out.settings_tested == rounds + 1, P
+                assert out.witness == order, P
 
     @pytest.mark.parametrize("entries", [BRANCHING_NO_ENTRIES, SMALLEST_BRANCHING_NO_ENTRIES],
                              ids=["n9", "n6"])
