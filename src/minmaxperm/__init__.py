@@ -1,4 +1,12 @@
-"""Reconstruction of permutations from min/max betweenness profiles."""
+"""Reconstruction of permutations from min/max betweenness profiles.
+
+The uniqueness analysis (`reconstruction`) and the batch kernels
+(`_kernels`) run on numpy, so they and the six names below load on first
+use: importing the package, the structured solvers and `verify` load no
+numpy.
+"""
+
+import importlib
 
 from .errors import (
     BadEndpoints,
@@ -42,14 +50,6 @@ from .profiles import (
     validate_permutation,
     validate_profile,
 )
-from .reconstruction import (
-    MinKResult,
-    UniquenessReport,
-    collision_pair,
-    fixed_positions_check,
-    is_unique,
-    min_unique_k,
-)
 from .solvers import (
     SolveOutcome,
     brute_force_solutions,
@@ -60,3 +60,25 @@ from .solvers import (
 )
 
 __version__ = "0.1.0"
+
+_RECONSTRUCTION = (
+    "MinKResult",
+    "UniquenessReport",
+    "collision_pair",
+    "fixed_positions_check",
+    "is_unique",
+    "min_unique_k",
+)
+
+
+def __getattr__(name: str):
+    """Import `_kernels`, `reconstruction` or a name of the latter on first
+    use, and keep it as a module global so later lookups skip this."""
+    if name in ("_kernels", "reconstruction"):
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _RECONSTRUCTION:
+        value = getattr(importlib.import_module(f"{__name__}.reconstruction"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

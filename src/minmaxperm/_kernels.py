@@ -1,7 +1,13 @@
 """Hot kernels for bulk profile work over many permutations at once.
 
+This module and `reconstruction` are the only ones that import numpy, and
+no module the package or the CLI loads at start-up imports either of them:
+the oracle and the uniqueness analysis load them when first called.
+
 Every kernel is whole-array numpy:
 
+- `profile_arrays` turns one profile into the (m, M, dir) target arrays
+  the oracle's search reads, in the layout below.
 - `iter_perm_arrays` builds the lexicographic table of the last s values
   once per call, s being the largest s <= n with s! <= chunk, and yields
   one block per prefix of the first n-s values, with the table mapped onto
@@ -32,7 +38,24 @@ from typing import Iterator
 import numpy as np
 
 from .errors import TooLarge
-from .profiles import pair_count
+from .profiles import Direction, Profile, pair_count
+
+_DIR_CODE = {Direction.LEFT_TO_RIGHT: 1, Direction.RIGHT_TO_LEFT: -1, Direction.UNKNOWN: 0}
+
+
+def profile_arrays(F: Profile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, M, dir) int8 arrays of F's entries in canonical (i, t) order;
+    dir is +1/-1/0.
+
+    Raises TooLarge when n+1 does not fit in int8 (n >= 127).
+    """
+    if F.n + 1 > 127:
+        raise TooLarge(f"n={F.n} too large for int8 profile arrays")
+    ents = F.entries()
+    m = np.array([c.m for c in ents], dtype=np.int8)
+    M = np.array([c.M for c in ents], dtype=np.int8)
+    d = np.array([_DIR_CODE[c.dir] for c in ents], dtype=np.int8)
+    return m, M, d
 
 
 def _as_int8_rows(perms) -> np.ndarray:

@@ -17,6 +17,11 @@ Exit codes: 0 success/witness, 1 NO / non-unique / mismatch, 2 input error
 (an unreadable file, or any MinMaxError but the two faults), 3 internal
 fault (InternalInconsistency or CyclicGraph: a solver caught itself
 producing an inconsistent answer; or any other unexpected exception).
+
+Only the oracle and the exhaustive commands load numpy, when they run:
+`solve --method brute`, `enumerate`, `check-unique`, `min-k` and
+`counterexample`.  `profile`, `verify` and the other `solve` methods run
+without it, so a process that answers one of them starts faster.
 """
 
 from __future__ import annotations
@@ -30,9 +35,9 @@ from .errors import CyclicGraph, InternalInconsistency, MinMaxError
 from .formats import emit_permutation, emit_profile, parse_permutation, parse_profile
 from .graph import require_solver_profile, root_closure, to_dot
 from .profiles import Profile, compute_profile
-from .reconstruction import DEFAULT_GROUPING_CAP, collision_pair, is_unique, min_unique_k
 from .solvers import (
     DEFAULT_BRUTE_CAP,
+    DEFAULT_GROUPING_CAP,
     SolveOutcome,
     brute_force_solutions,
     solve_fpt_directed,
@@ -107,6 +112,7 @@ def _cmd_enumerate(args) -> _Result:
 
 
 def _cmd_check_unique(args) -> _Result:
+    from .reconstruction import is_unique
     report = is_unique(parse_profile(_read(args.profile_file)), args.cap)
     return 0 if report.verdict == "unique" else 1, {
         "n": report.n,
@@ -118,6 +124,7 @@ def _cmd_check_unique(args) -> _Result:
 
 
 def _cmd_min_k(args) -> _Result:
+    from .reconstruction import min_unique_k
     result = min_unique_k(args.n, args.directed, args.cap)
     return 0, {
         "n": result.n,
@@ -130,6 +137,7 @@ def _cmd_min_k(args) -> _Result:
 
 
 def _cmd_counterexample(args) -> _Result:
+    from .reconstruction import collision_pair
     pair = collision_pair(args.n, args.k, args.directed)
     return 0, {
         "n": args.n,

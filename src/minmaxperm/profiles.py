@@ -21,8 +21,6 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import (
     BadEndpoints,
     COutOfRange,
@@ -30,7 +28,6 @@ from .errors import (
     MismatchedN,
     NotBijection,
     PreconditionViolation,
-    TooLarge,
 )
 
 
@@ -164,22 +161,6 @@ class Profile:
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
         return f"Profile(n={self.n}, k={self.k}, {kind}, {len(self.constraints)} entries)"
-
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(m, M, dir) int8 arrays in canonical order; dir is +1/-1/0.
-
-        Raises TooLarge when n+1 does not fit in int8 (n >= 127).
-        """
-        if self.n + 1 > 127:
-            raise TooLarge(f"n={self.n} too large for int8 profile arrays")
-        ents = self.entries()
-        m = np.array([c.m for c in ents], dtype=np.int8)
-        M = np.array([c.M for c in ents], dtype=np.int8)
-        d = np.array([_DIR_CODE[c.dir] for c in ents], dtype=np.int8)
-        return m, M, d
-
-
-_DIR_CODE = {Direction.LEFT_TO_RIGHT: 1, Direction.RIGHT_TO_LEFT: -1, Direction.UNKNOWN: 0}
 
 
 def _segment(P: Permutation, pos: Sequence[int], t: int, i: int) -> tuple[int, int, Direction]:

@@ -34,9 +34,8 @@ from .errors import (
     TooLarge,
 )
 from .profiles import Permutation, Profile, compute_profile, pair_count
-from .solvers import DEFAULT_BRUTE_CAP, brute_force_solutions
+from .solvers import DEFAULT_BRUTE_CAP, DEFAULT_GROUPING_CAP, brute_force_solutions
 
-DEFAULT_GROUPING_CAP = 8
 # No cap_n lets a grouping pass this n: at n = 10, fixed_positions_check
 # at k = 2 peaks above 1 GB of resident memory (docs/min_k.md).
 GROUPING_LIMIT = 9

@@ -23,7 +23,8 @@ InternalInconsistency rather than leaking a bad answer.
 The brute-force oracle is independent of the precedence machinery: it
 reads only the profile's (m, M, dir) arrays and builds permutations left
 to right, dropping a prefix as soon as an entry rules out every extension
-of it (`_kernels.prefix_solutions`).
+of it (`_kernels.prefix_solutions`).  It imports the numpy kernels when
+first called, so the structured solvers run without numpy.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._kernels import prefix_solutions
 from .errors import (
     InternalInconsistency,
     MismatchedN,
@@ -57,7 +57,11 @@ from .profiles import (
     nb_set,
 )
 
+# The default n caps of the oracle and of the uniqueness grouping
+# (`reconstruction`), both here so that the CLI reads them without loading
+# the kernels.
 DEFAULT_BRUTE_CAP = 9
+DEFAULT_GROUPING_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,8 @@ def brute_force_solutions(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> list[Pe
     """
     if F.n > cap_n:
         raise TooLarge(f"n={F.n} exceeds the enumeration cap {cap_n}")
-    m, M, d = F.to_arrays()
+    from ._kernels import prefix_solutions, profile_arrays
+    m, M, d = profile_arrays(F)
     return [Permutation(n=F.n, elems=tuple(row))
             for rows in prefix_solutions(F.n, F.k, m, M, d) for row in rows.tolist()]
 

@@ -7,8 +7,13 @@ engine."""
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import minmaxperm
 from minmaxperm import (
     Permutation,
     Profile,
@@ -43,6 +48,18 @@ CIRCUIT_ENTRIES = [
 # Directed profile on n=2 with no witness: entry (0,1) claims M=2, which no
 # permutation of {0,1,2,3} can deliver together with 1 left of 2.
 UNSAT2_ENTRIES = [(0, L, 0, 2), (1, L, 1, 2), (2, L, 2, 3)]
+
+
+def run_fresh(code: str, *argv: str) -> str:
+    """Stdout of `code` run in a fresh interpreter with `argv`, importing the
+    package under test; fails the test if the interpreter exits non-zero."""
+    src = str(Path(minmaxperm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def make_profile(entries, n=None, directed=True, k=1) -> Profile:

@@ -14,7 +14,7 @@ from minmaxperm import (
 from minmaxperm.cli import main
 from minmaxperm.graph import Closure, easy_arc_seeds
 
-from helpers import GOLDEN_PERM, golden_profile, identity_perm, unsat2_profile
+from helpers import GOLDEN_PERM, golden_profile, identity_perm, run_fresh, unsat2_profile
 
 
 # `solve --dump-graph` of the running example (golden_profile()).
@@ -410,6 +410,63 @@ class TestCounterexampleCommand:
         assert capsys.readouterr().err.startswith("error: undirected collision needs")
 
 
+# Imports the package, runs `main` on the arguments if there are any, and
+# prints [exit code, stdout, whether numpy is loaded] as one JSON line.
+_COLD_RUN = """
+import contextlib, io, json, sys
+import minmaxperm
+code, out = None, io.StringIO()
+if sys.argv[1:]:
+    from minmaxperm.cli import main
+    with contextlib.redirect_stdout(out):
+        code = main(sys.argv[1:])
+print(json.dumps([code, out.getvalue(), "numpy" in sys.modules]))
+"""
+
+
+class TestColdPath:
+    """In a fresh process, the package and the commands that need no
+    kernels load no numpy, and the oracle commands, which load the kernels
+    on first use, answer as a warm process does."""
+
+    @pytest.fixture
+    def files(self, golden_perm_file, golden_profile_file, golden_undirected_file, tmp_path):
+        return {"perm": golden_perm_file, "prof": golden_profile_file,
+                "uprof": golden_undirected_file, "dot": str(tmp_path / "g.dot")}
+
+    def _cold_and_warm(self, argv, files, capsys):
+        argv = [a.format(**files) for a in argv]
+        code, out, numpy = json.loads(run_fresh(_COLD_RUN, *argv))
+        assert (code, out) == (main(argv), capsys.readouterr().out)
+        return code, out, numpy
+
+    def test_import_alone(self):
+        assert json.loads(run_fresh(_COLD_RUN)) == [None, "", False]
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{prof}"],
+        ["solve", "{prof}", "--json"],
+        ["solve", "{prof}", "--dump-graph", "{dot}"],
+        ["solve", "{prof}", "--method", "linear"],
+        ["solve", "{uprof}"],
+        ["verify", "{perm}", "{prof}"],
+        ["profile", "{perm}", "--k", "2", "--directed"],
+    ], ids=["solve", "solve-json", "solve-dump-graph", "solve-linear", "solve-undirected",
+            "verify", "profile"])
+    def test_no_numpy(self, argv, files, capsys):
+        code, out, numpy = self._cold_and_warm(argv, files, capsys)
+        assert code == 0 and out and not numpy
+
+    @pytest.mark.parametrize("argv, code, lines", [
+        (["solve", "{uprof}", "--method", "brute"], 0, 1),
+        (["enumerate", "{uprof}"], 0, 24),
+        (["check-unique", "{uprof}"], 1, 3),
+    ], ids=["solve-brute", "enumerate", "check-unique"])
+    def test_oracle_commands_answer(self, argv, code, lines, files, capsys):
+        got_code, out, _ = self._cold_and_warm(argv, files, capsys)
+        assert (got_code, len(out.splitlines())) == (code, lines)
+
+
 class TestInternalFault:
     def test_exit_code_3(self, golden_profile_file, monkeypatch, capsys):
         import minmaxperm.cli as cli
@@ -448,11 +505,11 @@ class TestExitCodePolicy:
 
     @staticmethod
     def _raise_from_min_k(monkeypatch, exc):
-        import minmaxperm.cli as cli
+        import minmaxperm.reconstruction as reconstruction
 
         def broken(*args):
             raise exc
-        monkeypatch.setattr(cli, "min_unique_k", broken)
+        monkeypatch.setattr(reconstruction, "min_unique_k", broken)
         return main(["min-k", "5"])
 
     @pytest.mark.parametrize("cls", _package_errors(), ids=lambda c: c.__name__)

@@ -13,6 +13,7 @@ from minmaxperm._kernels import (
     iter_perm_arrays,
     pair_count,
     prefix_solutions,
+    profile_arrays,
     value_positions,
 )
 
@@ -24,7 +25,7 @@ def reference_codes(rows, k, directed):
     out = []
     for row in rows:
         P = Permutation(n=len(row) - 2, elems=tuple(int(v) for v in row))
-        m, M, d = compute_profile(P, k, directed).to_arrays()
+        m, M, d = profile_arrays(compute_profile(P, k, directed))
         out.append(np.concatenate([m, M, d]))
     return np.array(out, np.int8)
 
@@ -103,7 +104,7 @@ class TestKernelsMatchReference:
 
     def test_match_agrees_with_verify(self):
         F = golden_profile()
-        m, M, d = F.to_arrays()
+        m, M, d = profile_arrays(F)
         rows = []
         base = list(range(1, 10))
         rng = random.Random(3)
@@ -122,7 +123,7 @@ class TestKernelsMatchReference:
     def test_undirected_match_ignores_direction(self):
         P = Permutation(n=4, elems=(0, 2, 1, 4, 3, 5))
         F = compute_profile(P, 1, False)
-        m, M, d = F.to_arrays()
+        m, M, d = profile_arrays(F)
         matched = {tuple(r) for block in prefix_solutions(4, 1, m, M, d) for r in block.tolist()}
         assert P.elems in matched
 

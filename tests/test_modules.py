@@ -1,11 +1,38 @@
-"""Package structure: sibling modules share only public names."""
+"""Package structure: sibling modules share only public names, numpy loads
+only with the kernels, and the package exports a fixed set of names."""
 
 import ast
+import json
 from pathlib import Path
+
+import pytest
 
 import minmaxperm
 
+from helpers import run_fresh
+
 SRC = Path(minmaxperm.__file__).parent
+
+# The modules that import numpy; the others, and so `import minmaxperm`
+# and the CLI, load them only when a call needs the kernels.
+NUMPY_MODULES = ("_kernels", "reconstruction")
+
+# The names the package exports; the six reconstruction names resolve on
+# first use.
+EXPORTED = [
+    "ArcKind", "BArcPair", "BadEndpoints", "COutOfRange", "CyclicGraph", "Direction",
+    "InternalInconsistency", "KConstraint", "KMismatch", "MinKResult", "MinMaxError",
+    "MismatchedN", "NBRecord", "NotBijection", "NotDirected", "NotLinear", "Permutation",
+    "PreconditionViolation", "Profile", "ProfileSyntaxError", "ProfileValidationError",
+    "ProfileViolation", "RootClosure", "SolveOutcome", "TooLarge", "UniquenessReport",
+    "b_arc_pairs", "brute_force_solutions", "collision_pair", "compute_profile",
+    "compute_set_profile", "emit_permutation", "emit_profile", "endpoint_arcs", "errors",
+    "fixed_positions_check", "formats", "graph", "is_linear", "is_unique", "min_unique_k",
+    "nb_masks", "nb_records", "nb_set", "parse_permutation", "parse_profile", "profiles",
+    "reconstruction", "root_closure", "solve_fpt_directed", "solve_linear",
+    "solve_undirected", "solvers", "to_dot", "validate_permutation", "validate_profile",
+    "verify", "__version__", "_kernels",
+]
 
 
 def test_no_private_name_imported_from_a_sibling():
@@ -38,3 +65,60 @@ def test_no_unused_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for bound, name in imported.items() if bound not in used]
     assert unused == []
+
+
+def _import_time_modules(tree):
+    """The modules a module imports when it is itself imported, that is by
+    all but the imports inside a function body; siblings by bare name."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("minmaxperm").lstrip(".")
+            # `from . import x` may import the sibling module x
+            yield from (module,) if module else (a.name for a in node.names)
+
+
+def test_numpy_only_at_the_kernels():
+    # numpy at module level only in the two kernel modules, and no other
+    # module imports either of them at module level
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for module in _import_time_modules(ast.parse(path.read_text())):
+            top = module.split(".")[0]
+            if path.stem not in NUMPY_MODULES and top in ("numpy", *NUMPY_MODULES):
+                found.append(f"{path.name}: {module}")
+    assert found == []
+
+
+@pytest.mark.parametrize("how", ["getattr", "from-import"])
+def test_exported_names_resolve(how):
+    # in a fresh process, so that the lazily resolved names start unloaded;
+    # each resolved value is then a plain module global
+    script = """
+import json, sys
+import minmaxperm
+how, names, out = sys.argv[1], sys.argv[2:], {}
+for name in names:
+    if how == "getattr":
+        value = getattr(minmaxperm, name)
+    else:
+        scope = {}
+        exec(f"from minmaxperm import {name}", scope)
+        value = scope[name]
+    out[name] = vars(minmaxperm).get(name) is value
+print(json.dumps(out))
+"""
+    assert json.loads(run_fresh(script, how, *EXPORTED)) == dict.fromkeys(EXPORTED, True)
+
+
+def test_unknown_name_raises():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        getattr(minmaxperm, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from minmaxperm import no_such_name", {})

@@ -22,6 +22,7 @@ from minmaxperm import (
     validate_permutation,
     validate_profile,
 )
+from minmaxperm._kernels import profile_arrays
 from minmaxperm.profiles import Direction, NBRecord
 
 from helpers import (
@@ -116,17 +117,17 @@ class TestComputeProfile:
         for k in (1, 2, 4):
             for directed in (True, False):
                 F = compute_profile(P, k, directed)
-                m, M, d = F.to_arrays()
+                m, M, d = profile_arrays(F)
                 ents = F.entries()
                 assert m.tolist() == [c.m for c in ents]
                 assert M.tolist() == [c.M for c in ents]
                 assert d.tolist() == [code[c.dir] for c in ents]
 
     def test_arrays_int8_bound(self):
-        m, M, d = compute_profile(identity_perm(126), 1, True).to_arrays()
+        m, M, d = profile_arrays(compute_profile(identity_perm(126), 1, True))
         assert M[-1] == 127 and m.dtype == np.int8
         with pytest.raises(TooLarge):
-            compute_profile(identity_perm(127), 1, True).to_arrays()
+            profile_arrays(compute_profile(identity_perm(127), 1, True))
 
 
 class TestComputeSetProfile:

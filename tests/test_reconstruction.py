@@ -18,7 +18,7 @@ from minmaxperm import (
     validate_permutation,
 )
 from minmaxperm import reconstruction
-from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays
+from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays, profile_arrays
 
 from helpers import GOLDEN_PERM, golden_profile, identity_perm, unsat2_profile
 
@@ -181,7 +181,7 @@ def scan_first_collision(n, k, directed):
     seen = {}
     for inner in itertools.permutations(range(1, n + 1)):
         P = Permutation(n=n, elems=(0, *inner, n + 1))
-        key = b"".join(a.tobytes() for a in compute_profile(P, k, directed).to_arrays())
+        key = b"".join(a.tobytes() for a in profile_arrays(compute_profile(P, k, directed)))
         if key in seen:
             return seen[key], P
         seen[key] = P

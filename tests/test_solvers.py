@@ -29,7 +29,7 @@ from minmaxperm import (
     validate_permutation,
     verify,
 )
-from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays
+from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays, profile_arrays
 from minmaxperm.graph import ArcKind, Closure, topo_order
 from minmaxperm.profiles import KConstraint
 
@@ -166,7 +166,7 @@ class TestOracleReferences:
             for _ in range(3):
                 F = compute_profile(random_perm(rng, n), k, directed)
                 for G in (F, _edited(rng, F)):
-                    hits = rows[(codes == np.concatenate(G.to_arrays())).all(axis=1)]
+                    hits = rows[(codes == np.concatenate(profile_arrays(G))).all(axis=1)]
                     expected = [Permutation(n=n, elems=tuple(r)) for r in hits.tolist()]
                     assert brute_force_solutions(G) == expected, G
 
