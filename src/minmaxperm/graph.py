@@ -28,14 +28,19 @@ solvers take a search root, whose masks the search copies at each node
 before inserting the arcs of one decision.
 
 Insertion suits a search node, which adds two arcs to a closed parent.
-The directed search root instead closes about 5n seeds, and per-arc
-insertion there pays a row or column update for every pair it derives,
-so it is built in bulk rounds (`_closed_in_rounds`: one topological
-closure pass, then the NB rule on every row and column at once, until a
-round forces nothing), which a handful of rounds settle.  Undirected
-roots stay on insertion, since their B pairs cascade through many more
-rounds, and so do full-fixpoint closures, which label every pair with the
-rule that derived it.
+A search root instead closes a whole profile at once (the 5n+5 R/B arcs
+of a directed one, or the 2n+2 endpoint arcs and n+1 betweenness pairs
+of an undirected one), and per-arc insertion there pays a row or column
+update for every pair it derives, so the search root of either
+directedness is built in bulk rounds (`_closed_in_rounds`: one
+topological closure pass, then the NB rule on every row and column and
+the B rule on every open pair at once, until a round forces nothing).  A
+directed root settles in a handful of rounds; an undirected one cascades
+inward from the pinned ends, and its rounds grow with n (a median of 8
+at n = 32 and of 23 at n = 150 over 20 random permutation profiles
+each).  Only the B pairs the root leaves silent get watch tables.
+Full-fixpoint closures, which label every pair with the rule that
+derived it, stay on insertion.
 
 `topo_order` reads an order off a closure's predecessor masks.
 """
@@ -92,17 +97,17 @@ def _loop_free(arcs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(seen)
 
 
+def _b_pair(t: int, m: int, M: int) -> BArcPair:
+    plus = _loop_free([(t, t + 1), (t, m), (t, M), (m, t + 1), (M, t + 1)])
+    minus = _loop_free([(t + 1, t), (m, t), (M, t), (t + 1, m), (t + 1, M)])
+    return BArcPair(t=t, plus=plus, minus=minus)
+
+
 def b_arc_pairs(F: Profile) -> list[BArcPair]:
     """Arcs+/Arcs- for every entry of a gap-1 profile, ascending t."""
     if F.k != 1:
         raise KMismatch(f"B/NB decomposition is defined for k=1, got k={F.k}")
-    out = []
-    for c in F.entries():
-        t, m, M = c.t, c.m, c.M
-        plus = _loop_free([(t, t + 1), (t, m), (t, M), (m, t + 1), (M, t + 1)])
-        minus = _loop_free([(t + 1, t), (m, t), (M, t), (t + 1, m), (t + 1, M)])
-        out.append(BArcPair(t=t, plus=plus, minus=minus))
-    return out
+    return [_b_pair(c.t, c.m, c.M) for c in F.entries()]
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +146,11 @@ class Closure:
     closure stops at the first cycle and keeps no kinds; copies never
     carry kinds either, so a search node copies two lists of masks.
 
-    Every closure but one grows here, arc by arc: the directed search root
-    is closed in bulk rounds by `_closed_in_rounds`, which hands back a
-    search `Closure` with the same masks, and its copies grow by `add`
-    like any other.
+    Every closure but the search root grows here, arc by arc: the search
+    root of either directedness is closed in bulk rounds by
+    `_closed_in_rounds`, which hands back a search `Closure` with the same
+    masks and watch tables for its silent B pairs only, and its copies
+    grow by `add` like any other.
     """
 
     __slots__ = ("succ", "pred", "cyclic", "stop_at_cycle", "kinds",
@@ -294,35 +300,56 @@ def _close_along(masks: list[int], order: Iterable[int]) -> None:
         masks[v] = row
 
 
-def _closed_in_rounds(F: Profile, seeds: Iterable[Arc], nb: Sequence[int]) -> Closure:
-    """The search closure of a directed profile's seeds under T and NB
-    (nb = `nb_masks(F)`), built in bulk rounds (semi-naive evaluation)
-    instead of arc by arc.
+def _side_rows(a: int, b: int, m: int, M: int) -> tuple[tuple[int, int], ...]:
+    """The side of the betweenness fact (t, m, M) that puts a left of b,
+    {a, b} = {t, t+1}, as (x, mask of heads) pairs: a -> {b, m, M} and
+    {m, M} -> b, self-loops dropped (the masks of `_b_pair`'s arcs)."""
+    return ((a, (1 << b | 1 << m | 1 << M) & ~(1 << a)),
+            *((v, 1 << b) for v in (m, M) if v != a and v != b))
+
+
+def _closed_in_rounds(F: Profile, seeds: Iterable[Arc],
+                      nb: Sequence[int]) -> tuple[Closure, list[BArcPair]]:
+    """The search closure of a profile's seeds under T, NB and, for an
+    undirected profile, B (nb = `nb_masks(F)`), built in bulk rounds
+    instead of arc by arc, and the B pairs it leaves silent.
 
     A round closes the arc masks with one pass in reverse topological
     order, then fires the NB rule on every row and column at once: row
     p gains t+1 when it holds t and bit t of nb[p] is set, or the reverse;
     with tops[t] the values outside [m_t, M_t], which may not lie between
     t and t+1, succ[t+1] gains succ[t] & tops[t] and succ[t] gains
-    succ[t+1] & tops[t].  Rounds repeat until one forces nothing; the
-    predecessor masks, which until then hold only the tails of the arcs
-    put in, are closed once, in topological order.  A cycle in some
-    round's order sets `cyclic`, and the masks are then left partly
-    closed, as a per-arc search closure leaves them at its first cycle.
+    succ[t+1] & tops[t].  Then it fires the B rule on the pairs still
+    open: a side with any of its arcs present gains all of them, and its
+    pair is decided and leaves the open list.  Rounds repeat until one
+    forces nothing; the predecessor masks, which until then hold only the
+    tails of the arcs put in, are closed once, in topological order.
+
+    The pairs still open then join t and t+1 neither way, so they are the
+    silent ones, and only they get watch tables: a decided pair's side is
+    present at every node below the root, and an arc of its other side is
+    the reverse of one of those, a cycle that insertion catches anyway.
+    A cycle in some round's order sets `cyclic` and ends the closure, with
+    the masks partly closed, as a per-arc search closure leaves them at
+    its first cycle, and no pair reported.
     """
-    full = (1 << F.n + 2) - 1
+    V = F.n + 2
+    full = (1 << V) - 1
     tops = [full ^ ((1 << c.M + 1) - (1 << c.m)) for c in F.entries()]
-    c = Closure(F.n, nb=nb, search=True)
-    succ, pred = c.succ, c.pred
+    succ, pred = [0] * V, [0] * V
     for x, y, _ in seeds:
         if x != y:
             succ[x] |= 1 << y
             pred[y] |= 1 << x
+    pending = [] if F.directed else [
+        (c, _side_rows(c.t, c.t + 1, c.m, c.M), _side_rows(c.t + 1, c.t, c.m, c.M))
+        for c in F.entries()]
     while True:
         order = _postorder(succ)
         if order is None:
-            c.cyclic = True
-            return c
+            root = Closure(F.n, nb=nb, search=True)
+            root.succ, root.pred, root.cyclic = succ, pred, True
+            return root, []
         _close_along(succ, order)
         forced = False
         for p, bases in enumerate(nb):
@@ -342,10 +369,33 @@ def _closed_in_rounds(F: Profile, seeds: Iterable[Arc], nb: Sequence[int]) -> Cl
                     for q in _bits(new):
                         pred[q] |= 1 << b
                     forced = True
+        still_open = []
+        for pair in pending:
+            decided = False
+            for side in pair[1:]:
+                for x, heads in side:
+                    if succ[x] & heads:
+                        break
+                else:
+                    continue
+                decided = True
+                for x, heads in side:
+                    new = heads & ~succ[x]
+                    if new:
+                        succ[x] |= new
+                        for q in _bits(new):
+                            pred[q] |= 1 << x
+                        forced = True
+            if not decided:
+                still_open.append(pair)
+        pending = still_open
         if not forced:
             break
     _close_along(pred, reversed(order))
-    return c
+    silent = [_b_pair(c.t, c.m, c.M) for c, _, _ in pending]
+    root = Closure(F.n, nb=nb, b_pairs=silent, search=True)
+    root.succ, root.pred = succ, pred
+    return root, silent
 
 
 # ---------------------------------------------------------------------------
@@ -443,22 +493,22 @@ def root_closure(F: Profile, *, search: bool = False) -> RootClosure:
     By default the closure runs to the full fixpoint, through cycles, and
     reports its silent sets either way.  A `search` root, the solvers'
     starting node, stops at its first cycle, and then nothing is reported
-    silent.  A directed search root is closed in bulk rounds, every other
-    root arc by arc with `Closure.add`; an acyclic root has the same masks
-    either way, since both reach the least fixpoint of the same rules.
+    silent.  A search root is closed in bulk rounds and watches only its
+    silent B pairs; a full-fixpoint root grows arc by arc with
+    `Closure.add` and watches every pair.  An acyclic root has the same
+    masks either way, since both reach the least fixpoint of the same
+    rules.
     """
     require_solver_profile(F)
     nb = nb_masks(F)
-    if F.directed:
-        seeds, pairs = easy_arc_seeds(F), []
+    seeds = easy_arc_seeds(F) if F.directed else endpoint_arcs(F.n)
+    if search:
+        root, pairs = _closed_in_rounds(F, seeds, nb)
+        if root.cyclic:
+            return RootClosure(root, (), ())
     else:
-        seeds, pairs = endpoint_arcs(F.n), b_arc_pairs(F)
-    if F.directed and search:
-        root = _closed_in_rounds(F, seeds, nb)
-    else:
-        root = Closure(F.n, seeds, nb, pairs, search=search)
-    if search and root.cyclic:
-        return RootClosure(root, (), ())
+        pairs = [] if F.directed else b_arc_pairs(F)
+        root = Closure(F.n, seeds, nb, pairs)
     succ, pred = root.succ, root.pred
     silent = sorted((t, a) for a, bases in enumerate(nb)
                     for t in _bits(bases & ~(succ[a] | pred[a])))

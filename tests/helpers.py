@@ -137,22 +137,37 @@ def random_valid_directed(rng: random.Random, n: int) -> Profile:
     return Profile(n=n, k=1, directed=True, constraints=cons)
 
 
+def _valid_bounds(n: int) -> list[list[tuple[int, int]]]:
+    """Per entry t, the (m, M) pairs the validity gate allows."""
+    out = []
+    for t in range(n + 1):
+        if t == 0:
+            out.append([(0, M) for M in range(1, n + 1)])
+        elif t == n:
+            out.append([(m, n + 1) for m in range(1, n + 1)])
+        else:
+            out.append([(m, M) for m in range(1, t + 1) for M in range(t + 1, n + 1)])
+    return out
+
+
 def all_valid_directed(n: int):
     """Every directed gap-1 profile on n that passes the validity gate, the
     set `random_valid_directed` draws from."""
-    options = []
-    for t in range(n + 1):
-        if t == 0:
-            options.append([(0, M, L) for M in range(1, n + 1)])
-        elif t == n:
-            options.append([(m, n + 1, L) for m in range(1, n + 1)])
-        else:
-            options.append([(m, M, d) for m in range(1, t + 1)
-                            for M in range(t + 1, n + 1) for d in (L, R)])
+    options = [[(m, M, d) for m, M in bounds for d in ((L,) if t in (0, n) else (L, R))]
+               for t, bounds in enumerate(_valid_bounds(n))]
     for combo in itertools.product(*options):
         cons = {(t, 1): KConstraint(t=t, i=1, dir=d, m=m, M=M)
                 for t, (m, M, d) in enumerate(combo)}
         yield Profile(n=n, k=1, directed=True, constraints=cons)
+
+
+def all_valid_undirected(n: int):
+    """Every undirected gap-1 profile on n that passes the validity gate:
+    the (m, M) choices of `all_valid_directed`, with no direction."""
+    for combo in itertools.product(*_valid_bounds(n)):
+        cons = {(t, 1): KConstraint(t=t, i=1, dir=U, m=m, M=M)
+                for t, (m, M) in enumerate(combo)}
+        yield Profile(n=n, k=1, directed=False, constraints=cons)
 
 
 def mutate_undirected(rng: random.Random, F: Profile) -> Profile:

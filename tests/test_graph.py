@@ -30,6 +30,7 @@ from helpers import (
     U,
     all_perms,
     all_valid_directed,
+    all_valid_undirected,
     arc_set,
     golden_profile,
     has_cycle,
@@ -319,20 +320,34 @@ class TestRootClosure:
         assert 0 < cyclic_cases < len(profiles)
 
     @staticmethod
-    def _bulk_matches_per_arc(F) -> bool:
-        """The directed search root, built in bulk rounds, against the
-        per-arc closure of the same seeds; returns the cycle flag."""
+    def _per_arc_root(F) -> Closure:
+        """The search root of F grown arc by arc from its seeds, watching
+        every B pair of an undirected profile."""
+        if F.directed:
+            return Closure(F.n, easy_arc_seeds(F), nb_masks(F), search=True)
+        return Closure(F.n, endpoint_arcs(F.n), nb_masks(F), b_arc_pairs(F), search=True)
+
+    @classmethod
+    def _bulk_matches_per_arc(cls, F) -> bool:
+        """The search root, built in bulk rounds, against the per-arc
+        closure of the same seeds and B pairs and against the full
+        fixpoint; returns the cycle flag."""
         bulk = root_closure(F, search=True)
-        per_arc = Closure(F.n, easy_arc_seeds(F), nb_masks(F), search=True)
+        per_arc = cls._per_arc_root(F)
         assert bulk.closure.cyclic == per_arc.cyclic
         if per_arc.cyclic:
             # both stop at a cycle, with masks closed as far as their
             # insertion order got; the verdict is all that is read
-            assert bulk.silent_nb == ()
+            assert bulk.silent_nb == bulk.silent_b == ()
         else:
             assert bulk.closure.succ == per_arc.succ
             assert bulk.closure.pred == per_arc.pred
-            assert bulk.silent_nb == root_closure(F).silent_nb
+            full = root_closure(F)
+            assert bulk.silent_nb == full.silent_nb
+            assert bulk.silent_b == full.silent_b
+            pairs = () if F.directed else b_arc_pairs(F)
+            assert bulk.silent_b == tuple(bp for bp in pairs
+                                          if not per_arc.linked(bp.t, bp.t + 1))
         return per_arc.cyclic
 
     def test_bulk_search_root_every_valid_profile(self):
@@ -341,10 +356,19 @@ class TestRootClosure:
                  for n in range(1, 5) for F in all_valid_directed(n)]
         assert (len(flags), sum(flags)) == (4761, 4728)
 
+    def test_bulk_search_root_every_valid_undirected_profile(self):
+        # every valid undirected gap-1 profile with n <= 5; all but 149 are
+        # cyclic at the root
+        flags = [self._bulk_matches_per_arc(F)
+                 for n in range(1, 6) for F in all_valid_undirected(n)]
+        assert (len(flags), sum(flags)) == (15017, 14868)
+
     def test_bulk_search_root_permutation_profiles(self):
-        for n in range(1, 8):
-            for P in all_perms(n):
-                assert not self._bulk_matches_per_arc(compute_profile(P, 1, True)), P
+        for directed, top in ((True, 7), (False, 6)):
+            for n in range(1, top + 1):
+                for P in all_perms(n):
+                    F = compute_profile(P, 1, directed)
+                    assert not self._bulk_matches_per_arc(F), P
 
     def test_bulk_search_root_mutated(self):
         rng = random.Random(1986)
@@ -352,6 +376,43 @@ class TestRootClosure:
             mutate_directed(rng, compute_profile(random_perm(rng, rng.randint(2, 150)), 1, True)))
             for _ in range(200))
         assert 0 < cyclic < 200
+
+    def test_bulk_search_root_mutated_undirected(self):
+        rng = random.Random(1987)
+        cyclic = sum(self._bulk_matches_per_arc(
+            mutate_undirected(rng, compute_profile(random_perm(rng, rng.randint(2, 60)), 1, False)))
+            for _ in range(200))
+        assert 0 < cyclic < 200
+
+    def test_search_root_watches_silent_pairs_only(self):
+        # the bulk root watches only its silent B pairs, the per-arc root
+        # every pair; either side of every silent choice grows both alike
+        rng = random.Random(1988)
+        cases = sides_tried = 0
+        while cases < 40:
+            n = rng.randint(4, 40)
+            F = compute_profile(random_perm(rng, n), 1, False)
+            if rng.random() < 0.5:
+                F = mutate_undirected(rng, F)
+            bulk = root_closure(F, search=True)
+            if bulk.closure.cyclic or not bulk.silent_b:
+                continue
+            cases += 1
+            per_arc = self._per_arc_root(F)
+            sides = [side for bp in bulk.silent_b for side in (bp.plus, bp.minus)]
+            assert set(bulk.closure._b_sides) == {arc for side in sides for arc in side}
+            for r in bulk.silent_nb:
+                top, (t, u) = r.top, r.basis
+                sides += [((top, t), (top, u)), ((t, top), (u, top))]
+            for side in sides:
+                grown = []
+                for root in (bulk.closure, per_arc):
+                    node = root.copy()
+                    node.add([(x, y, ArcKind.B) for x, y in side])
+                    grown.append((node.succ, node.pred, node.cyclic))
+                assert grown[0] == grown[1], (F, side)
+                sides_tried += 1
+        assert sides_tried > 200
 
     def test_gate_rejections(self):
         with pytest.raises(KMismatch):
