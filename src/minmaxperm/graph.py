@@ -42,7 +42,11 @@ each).  Only the B pairs the root leaves silent get watch tables.
 Full-fixpoint closures, which label every pair with the rule that
 derived it, stay on insertion.
 
-`topo_order` reads an order off a closure's predecessor masks.
+`topo_order` reads the witness off a settled closure: Kahn's order with
+the smallest free vertex first, walking the antichain of free vertices
+as one mask.  Taking a free vertex can free only those of its successors
+that no other free vertex reaches, and a descent through pred inside that
+set finds the minimal ones, so no step rescans the vertices left.
 """
 
 from __future__ import annotations
@@ -402,32 +406,54 @@ def _closed_in_rounds(F: Profile, seeds: Iterable[Arc],
 # Topological order
 # ---------------------------------------------------------------------------
 
-def topo_order(incoming: Sequence[int]) -> Permutation:
-    """Topological order, smallest vertex first among the free ones, of the
-    graph whose vertex v has in-neighbour mask incoming[v] (a closure's
-    `pred` serves as it is), as a Permutation.
+def topo_order(closure: Closure) -> Permutation:
+    """The topological order of an acyclic closure that takes the smallest
+    free vertex first (Kahn's order with a min-heap), as a Permutation.
 
-    Raises CyclicGraph when no order exists.  The order starts with 0 and
-    ends with n+1 whenever the graph's constraints pin them there, which is
-    the case for every graph the solvers produce.
+    The closure must be closed: succ and pred transitively closed, as
+    every closure without a cycle is.  The free vertices, the minimal ones
+    of what is left, form an antichain kept as one mask.  Taking its
+    lowest vertex v can free only successors of v that no other free
+    vertex reaches, and among those candidates the newly free ones are the
+    minimal ones, each found by descending pred inside the candidate set.
+    That costs O(V * (width + descent)) mask steps, not a rescan of every
+    vertex left at every step.
+
+    Raises CyclicGraph on a cyclic closure, up front, since a descent
+    would circle for ever there, and whenever the order comes out short.
+    The order starts with 0 and ends with n+1 whenever the graph's
+    constraints pin them there, which is the case for every graph the
+    solvers produce.
     """
-    V = len(incoming)
-    remaining = (1 << V) - 1
+    if closure.cyclic:
+        raise CyclicGraph("graph has a directed cycle; no topological order")
+    succ, pred = closure.succ, closure.pred
+    free = 0
+    for v, above in enumerate(pred):
+        if not above:
+            free |= 1 << v
     order = []
-    for _ in range(V):
-        v = -1
-        r = remaining
-        while r:
-            b = r & -r
-            cand = b.bit_length() - 1
-            if not incoming[cand] & remaining:
-                v = cand
-                break
-            r ^= b
-        if v < 0:
+    for _ in range(len(pred)):
+        if not free:
             raise CyclicGraph("graph has a directed cycle; no topological order")
+        low = free & -free
+        free ^= low
+        v = low.bit_length() - 1
         order.append(v)
-        remaining &= ~(1 << v)
+        cand = succ[v]
+        rest = free
+        while rest and cand:
+            b = rest & -rest
+            rest ^= b
+            cand &= ~succ[b.bit_length() - 1]
+        while cand:
+            w = (cand & -cand).bit_length() - 1
+            below = pred[w] & cand
+            while below:
+                w = (below & -below).bit_length() - 1
+                below = pred[w] & cand
+            free |= 1 << w
+            cand &= ~(succ[w] | 1 << w)
     return validate_permutation(order)
 
 

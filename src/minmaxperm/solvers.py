@@ -16,8 +16,11 @@ is the same search, with its choices in the paper's order and one side
 each; it never backtracks on a linear profile.
 
 A returned witness is always re-verified against the input profile
-(recompute and compare) before being handed out; a verification failure
-on a fully settled acyclic graph is impossible by construction and raises
+before being handed out: `verify` checks each entry's min, max and
+direction against the witness's segment between t and t+i, which is what
+recomputing the witness's profile and comparing it would decide, without
+building that profile.  A verification failure on a fully settled
+acyclic graph is impossible by construction and raises
 InternalInconsistency rather than leaking a bad answer.
 
 The brute-force oracle is independent of the precedence machinery: it
@@ -49,10 +52,10 @@ from .graph import (
     topo_order,
 )
 from .profiles import (
+    Direction,
     NBRecord,
     Permutation,
     Profile,
-    compute_profile,
     is_linear,
     nb_set,
 )
@@ -84,10 +87,27 @@ class SolveOutcome:
 
 
 def verify(P: Permutation, F: Profile) -> bool:
-    """Recompute P's profile at F's span and directedness and compare."""
+    """Whether P's profile at F's span and directedness is F, that is
+    `compute_profile(P, F.k, F.directed) == F`, checked entry by entry:
+    each entry's m and M against the min and max of P's segment between
+    t and t+i and, in a directed F, its direction against theirs (an
+    Unknown direction never matches).  Stops at the first mismatch."""
     if P.n != F.n:
         raise MismatchedN(f"permutation has n={P.n}, profile n={F.n}")
-    return compute_profile(P, F.k, F.directed) == F
+    pos, elems, directed = P.positions(), P.elems, F.directed
+    for c in F.constraints.values():
+        a, b = pos[c.t], pos[c.t + c.i]
+        if a < b:
+            if directed and c.dir is not Direction.LEFT_TO_RIGHT:
+                return False
+            seg = elems[a:b + 1]
+        else:
+            if directed and c.dir is not Direction.RIGHT_TO_LEFT:
+                return False
+            seg = elems[b:a + 1]
+        if min(seg) != c.m or max(seg) != c.M:
+            return False
+    return True
 
 
 def brute_force_solutions(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> list[Permutation]:
@@ -155,7 +175,7 @@ def _search(root: Closure, choices: list[_Choice], F: Profile, context: str,
         while i < len(choices) and node.linked(choices[i].x, choices[i].y):
             i += 1
         if i == len(choices):
-            w = topo_order(node.pred)
+            w = topo_order(node)
             if not verify(w, F):
                 raise InternalInconsistency(
                     f"{context}: topological order {w} does not reproduce the profile")

@@ -1,20 +1,24 @@
 """Shared fixtures-in-code for the test suite: golden inputs, generators,
 and the engine-free references: the slow randomized-order closure used as
-the confluence reference, and the settledness and cycle checks.  The
-references work on plain sets of (x, y) arcs and never import the closure
-engine."""
+the confluence reference, the settledness and cycle checks, and the
+rescanning topological order.  The references work on plain sets of
+(x, y) arcs or masks and never import the closure engine."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import minmaxperm
 from minmaxperm import (
+    CyclicGraph,
     Permutation,
     Profile,
     validate_permutation,
@@ -295,6 +299,46 @@ def has_cycle(arcs: set[tuple[int, int]]) -> bool:
         if not picked:
             return True
     return False
+
+
+def reference_topo_order(incoming: Sequence[int]) -> Permutation:
+    """The topological order, smallest free vertex first, of the graph whose
+    vertex v has in-neighbour mask incoming[v], by rescanning the vertices
+    left from the lowest at every step: O(V^2) mask tests, the reference
+    for `graph.topo_order`.  Raises CyclicGraph when no order exists."""
+    V = len(incoming)
+    remaining = (1 << V) - 1
+    order = []
+    for _ in range(V):
+        v = -1
+        r = remaining
+        while r:
+            b = r & -r
+            cand = b.bit_length() - 1
+            if not incoming[cand] & remaining:
+                v = cand
+                break
+            r ^= b
+        if v < 0:
+            raise CyclicGraph("graph has a directed cycle; no topological order")
+        order.append(v)
+        remaining &= ~(1 << v)
+    return validate_permutation(order)
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError inside the block once `seconds` of wall time have
+    passed (SIGALRM, so the block must run on the main thread)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def profile_restricted(F: Profile, k: int) -> Profile:

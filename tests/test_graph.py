@@ -14,9 +14,12 @@ from minmaxperm import (
     nb_masks,
     nb_records,
     root_closure,
+    solve_fpt_directed,
+    solve_undirected,
     to_dot,
     validate_permutation,
 )
+from minmaxperm import solvers
 from minmaxperm.graph import (
     Closure,
     easy_arc_seeds,
@@ -32,6 +35,7 @@ from helpers import (
     all_valid_directed,
     all_valid_undirected,
     arc_set,
+    deadline,
     golden_profile,
     has_cycle,
     identity_perm,
@@ -42,6 +46,7 @@ from helpers import (
     mutate_undirected,
     random_perm,
     reference_close,
+    reference_topo_order,
     unsat2_profile,
 )
 
@@ -166,9 +171,8 @@ class TestIsSettled:
 
 
 def order(n, seeds):
-    """The topological order of the seeds, read off their closure's
-    predecessor masks."""
-    return topo_order(Closure(n, seeds).pred)
+    """The topological order of the seeds, read off their closure."""
+    return topo_order(Closure(n, seeds))
 
 
 class TestCycleAndTopo:
@@ -180,14 +184,14 @@ class TestCycleAndTopo:
     def test_two_cycle(self):
         seeds = chain([(1, 2), (2, 1)])
         assert Closure(2, seeds).cyclic
-        with pytest.raises(CyclicGraph):
+        with deadline(5), pytest.raises(CyclicGraph):
             order(2, seeds)
 
     def test_identity_total_order(self):
         res = root_closure(compute_profile(identity_perm(4), 1, True))
         expected = {(x, y) for x in range(6) for y in range(6) if x < y}
         assert closed_arcs(res.closure) == expected
-        assert topo_order(res.closure.pred).elems == (0, 1, 2, 3, 4, 5)
+        assert topo_order(res.closure).elems == (0, 1, 2, 3, 4, 5)
 
     def test_smallest_tie_break(self):
         seeds = endpoint_arcs(3)
@@ -210,7 +214,7 @@ class TestCycleAndTopo:
             arcs = arc_set(seeds)
             if has_cycle(arcs):
                 cyclic_cases += 1
-                with pytest.raises(CyclicGraph):
+                with deadline(5), pytest.raises(CyclicGraph):
                     order(n, seeds)
                 continue
             elems = order(n, seeds).elems
@@ -220,6 +224,69 @@ class TestCycleAndTopo:
                 free = [u for u in elems[i:] if not any((w, u) in arcs for w in elems[i:])]
                 assert v == min(free)
         assert 30 <= cyclic_cases <= 270
+
+
+class TestTopoOrderReference:
+    """`topo_order` walks the antichain of free vertices; the rescanning
+    order of `helpers.reference_topo_order` must give the same witness."""
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_search_leaves_and_roots(self, monkeypatch, directed):
+        # seeded large solves, odd ones edited: every leaf their searches
+        # reach, and every acyclic search root
+        lo, hi = (100, 150) if directed else (32, 64)
+        solve, mutate = ((solve_fpt_directed, mutate_directed) if directed
+                         else (solve_undirected, mutate_undirected))
+        profiles = []
+        for i in range(40):
+            rng = random.Random(f"topo:{directed}:{i}")
+            F = compute_profile(random_perm(rng, rng.randint(lo, hi)), 1, directed)
+            profiles.append(mutate(rng, F) if i % 2 else F)
+        leaves = []
+
+        def record(closure):
+            leaves.append(closure)
+            return topo_order(closure)
+
+        monkeypatch.setattr(solvers, "topo_order", record)
+        for F in profiles:
+            solve(F)
+        roots = [root_closure(F, search=True).closure for F in profiles]
+        closures = leaves + [c for c in roots if not c.cyclic]
+        assert len(leaves) >= 20 and len(closures) >= 40
+        for c in closures:
+            assert topo_order(c) == reference_topo_order(c.pred)
+
+    def test_full_fixpoint_roots_small(self):
+        # every valid directed profile with n <= 4: an acyclic root gives
+        # the reference order, and a cyclic one raises at once (a descent
+        # through a cycle would never end)
+        counts = [0, 0]
+        for n in range(1, 5):
+            for F in all_valid_directed(n):
+                c = root_closure(F).closure
+                counts[c.cyclic] += 1
+                if c.cyclic:
+                    with deadline(5), pytest.raises(CyclicGraph):
+                        topo_order(c)
+                else:
+                    assert topo_order(c) == reference_topo_order(c.pred)
+        assert counts == [33, 4728]
+
+    def test_random_dags_with_wide_antichains(self):
+        # closures of random arcs that respect a hidden order, from sparse
+        # (wide antichains, many free vertices at once) to dense
+        rng = random.Random(4417)
+        for _ in range(200):
+            n = rng.randint(1, 60)
+            hidden = random_perm(rng, n).elems
+            seeds = endpoint_arcs(n)
+            for _ in range(rng.randint(0, 3 * n)):
+                a, b = sorted(rng.sample(range(n + 2), 2))
+                seeds.append((hidden[a], hidden[b], ArcKind.R))
+            c = Closure(n, seeds)
+            assert not c.cyclic
+            assert topo_order(c) == reference_topo_order(c.pred)
 
 
 class TestRootClosure:

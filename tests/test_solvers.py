@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -18,6 +19,7 @@ from minmaxperm import (
     b_arc_pairs,
     brute_force_solutions,
     compute_profile,
+    compute_set_profile,
     endpoint_arcs,
     is_linear,
     nb_masks,
@@ -49,6 +51,7 @@ from helpers import (
     masks_of,
     mutate_directed,
     mutate_undirected,
+    profile_restricted,
     random_perm,
     random_valid_directed,
     unsat2_profile,
@@ -73,6 +76,50 @@ class TestVerify:
     def test_mismatched_n(self):
         with pytest.raises(MismatchedN):
             verify(identity_perm(4), golden_profile())
+
+    def test_agrees_with_profile_comparison(self):
+        # verify checks entry by entry; its definition builds the whole
+        # profile and compares.  Pairs: the source permutation, a random
+        # other one, and edits of the source's profile, at k = 1..3 in
+        # both directednesses
+        rng = random.Random(6151)
+        outcomes = defaultdict(int)
+        for k in (1, 2, 3):
+            for directed in (True, False):
+                mutate = mutate_directed if directed else mutate_undirected
+                for _ in range(60):
+                    n = rng.randint(max(1, k - 1), 9)
+                    P, Q = random_perm(rng, n), random_perm(rng, n)
+                    F = compute_profile(P, k, directed)
+                    # the helpers edit gap-1 entries only
+                    gap1 = mutate(rng, profile_restricted(F, 1)).constraints
+                    edited = Profile(n=n, k=k, directed=directed,
+                                     constraints={**F.constraints, **gap1})
+                    for G in (F, edited):
+                        for W in (P, Q):
+                            expected = compute_profile(W, k, directed) == G
+                            assert verify(W, G) is expected
+                            outcomes[k, directed, expected] += 1
+        assert all(outcomes[k, d, e] >= 10 for k in (1, 2, 3)
+                   for d in (True, False) for e in (True, False))
+
+    def test_unknown_directions_never_match(self):
+        # a directed set profile marks Unknown the entries its members
+        # disagree on; no single permutation's profile has one
+        rng = random.Random(6152)
+        with_unknown = 0
+        for _ in range(100):
+            k = rng.randint(1, 3)
+            n = rng.randint(max(1, k - 1), 7)
+            members = [random_perm(rng, n) for _ in range(rng.randint(1, 3))]
+            F = compute_set_profile(members, k, True)
+            unknown = any(c.dir is U for c in F.entries())
+            with_unknown += unknown
+            for W in (*members, random_perm(rng, n)):
+                expected = compute_profile(W, k, True) == F
+                assert verify(W, F) is expected
+                assert not (unknown and expected)
+        assert with_unknown >= 40
 
 
 class TestBruteForce:
@@ -377,7 +424,7 @@ def _paper_linear_rounds(F):
         assert not has_cycle(arcs)
         silent = [r for r in silent if not is_settled(arcs, r)]
         rounds += 1
-    return rounds, topo_order(closure.pred)
+    return rounds, topo_order(closure)
 
 
 # An undirected NO profile (n = 9) that the search refutes only after
@@ -467,6 +514,27 @@ class TestSearch:
                 rounds, order = _paper_linear_rounds(F)
                 assert out.settings_tested == rounds + 1, P
                 assert out.witness == order, P
+
+    @pytest.mark.parametrize("directed, digest", [
+        (True, "e7b0481a7c383d86147e62ecfdc073fd75b6466cab95948bc08fc6ba26e470a9"),
+        (False, "edec801fb1f7980159565eaa0bf49ff18aa1526c727e506e96119975a066f458"),
+    ], ids=["directed", "undirected"])
+    def test_witnesses_pinned(self, directed, digest):
+        # a change to the search or to the witness order must keep every
+        # answer: 100 seeded profiles (directed n 8-150, undirected n 6-40,
+        # odd ones edited), each request's witness or NO and node count,
+        # hashed together; the digests were recorded before the witness
+        # order walked the antichain of free vertices
+        lo, hi = (8, 150) if directed else (6, 40)
+        solve, mutate = ((solve_fpt_directed, mutate_directed) if directed
+                         else (solve_undirected, mutate_undirected))
+        lines = []
+        for i in range(100):
+            rng = random.Random(f"pin:{directed}:{i}")
+            F = compute_profile(random_perm(rng, rng.randint(lo, hi)), 1, directed)
+            out = solve(mutate(rng, F) if i % 2 else F)
+            lines.append(f"{out.witness or 'NO'};{out.settings_tested}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("entries", [BRANCHING_NO_ENTRIES, SMALLEST_BRANCHING_NO_ENTRIES],
                              ids=["n9", "n6"])
