@@ -32,13 +32,14 @@ A search root instead closes a whole profile at once (the 5n+5 R/B arcs
 of a directed one, or the 2n+2 endpoint arcs and n+1 betweenness pairs
 of an undirected one), and per-arc insertion there pays a row or column
 update for every pair it derives, so the search root of either
-directedness is built in bulk rounds (`_closed_in_rounds`: one
-topological closure pass, then the NB rule on every row and column and
-the B rule on every open pair at once, until a round forces nothing).  A
-directed root settles in a handful of rounds; an undirected one cascades
-inward from the pinned ends, and its rounds grow with n (a median of 8
-at n = 32 and of 23 at n = 150 over 20 random permutation profiles
-each).  Only the B pairs the root leaves silent get watch tables.
+directedness is built in bulk passes (`_closed_in_rounds`: one
+depth-first walk that closes each row and fires the NB row rule on it as
+it finishes, then the NB column rule and the B rule on every open pair
+at once, until a pass forces nothing).  A directed root settles in a
+few passes; an undirected one cascades inward from the pinned ends, and
+its passes grow with n (medians over 20 random permutation profiles
+each: directed 2 at n = 32 and 3 at n = 150, undirected 7 and 14).
+Only the B pairs the root leaves silent get watch tables.
 Full-fixpoint closures, which label every pair with the rule that
 derived it, stay on insertion.
 
@@ -151,10 +152,10 @@ class Closure:
     carry kinds either, so a search node copies two lists of masks.
 
     Every closure but the search root grows here, arc by arc: the search
-    root of either directedness is closed in bulk rounds by
-    `_closed_in_rounds`, which hands back a search `Closure` with the same
-    masks and watch tables for its silent B pairs only, and its copies
-    grow by `add` like any other.
+    root of either directedness is closed in bulk passes by
+    `_closed_in_rounds`, straight from the profile's entries, which hands
+    back a search `Closure` with the same masks and watch tables for its
+    silent B pairs only, and its copies grow by `add` like any other.
     """
 
     __slots__ = ("succ", "pred", "cyclic", "stop_at_cycle", "kinds",
@@ -258,38 +259,6 @@ class Closure:
         return [(x, y, self.kinds[(x, y)]) for x, row in enumerate(self.succ) for y in _bits(row)]
 
 
-def _postorder(succ: list[int]) -> list[int] | None:
-    """The vertices of the digraph with successor masks succ, each after
-    everything it reaches (a depth-first postorder, read backwards a
-    topological order), or None when the digraph has a cycle.
-
-    Masks pick the next unvisited successor, so the walk costs O(V) mask
-    steps however many arcs there are; a vertex that finishes while one
-    of its successors is still on the stack closes a cycle."""
-    seen = done = 0
-    order = []
-    for root in range(len(succ)):
-        if seen >> root & 1:
-            continue
-        seen |= 1 << root
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            row = succ[v]
-            fresh = row & ~seen
-            if fresh:
-                low = fresh & -fresh
-                seen |= low
-                stack.append(low.bit_length() - 1)
-                continue
-            if row & ~done:
-                return None
-            done |= 1 << v
-            order.append(v)
-            stack.pop()
-    return order
-
-
 def _close_along(masks: list[int], order: Iterable[int]) -> None:
     """Close masks transitively in place, given an order that visits each
     vertex after every vertex its mask names: a row ORs in the closed rows
@@ -312,59 +281,107 @@ def _side_rows(a: int, b: int, m: int, M: int) -> tuple[tuple[int, int], ...]:
             *((v, 1 << b) for v in (m, M) if v != a and v != b))
 
 
-def _closed_in_rounds(F: Profile, seeds: Iterable[Arc],
-                      nb: Sequence[int]) -> tuple[Closure, list[BArcPair]]:
-    """The search closure of a profile's seeds under T, NB and, for an
-    undirected profile, B (nb = `nb_masks(F)`), built in bulk rounds
-    instead of arc by arc, and the B pairs it leaves silent.
+def _closed_in_rounds(F: Profile, nb: Sequence[int]) -> tuple[Closure, list[BArcPair]]:
+    """The search closure of a profile under T, NB and, for an undirected
+    profile, B (nb = `nb_masks(F)`), built in bulk passes instead of arc
+    by arc, and the B pairs it leaves silent.
 
-    A round closes the arc masks with one pass in reverse topological
-    order, then fires the NB rule on every row and column at once: row
-    p gains t+1 when it holds t and bit t of nb[p] is set, or the reverse;
-    with tops[t] the values outside [m_t, M_t], which may not lie between
-    t and t+1, succ[t+1] gains succ[t] & tops[t] and succ[t] gains
-    succ[t+1] & tops[t].  Then it fires the B rule on the pairs still
-    open: a side with any of its arcs present gains all of them, and its
-    pair is decided and leaves the open list.  Rounds repeat until one
-    forces nothing; the predecessor masks, which until then hold only the
-    tails of the arcs put in, are closed once, in topological order.
+    The seeds come straight from the entries, as masks: a directed entry
+    puts tl -> {tr, m, M} and {m, M} -> tr, an undirected profile only
+    its pinned endpoints.  A pass is one depth-first walk that closes each
+    row as it finishes, since no ancestor of a row finishes before it: the
+    row ORs in the rows of its successors, all finished, and then fires
+    the NB row rule (row p gains t+1 when it holds t and bit t of nb[p] is
+    set, or the reverse).  A forced head that has finished is ORed in and
+    the row closed again; one not yet visited makes the walk descend into
+    it before the row finishes; one still on the stack closes a cycle.
+    After the pass, the column rule fires on every pair at once: with
+    tops[t] the values outside [m_t, M_t], which may not lie between t and
+    t+1, succ[t+1] gains succ[t] & tops[t] and succ[t] gains succ[t+1] &
+    tops[t].  Then the B rule fires on the pairs still open: a side with
+    any of its arcs present gains all of them, and its pair is decided and
+    leaves the open list.  Passes repeat until these sweeps force nothing;
+    the predecessor masks, which until then hold only the tails of the
+    arcs put in, are closed once, along the last pass's order.
 
     The pairs still open then join t and t+1 neither way, so they are the
     silent ones, and only they get watch tables: a decided pair's side is
     present at every node below the root, and an arc of its other side is
     the reverse of one of those, a cycle that insertion catches anyway.
-    A cycle in some round's order sets `cyclic` and ends the closure, with
-    the masks partly closed, as a per-arc search closure leaves them at
-    its first cycle, and no pair reported.
+    A cycle met in some pass sets `cyclic` and ends the closure, with the
+    masks partly closed, as a per-arc search closure leaves them at its
+    first cycle, and no pair reported.
     """
     V = F.n + 2
     full = (1 << V) - 1
-    tops = [full ^ ((1 << c.M + 1) - (1 << c.m)) for c in F.entries()]
-    succ, pred = [0] * V, [0] * V
-    for x, y, _ in seeds:
-        if x != y:
-            succ[x] |= 1 << y
-            pred[y] |= 1 << x
-    pending = [] if F.directed else [
-        (c, _side_rows(c.t, c.t + 1, c.m, c.M), _side_rows(c.t + 1, c.t, c.m, c.M))
-        for c in F.entries()]
+    entries = F.entries()
+    tops = [full ^ ((2 << c.M) - (1 << c.m)) for c in entries]
+    if F.directed:
+        succ, pred = [0] * V, [0] * V
+        ltr = Direction.LEFT_TO_RIGHT
+        for c in entries:
+            t, m, M = c.t, c.m, c.M
+            tl, tr = (t, t + 1) if c.dir is ltr else (t + 1, t)
+            lb, rb = 1 << tl, 1 << tr
+            succ[tl] |= 1 << m | 1 << M | rb
+            pred[tr] |= 1 << m | 1 << M | lb
+            succ[m] |= rb
+            succ[M] |= rb
+            pred[m] |= lb
+            pred[M] |= lb
+        succ = [row & ~(1 << v) for v, row in enumerate(succ)]
+        pred = [col & ~(1 << v) for v, col in enumerate(pred)]
+        pending = []
+    else:
+        succ = [full ^ 1] + [1 << V - 1] * (V - 2) + [0]
+        pred = [0] + [1] * (V - 2) + [full ^ 1 << V - 1]
+        pending = [(c, _side_rows(c.t, c.t + 1, c.m, c.M), _side_rows(c.t + 1, c.t, c.m, c.M))
+                   for c in entries]
     while True:
-        order = _postorder(succ)
-        if order is None:
-            root = Closure(F.n, nb=nb, search=True)
-            root.succ, root.pred, root.cyclic = succ, pred, True
-            return root, []
-        _close_along(succ, order)
+        seen = done = 0
+        order = []
+        for start in range(V):
+            if seen >> start & 1:
+                continue
+            seen |= 1 << start
+            stack = [start]
+            while stack:
+                v = stack[-1]
+                row = succ[v]
+                fresh = row & ~seen
+                if fresh:
+                    low = fresh & -fresh
+                    seen |= low
+                    stack.append(low.bit_length() - 1)
+                    continue
+                if row & ~done:  # a successor still on the stack
+                    root = Closure(F.n, nb=nb, search=True)
+                    root.succ, root.pred, root.cyclic = succ, pred, True
+                    return root, []
+                # every successor has finished: OR in their rows, then the
+                # rows of the NB-forced heads, until the row forces nothing;
+                # a forced head not yet finished sends v back to the walk
+                bases = nb[v]
+                todo = row
+                while todo:
+                    low = todo & -todo
+                    below = succ[low.bit_length() - 1]
+                    row |= below
+                    todo = (todo ^ low) & ~below
+                    if not todo and bases:
+                        todo = ((row & bases) << 1 | (row >> 1) & bases) & ~row
+                        row |= todo
+                        for q in _bits(todo):
+                            pred[q] |= 1 << v
+                        if todo & ~done:
+                            break
+                succ[v] = row
+                if todo:
+                    continue
+                done |= 1 << v
+                order.append(v)
+                stack.pop()
         forced = False
-        for p, bases in enumerate(nb):
-            if bases:
-                row = succ[p]
-                new = ((row & bases) << 1 | (row >> 1) & bases) & ~row
-                if new:
-                    succ[p] = row | new
-                    for q in _bits(new):
-                        pred[q] |= 1 << p
-                    forced = True
         for t, top in enumerate(tops):
             for a, b in ((t, t + 1), (t + 1, t)):
                 new = succ[a] & top & ~succ[b]
@@ -519,7 +536,7 @@ def root_closure(F: Profile, *, search: bool = False) -> RootClosure:
     By default the closure runs to the full fixpoint, through cycles, and
     reports its silent sets either way.  A `search` root, the solvers'
     starting node, stops at its first cycle, and then nothing is reported
-    silent.  A search root is closed in bulk rounds and watches only its
+    silent.  A search root is closed in bulk passes and watches only its
     silent B pairs; a full-fixpoint root grows arc by arc with
     `Closure.add` and watches every pair.  An acyclic root has the same
     masks either way, since both reach the least fixpoint of the same
@@ -527,12 +544,12 @@ def root_closure(F: Profile, *, search: bool = False) -> RootClosure:
     """
     require_solver_profile(F)
     nb = nb_masks(F)
-    seeds = easy_arc_seeds(F) if F.directed else endpoint_arcs(F.n)
     if search:
-        root, pairs = _closed_in_rounds(F, seeds, nb)
+        root, pairs = _closed_in_rounds(F, nb)
         if root.cyclic:
             return RootClosure(root, (), ())
     else:
+        seeds = easy_arc_seeds(F) if F.directed else endpoint_arcs(F.n)
         pairs = [] if F.directed else b_arc_pairs(F)
         root = Closure(F.n, seeds, nb, pairs)
     succ, pred = root.succ, root.pred

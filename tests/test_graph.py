@@ -451,6 +451,39 @@ class TestRootClosure:
             for _ in range(200))
         assert 0 < cyclic < 200
 
+    @pytest.mark.parametrize("n", [64, 100, 150])
+    def test_bulk_search_root_mutated_undirected_long_cascades(self, n):
+        # edited undirected profiles large enough that the closure cascades
+        # inward from the pinned ends through many passes; most are cyclic
+        rng = random.Random(f"cascade:{n}")
+        cyclic = sum(self._bulk_matches_per_arc(
+            mutate_undirected(rng, compute_profile(random_perm(rng, n), 1, False)))
+            for _ in range(40))
+        assert 0 < cyclic < 40
+
+    def test_bulk_root_descends_into_nb_forced_head(self):
+        # The first pass of the walk finishes 6, 1 and 5; row 0 then holds 1
+        # and 5, and the NB rule forces 0 -> 2 and 0 -> 4, neither visited
+        # yet.  The walk must finish them first and close row 0 again over
+        # their rows, which forces 0 -> 3, visited last.  The sweep after
+        # that pass forces nothing, so no later pass would mend a row
+        # finished early.
+        F = compute_profile(validate_permutation((0, 3, 4, 2, 5, 1, 6)), 1, True)
+        assert not self._bulk_matches_per_arc(F)
+
+    def test_bulk_root_nb_forced_head_on_stack_is_cycle(self):
+        # Seeds 0 -> 1, 1 -> 3, 2 -> 1 and 2 -> 3.  Row 0 finishes holding 1,
+        # so "0 is not between 1 and 2" forces 0 -> 2, and the walk descends
+        # from 0 into 2.  Row 2 holds 1, so "2 is not between 0 and 1"
+        # forces 2 -> 0, a head still on the stack: the cycle 0 -> 2 -> 0.
+        # The pass stops there, so, as in the per-arc root, no row reaches
+        # its own vertex.
+        from helpers import L, R
+        F = make_profile([(0, L, 0, 1), (1, R, 1, 2), (2, L, 1, 3)])
+        assert self._bulk_matches_per_arc(F)
+        for root in (root_closure(F, search=True).closure, self._per_arc_root(F)):
+            assert not any(row >> v & 1 for v, row in enumerate(root.succ))
+
     def test_search_root_watches_silent_pairs_only(self):
         # the bulk root watches only its silent B pairs, the per-arc root
         # every pair; either side of every silent choice grows both alike

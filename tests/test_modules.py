@@ -67,6 +67,30 @@ def test_no_unused_import():
     assert unused == []
 
 
+def test_no_unused_private_name():
+    # a module-level `_`-prefixed function, class or constant that no code
+    # in the package reads: a leftover of the code that used it
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert [f"{module}: {name}" for module, name in defined if name not in read] == []
+
+
 def _import_time_modules(tree):
     """The modules a module imports when it is itself imported, that is by
     all but the imports inside a function body; siblings by bare name."""
