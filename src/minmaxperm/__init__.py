@@ -25,15 +25,7 @@ from .errors import (
     TooLarge,
 )
 from .formats import emit_permutation, emit_profile, parse_permutation, parse_profile
-from .graph import (
-    ArcKind,
-    BArcPair,
-    RootClosure,
-    b_arc_pairs,
-    endpoint_arcs,
-    root_closure,
-    to_dot,
-)
+from .graph import BArcPair, RootClosure, root_closure, to_dot
 from .profiles import (
     Direction,
     KConstraint,
@@ -45,7 +37,6 @@ from .profiles import (
     compute_set_profile,
     is_linear,
     nb_masks,
-    nb_records,
     nb_set,
     validate_permutation,
     validate_profile,

@@ -33,7 +33,7 @@ from pathlib import Path
 
 from .errors import CyclicGraph, InternalInconsistency, MinMaxError
 from .formats import emit_permutation, emit_profile, parse_permutation, parse_profile
-from .graph import require_solver_profile, root_closure, to_dot
+from .graph import require_solver_profile, to_dot
 from .profiles import Profile, compute_profile
 from .solvers import (
     DEFAULT_BRUTE_CAP,
@@ -81,7 +81,7 @@ def _solve_dispatch(F: Profile, method: str, cap: int) -> SolveOutcome:
 def _cmd_solve(args) -> _Result:
     F = parse_profile(_read(args.profile_file))
     if args.dump_graph:
-        Path(args.dump_graph).write_text(to_dot(root_closure(F).closure))
+        Path(args.dump_graph).write_text(to_dot(F))
     outcome = _solve_dispatch(F, args.method, args.cap)
     W = outcome.witness
     return 1 if outcome.is_no else 0, {

@@ -12,36 +12,36 @@ the profile under construction.  Four rules create arcs:
 The one graph type is `Closure`, an incremental engine: successor and
 predecessor bitmasks kept transitively closed under arc insertion, with
 the NB and B rules fired only by the pairs they watch and a cycle detected
-at the insertion that closes it.  It is built from seed arcs, given as
-(x, y, kind) lists (`easy_arc_seeds`, `endpoint_arcs`), the NB facts as
-one bitmask of bases per top (`profiles.nb_masks`) and the B pairs, and
-lists its arcs back with their kinds for `to_dot`.
+at the insertion that closes it.  It is built from seed arcs (x, y, kind),
+the NB facts as one bitmask of bases per top (`profiles.nb_masks`) and the
+B pairs.
 
-`root_closure` is the one front end for either directedness: it gates a
-profile, seeds it (a directed profile's R/B arcs, or the endpoint arcs
-plus the betweenness pairs, whose orientations Arcs+/Arcs- propagate as a
-unit, of an undirected one), closes it, and reports the NB-constraints
-and B pairs the closure orients neither way as silent.  The silent bases
-of a top are its NB mask less its successor and predecessor masks, and
-only those become `NBRecord`s.  The full fixpoint serves debug dumps; the
-solvers take a search root, whose masks the search copies at each node
-before inserting the arcs of one decision.
+`root_closure` is the solvers' front end for either directedness: it gates
+a profile, closes it into the search root, and reports the NB-constraints
+and B pairs the root orients neither way as silent.  The silent bases of
+a top are its NB mask less its successor and predecessor masks, and only
+those become `NBRecord`s.  The search copies the root's masks at each
+node before inserting the arcs of one decision.
 
 Insertion suits a search node, which adds two arcs to a closed parent.
-A search root instead closes a whole profile at once (the 5n+5 R/B arcs
+The search root instead closes a whole profile at once (the 5n+5 R/B arcs
 of a directed one, or the 2n+2 endpoint arcs and n+1 betweenness pairs
 of an undirected one), and per-arc insertion there pays a row or column
-update for every pair it derives, so the search root of either
-directedness is built in bulk passes (`_closed_in_rounds`: one
-depth-first walk that closes each row and fires the NB row rule on it as
-it finishes, then the NB column rule and the B rule on every open pair
-at once, until a pass forces nothing).  A directed root settles in a
-few passes; an undirected one cascades inward from the pinned ends, and
-its passes grow with n (medians over 20 random permutation profiles
-each: directed 2 at n = 32 and 3 at n = 150, undirected 7 and 14).
-Only the B pairs the root leaves silent get watch tables.
-Full-fixpoint closures, which label every pair with the rule that
-derived it, stay on insertion.
+update for every pair it derives, so the root is built in bulk passes
+(`_closed_in_rounds`: one depth-first walk that closes each row and
+fires the NB row rule on it as it finishes, then the NB column rule and
+the B rule on every open pair at once, until a pass forces nothing).  A
+directed root settles in a few passes; an undirected one cascades inward
+from the pinned ends, and its passes grow with n (medians over 20 random
+permutation profiles each: directed 2 at n = 32 and 3 at n = 150,
+undirected 7 and 14).  Only the B pairs the root leaves silent get watch
+tables.
+
+`to_dot` renders the full fixpoint instead (`_full_closure`), which runs
+on through cycles and labels every pair with the rule that first derived
+it.  It stays on insertion from the seeds: a directed profile's R/B arcs,
+or the endpoint arcs plus the betweenness pairs, whose orientations
+Arcs+/Arcs- propagate as a unit, of an undirected one.
 
 `topo_order` reads the witness off a settled closure: Kahn's order with
 the smallest free vertex first, walking the antichain of free vertices
@@ -108,13 +108,6 @@ def _b_pair(t: int, m: int, M: int) -> BArcPair:
     return BArcPair(t=t, plus=plus, minus=minus)
 
 
-def b_arc_pairs(F: Profile) -> list[BArcPair]:
-    """Arcs+/Arcs- for every entry of a gap-1 profile, ascending t."""
-    if F.k != 1:
-        raise KMismatch(f"B/NB decomposition is defined for k=1, got k={F.k}")
-    return [_b_pair(c.t, c.m, c.M) for c in F.entries()]
-
-
 # ---------------------------------------------------------------------------
 # Closure engine
 # ---------------------------------------------------------------------------
@@ -146,16 +139,17 @@ class Closure:
     seeds are arcs (x, y, kind): each keeps the kind it was given (the
     first, when it repeats), self-loops are dropped, and the seeds go to
     `add` in ascending (x, y) order, which fixes the kinds of the derived
-    arcs.  By default the closure runs on to the full fixpoint, through cycles, and
-    `kinds` maps every pair to the rule that first derived it.  A `search`
-    closure stops at the first cycle and keeps no kinds; copies never
-    carry kinds either, so a search node copies two lists of masks.
+    arcs.  By default the closure runs on to the full fixpoint, through
+    cycles, and `kinds` maps every pair to the rule that first derived it
+    (`_full_closure`, for `to_dot`).  A `search` closure stops at the
+    first cycle and keeps no kinds; copies never carry kinds either, so a
+    search node copies two lists of masks.
 
-    Every closure but the search root grows here, arc by arc: the search
-    root of either directedness is closed in bulk passes by
-    `_closed_in_rounds`, straight from the profile's entries, which hands
-    back a search `Closure` with the same masks and watch tables for its
-    silent B pairs only, and its copies grow by `add` like any other.
+    The search root is not grown here: `_closed_in_rounds` closes it in
+    bulk passes, straight from the profile's entries, and hands back a
+    search `Closure` with the same masks and watch tables for its silent
+    B pairs only.  Its copies, the search nodes, grow by `add` like any
+    other closure.
     """
 
     __slots__ = ("succ", "pred", "cyclic", "stop_at_cycle", "kinds",
@@ -498,71 +492,64 @@ def require_solver_profile(F: Profile) -> None:
                 "0 and n+1 occupy the outermost places")
 
 
-def easy_arc_seeds(F: Profile) -> list[Arc]:
-    """The R- and B-arcs a directed gap-1 profile states, entry by entry
-    (unclosed; B-arcs that are self-loops included)."""
-    out = []
-    for c in F.entries():
-        t = c.t
-        tl, tr = (t, t + 1) if c.dir is Direction.LEFT_TO_RIGHT else (t + 1, t)
-        out.append((tl, tr, ArcKind.R))
-        for x, y in ((tl, c.m), (c.m, tr), (tl, c.M), (c.M, tr)):
-            out.append((x, y, ArcKind.B))
-    return out
-
-
-def endpoint_arcs(n: int) -> list[Arc]:
-    """Only what the pinned endpoints give: 0 before everything,
-    everything before n+1 (the undirected pipeline's seeds)."""
-    return ([(0, x, ArcKind.R) for x in range(1, n + 2)]
-            + [(x, n + 1, ArcKind.R) for x in range(0, n + 1)])
-
-
 class RootClosure(NamedTuple):
-    """A profile's root closure and the constraints it leaves silent: the
+    """A profile's search root and the constraints it leaves silent: the
     NB records and B pairs (undirected profiles only) whose two ends no arc
-    joins.  `closure.cyclic` is the verdict NO."""
+    joins.  `closure.cyclic` is the verdict NO, with nothing silent."""
 
     closure: Closure
     silent_nb: tuple[NBRecord, ...]
     silent_b: tuple[BArcPair, ...]
 
 
-def root_closure(F: Profile, *, search: bool = False) -> RootClosure:
-    """Gate, seed and close a gap-1 profile of either directedness: a
-    directed profile's R/B arcs, or the endpoint arcs plus the betweenness
-    pairs of an undirected one.
+def root_closure(F: Profile) -> RootClosure:
+    """Gate a gap-1 profile of either directedness and close it into the
+    search root, the solvers' starting node (`_closed_in_rounds`).
 
-    By default the closure runs to the full fixpoint, through cycles, and
-    reports its silent sets either way.  A `search` root, the solvers'
-    starting node, stops at its first cycle, and then nothing is reported
-    silent.  A search root is closed in bulk passes and watches only its
-    silent B pairs; a full-fixpoint root grows arc by arc with
-    `Closure.add` and watches every pair.  An acyclic root has the same
-    masks either way, since both reach the least fixpoint of the same
-    rules.
+    An acyclic root reports the NB records and B pairs it leaves silent; a
+    cyclic one, which stops at its first cycle, reports none.
     """
     require_solver_profile(F)
     nb = nb_masks(F)
-    if search:
-        root, pairs = _closed_in_rounds(F, nb)
-        if root.cyclic:
-            return RootClosure(root, (), ())
-    else:
-        seeds = easy_arc_seeds(F) if F.directed else endpoint_arcs(F.n)
-        pairs = [] if F.directed else b_arc_pairs(F)
-        root = Closure(F.n, seeds, nb, pairs)
+    root, silent_b = _closed_in_rounds(F, nb)
+    if root.cyclic:
+        return RootClosure(root, (), ())
     succ, pred = root.succ, root.pred
     silent = sorted((t, a) for a, bases in enumerate(nb)
                     for t in _bits(bases & ~(succ[a] | pred[a])))
     return RootClosure(root,
                        tuple(NBRecord(basis=(t, t + 1), top=a) for t, a in silent),
-                       tuple(bp for bp in pairs if not root.linked(bp.t, bp.t + 1)))
+                       tuple(silent_b))
 
 
-def to_dot(G: Closure) -> str:
-    """DOT rendering of a full-fixpoint closure with the arc kind as edge
-    label (debug dumps)."""
+def _full_closure(F: Profile) -> Closure:
+    """Gate a gap-1 profile and close it arc by arc to the full fixpoint,
+    through cycles, with every pair labelled by the rule that first
+    derived it.  A directed profile is seeded with the R-arc and four
+    B-arcs of each entry, an undirected one with what the pinned endpoints
+    give (0 before everything, everything before n+1) and watches every
+    betweenness pair."""
+    require_solver_profile(F)
+    n = F.n
+    if F.directed:
+        seeds, pairs = [], []
+        for c in F.entries():
+            t = c.t
+            tl, tr = (t, t + 1) if c.dir is Direction.LEFT_TO_RIGHT else (t + 1, t)
+            seeds.append((tl, tr, ArcKind.R))
+            for x, y in ((tl, c.m), (c.m, tr), (tl, c.M), (c.M, tr)):
+                seeds.append((x, y, ArcKind.B))
+    else:
+        seeds = ([(0, x, ArcKind.R) for x in range(1, n + 2)]
+                 + [(x, n + 1, ArcKind.R) for x in range(0, n + 1)])
+        pairs = [_b_pair(c.t, c.m, c.M) for c in F.entries()]
+    return Closure(n, seeds, nb_masks(F), pairs)
+
+
+def to_dot(F: Profile) -> str:
+    """DOT rendering of a gap-1 profile's full fixpoint (`_full_closure`),
+    each arc labelled by the rule that first derived it (debug dumps)."""
+    G = _full_closure(F)
     lines = ["digraph precedence {"]
     for v in range(len(G.succ)):
         lines.append(f"  {v};")

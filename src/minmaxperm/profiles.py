@@ -9,15 +9,15 @@ additionally records which of t, t+i sits further left.
 
 Every betweenness fact a profile encodes decomposes into B-constraints
 ("m and M lie between t and t+i") and NB-constraints ("each value outside
-[m, M] does not lie between t and t+i").  The helpers at the bottom list a
-gap-1 profile's NB-constraints two ways: `nb_records`, one record per fact
-in (basis, top) order, and `nb_masks`, one bitmask of bases per top, the
-form the precedence-graph solvers read.
+[m, M] does not lie between t and t+i").  `nb_masks` lists a gap-1
+profile's NB-constraints as one bitmask of bases per top, the form the
+precedence-graph solvers read.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -60,9 +60,14 @@ class Permutation:
 def validate_permutation(seq: Sequence[int]) -> Permutation:
     """Check that seq is a permutation of {0..n+1} with pinned endpoints.
 
-    n is inferred from the length.  Raises NotBijection or BadEndpoints.
+    n is inferred from the length.  Each value must be an integer, as
+    `operator.index` reads one (a float such as 1.9 is not truncated).
+    Raises NotBijection or BadEndpoints.
     """
-    elems = tuple(int(v) for v in seq)
+    try:
+        elems = tuple(map(operator.index, seq))
+    except TypeError as exc:
+        raise NotBijection(f"not a permutation of integers: {exc}") from None
     n = len(elems) - 2
     if n < 1:
         raise NotBijection(f"need at least 3 elements, got {len(elems)}")
@@ -276,29 +281,10 @@ class NBRecord:
         return f"not({self.basis[0]} <-{self.top}-> {self.basis[1]})"
 
 
-def nb_records(F: Profile) -> list[NBRecord]:
-    """All NB-constraints of a gap-1 profile, sorted by (basis, top).
-
-    Entry t contributes one record per value outside [m_t, M_t]:
-    tops 0..m_t-1 and M_t+1..n+1.
-    """
-    if F.k != 1:
-        raise KMismatch(f"B/NB decomposition is defined for k=1, got k={F.k}")
-    out = []
-    for c in F.entries():
-        basis = (c.t, c.t + 1)
-        for top in range(0, c.m):
-            out.append(NBRecord(basis=basis, top=top))
-        for top in range(c.M + 1, F.n + 2):
-            out.append(NBRecord(basis=basis, top=top))
-    out.sort()
-    return out
-
-
 def nb_masks(F: Profile) -> list[int]:
     """The NB-constraints of a gap-1 profile as one bitmask per top:
     mask[a], for a in 0..n+1, has bit t for every entry t with a < m_t or
-    a > M_t (the records of `nb_records` folded by top).
+    a > M_t.
 
     Entries are bucketed by m_t and by M_t + 1 (clamped to 0..n+2), then
     one descending and one ascending OR-scan build every mask, so the cost

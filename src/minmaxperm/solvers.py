@@ -1,8 +1,8 @@
 """Solvers for profile satisfiability: linear, FPT, undirected, brute force.
 
 The three structured solvers run one depth-first branch-and-propagate
-search.  Its root, `graph.root_closure(F, search=True)`, is the closure of
-the arcs a profile states; a node adds one orientation of an open silent
+search.  Its root, `graph.root_closure(F)`, is the closure of the arcs a
+profile states; a node adds one orientation of an open silent
 constraint of that root to its parent's closure and propagates it
 incrementally, a node whose closure hits a cycle is pruned, and a node
 with no open constraint left yields a witness read off a topological
@@ -200,7 +200,7 @@ def solve_linear(F: Profile) -> SolveOutcome:
         raise NotDirected("the linear solver needs a directed profile")
     if not is_linear(F):
         raise NotLinear("profile intervals do not form an inclusion chain")
-    root, silent, _ = root_closure(F, search=True)
+    root, silent, _ = root_closure(F)
     nb_size = {top: len(nb_set(F, top)) for top in {r.top for r in silent}}
     order = sorted(silent, key=lambda r: (-nb_size[r.top], r.top, r.basis))
     choices = [c._replace(sides=c.sides[1:]) for c in map(_nb_choice, order)]
@@ -211,7 +211,7 @@ def solve_linear(F: Profile) -> SolveOutcome:
 def _solve_search(F: Profile, context: str) -> SolveOutcome:
     """The FPT search of either directedness: silent B pairs first (a
     directed root has none), then silent NB records."""
-    root, silent_nb, silent_b = root_closure(F, search=True)
+    root, silent_nb, silent_b = root_closure(F)
     choices = [_b_choice(bp) for bp in silent_b] + [_nb_choice(r) for r in silent_nb]
     w, nodes = _search(root, choices, F, context)
     return SolveOutcome(witness=w, silent_nb=silent_nb,

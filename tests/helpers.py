@@ -1,8 +1,9 @@
 """Shared fixtures-in-code for the test suite: golden inputs, generators,
-and the engine-free references: the slow randomized-order closure used as
-the confluence reference, the settledness and cycle checks, and the
-rescanning topological order.  The references work on plain sets of
-(x, y) arcs or masks and never import the closure engine."""
+and the engine-free references: a profile's stated arcs, NB records and B
+pairs, the slow randomized-order closure used as the confluence
+reference, the settledness and cycle checks, and the rescanning
+topological order.  The references work on plain sets of (x, y) arcs or
+masks and never call the closure engine."""
 
 from __future__ import annotations
 
@@ -18,12 +19,13 @@ from typing import Sequence
 
 import minmaxperm
 from minmaxperm import (
+    BArcPair,
     CyclicGraph,
     Permutation,
     Profile,
     validate_permutation,
 )
-from minmaxperm.profiles import Direction, KConstraint
+from minmaxperm.profiles import Direction, KConstraint, NBRecord
 
 L = Direction.LEFT_TO_RIGHT
 R = Direction.RIGHT_TO_LEFT
@@ -215,6 +217,52 @@ def seed_arcs(c: KConstraint) -> tuple[tuple[int, int], ...]:
     (a B-arc is a self-loop when m or M is an endpoint of the pair)."""
     tl, tr = (c.t, c.t + 1) if c.dir is L else (c.t + 1, c.t)
     return (tl, tr), (tl, c.m), (c.m, tr), (tl, c.M), (c.M, tr)
+
+
+def endpoint_arcs(n: int) -> list[tuple[int, int]]:
+    """What the pinned endpoints give: 0 before everything, everything
+    before n+1."""
+    return [(0, x) for x in range(1, n + 2)] + [(x, n + 1) for x in range(0, n + 1)]
+
+
+def stated_arcs(F: Profile) -> set[tuple[int, int]]:
+    """The arcs a gap-1 profile states, without self-loops: the `seed_arcs`
+    of every entry of a directed profile, the endpoint arcs of an
+    undirected one."""
+    if not F.directed:
+        return set(endpoint_arcs(F.n))
+    return {(x, y) for c in F.entries() for x, y in seed_arcs(c) if x != y}
+
+
+def nb_records(F: Profile) -> list[NBRecord]:
+    """All NB-constraints of a gap-1 profile, sorted by (basis, top): entry
+    t contributes one record per value outside [m_t, M_t], tops 0..m_t-1
+    and M_t+1..n+1."""
+    out = []
+    for c in F.entries():
+        basis = (c.t, c.t + 1)
+        out += [NBRecord(basis=basis, top=top) for top in range(0, c.m)]
+        out += [NBRecord(basis=basis, top=top) for top in range(c.M + 1, F.n + 2)]
+    return sorted(out)
+
+
+def b_arc_pairs(F: Profile) -> list[BArcPair]:
+    """Arcs+/Arcs- of every entry of a gap-1 profile, ascending t: plus puts
+    t left of t+1 with m and M in between, minus is its reverse, arc by
+    arc; self-loops and repeats are dropped."""
+    out = []
+    for c in F.entries():
+        t, u = c.t, c.t + 1
+        plus = [(t, u), (t, c.m), (t, c.M), (c.m, u), (c.M, u)]
+        minus = [(y, x) for x, y in plus]
+        out.append(BArcPair(t, *(tuple(dict.fromkeys((x, y) for x, y in side if x != y))
+                                 for side in (plus, minus))))
+    return out
+
+
+def mask_arcs(masks) -> set[tuple[int, int]]:
+    """The (x, y) pairs with bit y set in masks[x]."""
+    return {(x, y) for x, row in enumerate(masks) for y in range(row.bit_length()) if row >> y & 1}
 
 
 def arc_set(arcs) -> set[tuple[int, int]]:

@@ -23,8 +23,6 @@ from minmaxperm import (
     fixed_positions_check,
     is_linear,
     min_unique_k,
-    nb_masks,
-    nb_records,
     parse_profile,
     root_closure,
     solve_fpt_directed,
@@ -34,10 +32,8 @@ from minmaxperm import (
     verify,
 )
 from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays, pair_count
-from minmaxperm.graph import ArcKind, Closure, easy_arc_seeds
+from minmaxperm.graph import ArcKind, Closure, _full_closure
 from minmaxperm.profiles import NBRecord, profile_pairs
-
-from minmaxperm import b_arc_pairs
 
 from helpers import (
     GOLDEN_ENTRIES,
@@ -45,17 +41,21 @@ from helpers import (
     SETTING_PERM,
     all_perms,
     arc_set,
+    b_arc_pairs,
     circuit_profile,
     golden_profile,
     golden_witness_family,
     has_cycle,
     is_settled,
+    mask_arcs,
     masks_of,
     mutate_directed,
+    nb_records,
     random_perm,
     random_valid_directed,
     reference_close,
     seed_arcs,
+    stated_arcs,
 )
 
 
@@ -109,11 +109,11 @@ def test_criterion_02_silent_set_goldens():
     def induced(arcs):
         return {(x, y) for x, y in arcs if x in sub and y in sub}
 
-    second = res2.silent_nb == () and induced(arc_set(res2.closure.arcs())) == expected_arcs
+    second = res2.silent_nb == () and induced(mask_arcs(res2.closure.succ)) == expected_arcs
 
     # the same values without graph.Closure: the seed arc, the one-rule-at-
     # a-time reference closure, and the permutation's own positions
-    seeds, records = arc_set(easy_arc_seeds(F2)), nb_records(F2)
+    seeds, records = stated_arcs(F2), nb_records(F2)
     ref = reference_close(F2.n, seeds, records, [], random.Random(2))
     pos = P.positions()
     independent = ((3, 11) in seeds
@@ -125,7 +125,7 @@ def test_criterion_02_silent_set_goldens():
             f"first golden silent set {'ok' if first else 'differs'}; "
             f"second golden {'ok' if second else 'differs'} "
             f"(computed silent={sorted((r.top, r.basis) for r in res2.silent_nb)}, "
-            f"{len(induced(arc_set(res2.closure.arcs())))} induced arcs); "
+            f"{len(induced(mask_arcs(res2.closure.succ)))} induced arcs); "
             f"reference closure {'agrees' if independent else 'differs'}")
     assert first and second and independent
 
@@ -177,7 +177,7 @@ def test_criterion_03_circuit_golden():
     # reference closure.
     derived = _check_derivation(F, CIRCUIT_CONTRADICTION)
     proven = {(21, 27), (27, 21)} <= derived
-    ref_cyclic = has_cycle(reference_close(F.n, arc_set(easy_arc_seeds(F)), nb_records(F),
+    ref_cyclic = has_cycle(reference_close(F.n, stated_arcs(F), nb_records(F),
                                            [], random.Random(3)))
     verdict_no = (root_closure(F).closure.cyclic
                   and solve_fpt_directed(F).is_no)
@@ -326,28 +326,24 @@ def test_criterion_09_fixed_positions():
 
 
 def _confluence_cases():
-    F1 = golden_profile()
-    yield F1, easy_arc_seeds(F1), []
-    F2 = compute_profile(validate_permutation(SETTING_PERM), 1, True)
-    yield F2, easy_arc_seeds(F2), []
+    yield golden_profile()
+    yield compute_profile(validate_permutation(SETTING_PERM), 1, True)
     rng = random.Random(55)
     for _ in range(2):
-        F = mutate_directed(rng, compute_profile(random_perm(rng, 6), 1, True))
-        yield F, easy_arc_seeds(F), []
-    Fu = golden_profile(directed=False)
-    from minmaxperm import endpoint_arcs
-    yield Fu, endpoint_arcs(9), b_arc_pairs(Fu)
+        yield mutate_directed(rng, compute_profile(random_perm(rng, 6), 1, True))
+    yield golden_profile(directed=False)
 
 
 def test_criterion_10_property_suites():
     t0 = time.perf_counter()
 
     # closure confluence: 50 randomized rule orders per instance
-    for F, seeds, pairs in _confluence_cases():
-        fast = arc_set(Closure(F.n, seeds, nb_masks(F), pairs).arcs())
-        records = nb_records(F)
+    for F in _confluence_cases():
+        fast = arc_set(_full_closure(F).arcs())
+        seeds, records = stated_arcs(F), nb_records(F)
+        pairs = [] if F.directed else b_arc_pairs(F)
         for trial in range(50):
-            ref = reference_close(F.n, arc_set(seeds), records, pairs, random.Random(trial))
+            ref = reference_close(F.n, seeds, records, pairs, random.Random(trial))
             assert ref == fast
 
     # closure soundness against witness positions, all n <= 7
@@ -355,7 +351,7 @@ def test_criterion_10_property_suites():
         for P in all_perms(n):
             res = root_closure(compute_profile(P, 1, True))
             pos = P.positions()
-            assert all(pos[x] < pos[y] for x, y, _ in res.closure.arcs())
+            assert all(pos[x] < pos[y] for x, y in mask_arcs(res.closure.succ))
 
     # complement duality of directed k-profiles, all n <= 7, all k
     for n in range(1, 8):

@@ -3,18 +3,28 @@ import json
 import pytest
 
 from minmaxperm import (
-    b_arc_pairs,
+    compute_profile,
     emit_profile,
-    endpoint_arcs,
     nb_masks,
-    to_dot,
     validate_permutation,
     verify,
 )
 from minmaxperm.cli import main
-from minmaxperm.graph import Closure, easy_arc_seeds
+from minmaxperm.graph import ArcKind, Closure
 
-from helpers import GOLDEN_PERM, golden_profile, identity_perm, run_fresh, unsat2_profile
+from helpers import (
+    GOLDEN_PERM,
+    L,
+    U,
+    b_arc_pairs,
+    endpoint_arcs,
+    golden_profile,
+    identity_perm,
+    make_profile,
+    run_fresh,
+    seed_arcs,
+    unsat2_profile,
+)
 
 
 # `solve --dump-graph` of the running example (golden_profile()).
@@ -275,16 +285,35 @@ class TestSolveCommand:
         (unsat2_profile(), 1),  # its closed graph has a cycle
     ], ids=["directed", "undirected", "unsat2"])
     def test_dump_graph_is_full_closure(self, F, code, tmp_path, capsys):
-        # the dump is the full T/NB(/B) fixpoint of the profile's seeds
+        # the dump is the full T/NB(/B) fixpoint of the profile's seeds,
+        # each entry's R-arc and B-arcs or the endpoint arcs, in that order
         prof, dot = tmp_path / "f.prof", tmp_path / "g.dot"
         prof.write_text(emit_profile(F))
         assert main(["solve", str(prof), "--dump-graph", str(dot)]) == code
         capsys.readouterr()
         if F.directed:
-            closed = Closure(F.n, easy_arc_seeds(F), nb_masks(F))
+            seeds = [(x, y, ArcKind.B if i else ArcKind.R)
+                     for c in F.entries() for i, (x, y) in enumerate(seed_arcs(c))]
+            closed = Closure(F.n, seeds, nb_masks(F))
         else:
-            closed = Closure(F.n, endpoint_arcs(F.n), nb_masks(F), b_arc_pairs(F))
-        assert dot.read_bytes() == to_dot(closed).encode()
+            seeds = [(x, y, ArcKind.R) for x, y in endpoint_arcs(F.n)]
+            closed = Closure(F.n, seeds, nb_masks(F), b_arc_pairs(F))
+        expected = ["digraph precedence {", *(f"  {v};" for v in range(F.n + 2)),
+                    *(f'  {x} -> {y} [label="{kind.value}"];' for x, y, kind in closed.arcs()),
+                    "}"]
+        assert dot.read_text() == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("F", [
+        compute_profile(identity_perm(4), 2, True),
+        make_profile([(0, L, 0, 2), (1, U, 1, 2), (2, L, 2, 3)], n=2),
+    ], ids=["k2", "unknown-direction"])
+    def test_dump_graph_gate_error(self, F, tmp_path, capsys):
+        # the dump runs the solvers' gate: an input error, and no file
+        prof, dot = tmp_path / "f.prof", tmp_path / "g.dot"
+        prof.write_text(emit_profile(F))
+        assert main(["solve", str(prof), "--dump-graph", str(dot)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not dot.exists()
 
     def test_dump_graph_golden_bytes(self, golden_profile_file, tmp_path, capsys):
         # the running example's dump, byte for byte: 49 arcs, 18 B, 15 NB,

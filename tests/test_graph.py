@@ -1,18 +1,16 @@
 import random
+import re
 
 import pytest
 
 from minmaxperm import (
-    ArcKind,
     CyclicGraph,
     KMismatch,
+    NotDirected,
     PreconditionViolation,
     ProfileValidationError,
-    b_arc_pairs,
     compute_profile,
-    endpoint_arcs,
     nb_masks,
-    nb_records,
     root_closure,
     solve_fpt_directed,
     solve_undirected,
@@ -21,8 +19,10 @@ from minmaxperm import (
 )
 from minmaxperm import solvers
 from minmaxperm.graph import (
+    ArcKind,
     Closure,
-    easy_arc_seeds,
+    _b_pair,
+    _full_closure,
     require_solver_profile,
     topo_order,
 )
@@ -30,23 +30,30 @@ from minmaxperm.profiles import NBRecord
 
 from helpers import (
     SETTING_PERM,
+    L,
+    R,
     U,
     all_perms,
     all_valid_directed,
     all_valid_undirected,
     arc_set,
+    b_arc_pairs,
     deadline,
+    endpoint_arcs,
     golden_profile,
     has_cycle,
     identity_perm,
     is_settled,
     make_profile,
+    mask_arcs,
     masks_of,
     mutate_directed,
     mutate_undirected,
+    nb_records,
     random_perm,
     reference_close,
     reference_topo_order,
+    stated_arcs,
     unsat2_profile,
 )
 
@@ -59,11 +66,6 @@ def chain(pairs, kind=ArcKind.R):
 def closed_arcs(c):
     """The (x, y) arcs of a full-fixpoint closure."""
     return arc_set(c.arcs())
-
-
-def mask_arcs(masks):
-    """The (x, y) pairs with bit y set in masks[x]."""
-    return {(x, y) for x, row in enumerate(masks) for y in range(row.bit_length()) if row >> y & 1}
 
 
 class TestClosureSeeds:
@@ -82,9 +84,26 @@ class TestClosureSeeds:
         assert h.kinds is None and c.kinds == {(0, 1): ArcKind.R}
 
     def test_dot_dump(self):
-        dot = to_dot(Closure(1, chain([(0, 1), (1, 2)])))
+        dot = to_dot(compute_profile(identity_perm(1), 1, True))
         assert dot.startswith("digraph")
         assert '0 -> 1 [label="R"]' in dot
+
+    @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+    def test_dot_arcs_are_the_reference_closure(self, directed):
+        # every valid profile with n <= 3 (directed) or n <= 4 (undirected),
+        # cyclic ones included: the arcs the dump prints are the stated
+        # arcs closed by the one-rule-at-a-time reference
+        rng = random.Random(21)
+        sweep = ([F for n in range(1, 4) for F in all_valid_directed(n)] if directed
+                 else [F for n in range(1, 5) for F in all_valid_undirected(n)])
+        cyclic = 0
+        for F in sweep:
+            pairs = [] if directed else b_arc_pairs(F)
+            ref = reference_close(F.n, stated_arcs(F), nb_records(F), pairs, rng)
+            printed = {(int(x), int(y)) for x, y in re.findall(r"(\d+) -> (\d+)", to_dot(F))}
+            assert printed == ref, F
+            cyclic += has_cycle(ref)
+        assert 0 < cyclic < len(sweep)
 
 
 class TestBuildClosure:
@@ -121,29 +140,32 @@ class TestBuildClosure:
     def test_confluence_small(self):
         F = golden_profile()
         recs = nb_records(F)
-        seed = easy_arc_seeds(F)
-        fast = closed_arcs(Closure(F.n, seed, nb_masks(F)))
+        fast = closed_arcs(_full_closure(F))
         for trial in range(8):
-            assert reference_close(F.n, arc_set(seed), recs, [], random.Random(trial)) == fast
+            assert reference_close(F.n, stated_arcs(F), recs, [], random.Random(trial)) == fast
 
     def test_b_rule_cascade(self):
         # one arc of an orientation drags in the full arc set
-        F = golden_profile(directed=False)
-        pairs = b_arc_pairs(F)
-        closed = closed_arcs(Closure(9, endpoint_arcs(9), nb_masks(F), pairs))
+        closed = closed_arcs(_full_closure(golden_profile(directed=False)))
         # entry 0's plus side is triggered by the seed (0,1): M_0=9 lands between
         assert (9, 1) in closed
         # cascade resolves entry 1 to minus: 2 precedes 1
         assert (2, 1) in closed
 
 
+def library_pairs(F):
+    """The B pairs the engine builds for each entry of F."""
+    return [_b_pair(c.t, c.m, c.M) for c in F.entries()]
+
+
 class TestBArcPairs:
     def test_vacuous_facts_add_no_arc(self):
         # identity n=3: every entry is [t, t+1], so both facts are vacuous
-        for bp in b_arc_pairs(compute_profile(identity_perm(3), 1, True)):
+        for bp in library_pairs(compute_profile(identity_perm(3), 1, True)):
             assert bp.plus == ((bp.t, bp.t + 1),)
             assert bp.minus == ((bp.t + 1, bp.t),)
-        pairs = b_arc_pairs(golden_profile())
+        pairs = library_pairs(golden_profile())
+        assert pairs == b_arc_pairs(golden_profile())
         # entry 6 is 6 <->[4,7] 7: M coincides with the basis element 7
         assert pairs[6].plus == ((6, 7), (6, 4), (4, 7))
         assert pairs[6].minus == ((7, 6), (4, 6), (7, 4))
@@ -152,10 +174,6 @@ class TestBArcPairs:
         assert pairs[0].minus == ((1, 0), (9, 0), (1, 9))
         for bp in pairs:
             assert all(x != y for side in (bp.plus, bp.minus) for x, y in side)
-
-    def test_k_mismatch(self):
-        with pytest.raises(KMismatch):
-            b_arc_pairs(compute_profile(identity_perm(3), 2, True))
 
 
 class TestIsSettled:
@@ -167,7 +185,7 @@ class TestIsSettled:
 
     def test_golden_record_stays_open(self):
         res = root_closure(golden_profile())
-        assert not is_settled(closed_arcs(res.closure), NBRecord(basis=(6, 7), top=2))
+        assert not is_settled(mask_arcs(res.closure.succ), NBRecord(basis=(6, 7), top=2))
 
 
 def order(n, seeds):
@@ -190,11 +208,11 @@ class TestCycleAndTopo:
     def test_identity_total_order(self):
         res = root_closure(compute_profile(identity_perm(4), 1, True))
         expected = {(x, y) for x in range(6) for y in range(6) if x < y}
-        assert closed_arcs(res.closure) == expected
+        assert mask_arcs(res.closure.succ) == expected
         assert topo_order(res.closure).elems == (0, 1, 2, 3, 4, 5)
 
     def test_smallest_tie_break(self):
-        seeds = endpoint_arcs(3)
+        seeds = chain(endpoint_arcs(3))
         assert order(3, seeds).elems == (0, 1, 2, 3, 4)
         seeds.append((2, 1, ArcKind.R))
         assert order(3, seeds).elems == (0, 2, 1, 3, 4)
@@ -208,7 +226,7 @@ class TestCycleAndTopo:
         cyclic_cases = 0
         for _ in range(300):
             n = rng.randint(1, 7)
-            seeds = endpoint_arcs(n)
+            seeds = chain(endpoint_arcs(n))
             for _ in range(rng.randint(0, 2 * n)):
                 seeds.append((rng.randint(1, n), rng.randint(1, n), ArcKind.R))
             arcs = arc_set(seeds)
@@ -251,7 +269,7 @@ class TestTopoOrderReference:
         monkeypatch.setattr(solvers, "topo_order", record)
         for F in profiles:
             solve(F)
-        roots = [root_closure(F, search=True).closure for F in profiles]
+        roots = [root_closure(F).closure for F in profiles]
         closures = leaves + [c for c in roots if not c.cyclic]
         assert len(leaves) >= 20 and len(closures) >= 40
         for c in closures:
@@ -264,7 +282,7 @@ class TestTopoOrderReference:
         counts = [0, 0]
         for n in range(1, 5):
             for F in all_valid_directed(n):
-                c = root_closure(F).closure
+                c = _full_closure(F)
                 counts[c.cyclic] += 1
                 if c.cyclic:
                     with deadline(5), pytest.raises(CyclicGraph):
@@ -280,7 +298,7 @@ class TestTopoOrderReference:
         for _ in range(200):
             n = rng.randint(1, 60)
             hidden = random_perm(rng, n).elems
-            seeds = endpoint_arcs(n)
+            seeds = chain(endpoint_arcs(n))
             for _ in range(rng.randint(0, 3 * n)):
                 a, b = sorted(rng.sample(range(n + 2), 2))
                 seeds.append((hidden[a], hidden[b], ArcKind.R))
@@ -307,21 +325,17 @@ class TestRootClosure:
     def test_unsat_profile_reports_no(self):
         res = root_closure(unsat2_profile())
         assert res.closure.cyclic
-        assert has_cycle(closed_arcs(res.closure))
+        assert has_cycle(closed_arcs(_full_closure(unsat2_profile())))
 
-    def test_cyclic_graph_still_reports_silent(self):
-        # the full fixpoint reports the records it leaves unjoined even when
-        # it has a cycle
-        from helpers import L, R
+    def test_cyclic_graph_reports_nothing_silent(self):
+        # a cyclic root is the verdict NO, with nothing left to search
         entries = [(0, L, 0, 9), (1, L, 1, 9), (2, L, 1, 9), (3, R, 3, 5), (4, L, 4, 5),
                    (5, R, 1, 9), (6, R, 6, 7), (7, L, 1, 9), (8, R, 1, 9), (9, L, 1, 10)]
         F = make_profile(entries)
         res = root_closure(F)
-        g = closed_arcs(res.closure)
-        assert res.closure.cyclic and has_cycle(g)
-        open_ = tuple(r for r in nb_records(F)
-                      if (r.top, r.basis[0]) not in g and (r.basis[0], r.top) not in g)
-        assert len(open_) == 2 and res.silent_nb == open_
+        full = _full_closure(F)
+        assert res.closure.cyclic and full.cyclic and has_cycle(closed_arcs(full))
+        assert res.silent_nb == res.silent_b == ()
 
     def test_setting_example_fully_settles(self):
         # The betweenness facts of the last two entries (both have m=3) chain
@@ -329,17 +343,21 @@ class TestRootClosure:
         # so nothing stays silent for this permutation.  Acceptance criterion
         # 02 checks the same against the reference closure.
         P = validate_permutation(SETTING_PERM)
-        res = root_closure(compute_profile(P, 1, True))
+        F = compute_profile(P, 1, True)
+        res = root_closure(F)
         assert not res.closure.cyclic
         assert res.silent_nb == ()
-        g = closed_arcs(res.closure)
-        assert (3, 11) in g and res.closure.kinds[(3, 11)] is ArcKind.B
+        full = _full_closure(F)
+        g = closed_arcs(full)
+        assert g == mask_arcs(res.closure.succ)
+        assert (3, 11) in g and full.kinds[(3, 11)] is ArcKind.B
         assert (3, 5) in g   # settles top 3 over basis (5,6)
         assert (9, 11) in g  # settles top 11 over basis (8,9)
 
     def test_undirected_full_fixpoint_matches_reference(self):
         # the endpoint arcs closed under T/NB/B by the one-rule-at-a-time
-        # reference give the cycle flag and both silent sets, cyclic or not
+        # reference give the full fixpoint's arcs and the cycle flag, cyclic
+        # or not, and an acyclic root's masks and both silent sets
         rng = random.Random(2014)
         profiles = [golden_profile(directed=False)]
         for _ in range(30):
@@ -348,11 +366,14 @@ class TestRootClosure:
         cyclic_cases = 0
         for F in profiles:
             records, pairs = nb_records(F), b_arc_pairs(F)
-            ref = reference_close(F.n, arc_set(endpoint_arcs(F.n)), records, pairs, rng)
-            res = root_closure(F)
-            assert closed_arcs(res.closure) == ref
-            assert res.closure.cyclic == has_cycle(ref)
-            cyclic_cases += res.closure.cyclic
+            ref = reference_close(F.n, stated_arcs(F), records, pairs, rng)
+            full, res = _full_closure(F), root_closure(F)
+            assert closed_arcs(full) == ref
+            assert full.cyclic == res.closure.cyclic == has_cycle(ref)
+            cyclic_cases += full.cyclic
+            if full.cyclic:
+                continue
+            assert mask_arcs(res.closure.succ) == ref
             joined = ref | {(y, x) for x, y in ref}
             assert res.silent_nb == tuple(r for r in records if (r.top, r.basis[0]) not in joined)
             assert res.silent_b == tuple(bp for bp in pairs if (bp.t, bp.t + 1) not in joined)
@@ -360,8 +381,8 @@ class TestRootClosure:
 
     def test_directed_full_fixpoint_matches_reference(self):
         # the directed counterpart: R/B seeds closed under T/NB by the
-        # reference give the arcs, the cycle flag and the silent NB set; an
-        # acyclic search root leaves the same records silent
+        # reference give the full fixpoint's arcs and the cycle flag, and an
+        # acyclic root's masks and silent NB set
         rng = random.Random(1402)
         profiles = [golden_profile()]
         for _ in range(30):
@@ -370,36 +391,34 @@ class TestRootClosure:
         cyclic_cases = 0
         for F in profiles:
             records = nb_records(F)
-            ref = reference_close(F.n, arc_set(easy_arc_seeds(F)), records, [], rng)
-            res = root_closure(F)
-            assert closed_arcs(res.closure) == ref
-            assert res.closure.cyclic == has_cycle(ref)
-            cyclic_cases += res.closure.cyclic
+            ref = reference_close(F.n, stated_arcs(F), records, [], rng)
+            full, res = _full_closure(F), root_closure(F)
+            assert closed_arcs(full) == ref
+            assert full.cyclic == res.closure.cyclic == has_cycle(ref)
+            cyclic_cases += full.cyclic
+            if full.cyclic:
+                continue
             joined = ref | {(y, x) for x, y in ref}
             assert res.silent_nb == tuple(r for r in records if (r.top, r.basis[0]) not in joined)
             assert res.silent_b == ()
-            search = root_closure(F, search=True)
-            assert search.closure.cyclic == res.closure.cyclic
-            if not res.closure.cyclic:
-                assert search.silent_nb == res.silent_nb
-                assert mask_arcs(search.closure.succ) == ref
-                assert {(x, y) for y, x in mask_arcs(search.closure.pred)} == ref
+            assert mask_arcs(res.closure.succ) == ref
+            assert {(x, y) for y, x in mask_arcs(res.closure.pred)} == ref
         assert 0 < cyclic_cases < len(profiles)
 
     @staticmethod
     def _per_arc_root(F) -> Closure:
-        """The search root of F grown arc by arc from its seeds, watching
-        every B pair of an undirected profile."""
-        if F.directed:
-            return Closure(F.n, easy_arc_seeds(F), nb_masks(F), search=True)
-        return Closure(F.n, endpoint_arcs(F.n), nb_masks(F), b_arc_pairs(F), search=True)
+        """The search root of F grown arc by arc from its stated arcs,
+        watching every B pair of an undirected profile."""
+        pairs = [] if F.directed else b_arc_pairs(F)
+        return Closure(F.n, chain(stated_arcs(F)), nb_masks(F), pairs, search=True)
 
     @classmethod
     def _bulk_matches_per_arc(cls, F) -> bool:
         """The search root, built in bulk rounds, against the per-arc
-        closure of the same seeds and B pairs and against the full
-        fixpoint; returns the cycle flag."""
-        bulk = root_closure(F, search=True)
+        closure of the same seeds and B pairs, and its silent sets against
+        the constraints that closure leaves unjoined; returns the cycle
+        flag."""
+        bulk = root_closure(F)
         per_arc = cls._per_arc_root(F)
         assert bulk.closure.cyclic == per_arc.cyclic
         if per_arc.cyclic:
@@ -409,9 +428,8 @@ class TestRootClosure:
         else:
             assert bulk.closure.succ == per_arc.succ
             assert bulk.closure.pred == per_arc.pred
-            full = root_closure(F)
-            assert bulk.silent_nb == full.silent_nb
-            assert bulk.silent_b == full.silent_b
+            assert bulk.silent_nb == tuple(r for r in nb_records(F)
+                                           if not per_arc.linked(r.top, r.basis[0]))
             pairs = () if F.directed else b_arc_pairs(F)
             assert bulk.silent_b == tuple(bp for bp in pairs
                                           if not per_arc.linked(bp.t, bp.t + 1))
@@ -478,10 +496,9 @@ class TestRootClosure:
         # forces 2 -> 0, a head still on the stack: the cycle 0 -> 2 -> 0.
         # The pass stops there, so, as in the per-arc root, no row reaches
         # its own vertex.
-        from helpers import L, R
         F = make_profile([(0, L, 0, 1), (1, R, 1, 2), (2, L, 1, 3)])
         assert self._bulk_matches_per_arc(F)
-        for root in (root_closure(F, search=True).closure, self._per_arc_root(F)):
+        for root in (root_closure(F).closure, self._per_arc_root(F)):
             assert not any(row >> v & 1 for v, row in enumerate(root.succ))
 
     def test_search_root_watches_silent_pairs_only(self):
@@ -494,7 +511,7 @@ class TestRootClosure:
             F = compute_profile(random_perm(rng, n), 1, False)
             if rng.random() < 0.5:
                 F = mutate_undirected(rng, F)
-            bulk = root_closure(F, search=True)
+            bulk = root_closure(F)
             if bulk.closure.cyclic or not bulk.silent_b:
                 continue
             cases += 1
@@ -515,18 +532,24 @@ class TestRootClosure:
         assert sides_tried > 200
 
     def test_gate_rejections(self):
-        with pytest.raises(KMismatch):
-            root_closure(compute_profile(identity_perm(4), 2, True))
+        # the search root and the dump run the same gate
         bad = make_profile([(0, None, 0, 3), (1, None, 0, 3), (2, None, 1, 3), (3, None, 1, 4)],
                            n=3, directed=False)
         with pytest.raises(ProfileValidationError):
             require_solver_profile(bad)
+        for build in (root_closure, to_dot):
+            with pytest.raises(KMismatch):
+                build(compute_profile(identity_perm(4), 2, True))
+            with pytest.raises(ProfileValidationError):
+                build(bad)
+            with pytest.raises(NotDirected):
+                build(make_profile([(0, L, 0, 2), (1, U, 1, 2), (2, L, 2, 3)], n=2))
 
     def test_gate_boundary_direction(self):
-        from helpers import L, R
         entries = [(0, R, 0, 2), (1, L, 1, 2), (2, L, 2, 3)]
-        with pytest.raises(PreconditionViolation):
-            root_closure(make_profile(entries, n=2))
+        for build in (root_closure, to_dot):
+            with pytest.raises(PreconditionViolation):
+                build(make_profile(entries, n=2))
 
 
 class TestFigureConfiguration:
@@ -573,15 +596,13 @@ class TestClosureInvariants:
             for P in all_perms(n):
                 F = compute_profile(P, 1, True)
                 pos = P.positions()
-                res = root_closure(F)
-                assert all(pos[x] < pos[y] for x, y, _ in res.closure.arcs())
+                assert all(pos[x] < pos[y] for x, y, _ in _full_closure(F).arcs())
 
     def test_endpoint_arcs_never_reversed(self):
         # nothing ever enters 0 or leaves n+1
         for n in range(1, 6):
             for P in all_perms(n):
-                res = root_closure(compute_profile(P, 1, True))
-                for x, y, _ in res.closure.arcs():
+                for x, y, _ in _full_closure(compute_profile(P, 1, True)).arcs():
                     assert y != 0 and x != n + 1
 
     def test_post_closure_dichotomy(self):
@@ -589,8 +610,7 @@ class TestClosureInvariants:
         for n in range(1, 7):
             for P in all_perms(n):
                 F = compute_profile(P, 1, True)
-                res = root_closure(F)
-                g = closed_arcs(res.closure)
+                g = closed_arcs(_full_closure(F))
                 for r in nb_records(F):
                     if is_settled(g, r):
                         continue

@@ -20,18 +20,17 @@ NUMPY_MODULES = ("_kernels", "reconstruction")
 # The names the package exports; the six reconstruction names resolve on
 # first use.
 EXPORTED = [
-    "ArcKind", "BArcPair", "BadEndpoints", "COutOfRange", "CyclicGraph", "Direction",
+    "BArcPair", "BadEndpoints", "COutOfRange", "CyclicGraph", "Direction",
     "InternalInconsistency", "KConstraint", "KMismatch", "MinKResult", "MinMaxError",
     "MismatchedN", "NBRecord", "NotBijection", "NotDirected", "NotLinear", "Permutation",
     "PreconditionViolation", "Profile", "ProfileSyntaxError", "ProfileValidationError",
     "ProfileViolation", "RootClosure", "SolveOutcome", "TooLarge", "UniquenessReport",
-    "b_arc_pairs", "brute_force_solutions", "collision_pair", "compute_profile",
-    "compute_set_profile", "emit_permutation", "emit_profile", "endpoint_arcs", "errors",
-    "fixed_positions_check", "formats", "graph", "is_linear", "is_unique", "min_unique_k",
-    "nb_masks", "nb_records", "nb_set", "parse_permutation", "parse_profile", "profiles",
-    "reconstruction", "root_closure", "solve_fpt_directed", "solve_linear",
-    "solve_undirected", "solvers", "to_dot", "validate_permutation", "validate_profile",
-    "verify", "__version__", "_kernels",
+    "brute_force_solutions", "collision_pair", "compute_profile", "compute_set_profile",
+    "emit_permutation", "emit_profile", "errors", "fixed_positions_check", "formats",
+    "graph", "is_linear", "is_unique", "min_unique_k", "nb_masks", "nb_set",
+    "parse_permutation", "parse_profile", "profiles", "reconstruction", "root_closure",
+    "solve_fpt_directed", "solve_linear", "solve_undirected", "solvers", "to_dot",
+    "validate_permutation", "validate_profile", "verify", "__version__", "_kernels",
 ]
 
 

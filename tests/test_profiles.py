@@ -17,7 +17,6 @@ from minmaxperm import (
     compute_set_profile,
     is_linear,
     nb_masks,
-    nb_records,
     nb_set,
     validate_permutation,
     validate_profile,
@@ -36,6 +35,7 @@ from helpers import (
     masks_of,
     mutate_directed,
     mutate_undirected,
+    nb_records,
     profile_restricted,
     random_perm,
 )
@@ -68,6 +68,15 @@ class TestValidatePermutation:
     def test_too_short(self):
         with pytest.raises(NotBijection):
             validate_permutation([0, 1])
+
+    def test_integers_only(self):
+        # a float is rejected, not truncated into a permutation; numpy
+        # integers are integers
+        for seq in ([0, 1.9, 2], [0, 1.0, 2], [0, "1", 2]):
+            with pytest.raises(NotBijection):
+                validate_permutation(seq)
+        P = validate_permutation(np.array([0, 2, 1, 3], dtype=np.int8))
+        assert P.elems == (0, 2, 1, 3) and all(type(v) is int for v in P.elems)
 
     def test_positions_inverse(self):
         P = validate_permutation(GOLDEN_PERM)

@@ -16,11 +16,9 @@ from minmaxperm import (
     Profile,
     ProfileValidationError,
     TooLarge,
-    b_arc_pairs,
     brute_force_solutions,
     compute_profile,
     compute_set_profile,
-    endpoint_arcs,
     is_linear,
     nb_masks,
     nb_set,
@@ -32,13 +30,15 @@ from minmaxperm import (
     verify,
 )
 from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays, profile_arrays
-from minmaxperm.graph import ArcKind, Closure, topo_order
+from minmaxperm.graph import ArcKind, Closure, _full_closure, topo_order
 from minmaxperm.profiles import KConstraint
 
 from helpers import (
     GOLDEN_PERM,
     all_perms,
     arc_set,
+    b_arc_pairs,
+    endpoint_arcs,
     golden_profile,
     golden_witness_family,
     has_cycle,
@@ -390,10 +390,10 @@ class TestFptMonotonicity:
         for n in range(2, 6):
             for P in all_perms(n):
                 F = compute_profile(P, 1, True)
-                res = root_closure(F)
+                res, full = root_closure(F), _full_closure(F)
                 for W in brute_force_solutions(F):
                     pos = W.positions()
-                    g = res.closure.arcs()
+                    g = full.arcs()
                     for rec in res.silent_nb:
                         top, (t, u) = rec.top, rec.basis
                         if pos[top] < pos[t]:
@@ -408,12 +408,12 @@ class TestFptMonotonicity:
 
 
 def _paper_linear_rounds(F):
-    """Rounds of the paper's linear algorithm, replayed on the public
-    closure: set the silent top with the largest NB set after its smallest
-    silent basis, re-close, repeat until nothing is silent.  Returns the
-    number of rounds and the final closure's topological order."""
-    res = root_closure(F)
-    closure, silent = res.closure, list(res.silent_nb)
+    """Rounds of the paper's linear algorithm, replayed on full-fixpoint
+    closures from the root's silent records: set the silent top with the
+    largest NB set after its smallest silent basis, re-close, repeat until
+    nothing is silent.  Returns the number of rounds and the final
+    closure's topological order."""
+    closure, silent = _full_closure(F), list(root_closure(F).silent_nb)
     rounds = 0
     while silent:
         top = max({r.top for r in silent}, key=lambda c: (len(nb_set(F, c)), -c))
@@ -455,12 +455,13 @@ class TestSearch:
     def test_undirected_n6_search_no(self):
         # one of the four n = 6 undirected profiles whose NO needs search:
         # the root is acyclic, both orientations of its first silent B pair
-        # hit a cycle.  Undirected roots are closed arc by arc, with the B
-        # pairs cascading through `add`.
+        # hit a cycle.  The bulk root has the masks of the endpoint arcs
+        # grown arc by arc, with every B pair cascading through `add`.
         F = make_profile([(0, L, 0, 5), (1, L, 1, 6), (2, L, 1, 6), (3, L, 3, 5),
                           (4, L, 3, 5), (5, L, 1, 6), (6, L, 2, 7)], directed=False)
-        root = root_closure(F, search=True)
-        per_arc = Closure(F.n, endpoint_arcs(F.n), nb_masks(F), b_arc_pairs(F), search=True)
+        root = root_closure(F)
+        seeds = [(x, y, ArcKind.R) for x, y in endpoint_arcs(F.n)]
+        per_arc = Closure(F.n, seeds, nb_masks(F), b_arc_pairs(F), search=True)
         assert not root.closure.cyclic
         assert (root.closure.succ, root.closure.pred) == (per_arc.succ, per_arc.pred)
         out = solve_undirected(F)
