@@ -18,24 +18,24 @@ B pairs.
 
 `root_closure` is the solvers' front end for either directedness: it gates
 a profile, closes it into the search root, and reports the NB-constraints
-and B pairs the root orients neither way as silent.  The silent bases of
-a top are its NB mask less its successor and predecessor masks, and only
-those become `NBRecord`s.  The search copies the root's masks at each
-node before inserting the arcs of one decision.
+and B pairs the root orients neither way as silent, all from one sweep
+over the entries (the gate's check, the NB masks, the seeds); only the
+silent ones become `NBRecord`s.  The search copies the root's masks at
+each node before inserting the arcs of one decision.
 
 Insertion suits a search node, which adds two arcs to a closed parent.
 The search root instead closes a whole profile at once (the 5n+5 R/B arcs
 of a directed one, or the 2n+2 endpoint arcs and n+1 betweenness pairs
 of an undirected one), and per-arc insertion there pays a row or column
 update for every pair it derives, so the root is built in bulk passes
-(`_closed_in_rounds`: one depth-first walk that closes each row and
-fires the NB row rule on it as it finishes, then the NB column rule and
-the B rule on every open pair at once, until a pass forces nothing).  A
-directed root settles in a few passes; an undirected one cascades inward
-from the pinned ends, and its passes grow with n (medians over 20 random
-permutation profiles each: directed 2 at n = 32 and 3 at n = 150,
-undirected 7 and 14).  Only the B pairs the root leaves silent get watch
-tables.
+(`root_closure`: one depth-first walk that closes each row and
+fires the NB row rule on it as it finishes, then the NB column rule on
+the pairs with a changed row and the B rule on every open pair, until a
+pass forces nothing).  A directed root settles in a few passes; an
+undirected one cascades inward from the pinned ends, and its passes grow
+with n (medians over 20 random permutation profiles each: directed 2 at
+n = 32 and 3 at n = 150, undirected 7 and 14).  Only the B pairs the
+root leaves silent get watch tables.
 
 `to_dot` renders the full fixpoint instead (`_full_closure`), which runs
 on through cycles and labels every pair with the rule that first derived
@@ -58,6 +58,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     CyclicGraph,
+    InternalInconsistency,
     KMismatch,
     NotDirected,
     PreconditionViolation,
@@ -68,6 +69,7 @@ from .profiles import (
     NBRecord,
     Permutation,
     Profile,
+    fold_nb_buckets,
     nb_masks,
     validate_permutation,
     validate_profile,
@@ -145,7 +147,7 @@ class Closure:
     first cycle and keeps no kinds; copies never carry kinds either, so a
     search node copies two lists of masks.
 
-    The search root is not grown here: `_closed_in_rounds` closes it in
+    The search root is not grown here: `root_closure` closes it in
     bulk passes, straight from the profile's entries, and hands back a
     search `Closure` with the same masks and watch tables for its silent
     B pairs only.  Its copies, the search nodes, grow by `add` like any
@@ -275,25 +277,39 @@ def _side_rows(a: int, b: int, m: int, M: int) -> tuple[tuple[int, int], ...]:
             *((v, 1 << b) for v in (m, M) if v != a and v != b))
 
 
-def _closed_in_rounds(F: Profile, nb: Sequence[int]) -> tuple[Closure, list[BArcPair]]:
-    """The search closure of a profile under T, NB and, for an undirected
-    profile, B (nb = `nb_masks(F)`), built in bulk passes instead of arc
-    by arc, and the B pairs it leaves silent.
+class RootClosure(NamedTuple):
+    """A profile's search root and the constraints it leaves silent: the
+    NB records and B pairs (undirected profiles only) whose two ends no arc
+    joins.  `closure.cyclic` is the verdict NO, with nothing silent."""
 
-    The seeds come straight from the entries, as masks: a directed entry
-    puts tl -> {tr, m, M} and {m, M} -> tr, an undirected profile only
-    its pinned endpoints.  A pass is one depth-first walk that closes each
-    row as it finishes, since no ancestor of a row finishes before it: the
-    row ORs in the rows of its successors, all finished, and then fires
-    the NB row rule (row p gains t+1 when it holds t and bit t of nb[p] is
-    set, or the reverse).  A forced head that has finished is ORed in and
-    the row closed again; one not yet visited makes the walk descend into
-    it before the row finishes; one still on the stack closes a cycle.
-    After the pass, the column rule fires on every pair at once: with
-    tops[t] the values outside [m_t, M_t], which may not lie between t and
-    t+1, succ[t+1] gains succ[t] & tops[t] and succ[t] gains succ[t+1] &
-    tops[t].  Then the B rule fires on the pairs still open: a side with
-    any of its arcs present gains all of them, and its pair is decided and
+    closure: Closure
+    silent_nb: tuple[NBRecord, ...]
+    silent_b: tuple[BArcPair, ...]
+
+
+def root_closure(F: Profile) -> RootClosure:
+    """Gate a gap-1 profile of either directedness and close it into the
+    search root, the solvers' starting node: its closure under T, NB and,
+    for an undirected profile, B, built in bulk passes instead of arc by
+    arc, and the NB records and B pairs it leaves silent.
+
+    One sweep over the entries checks each against the gate's condition,
+    (t > 0) <= m <= t < M <= n + (t == n), no `?` and the boundary entries
+    left to right if directed (on a failure, the gate raises its error),
+    buckets it for the NB masks, sets tops[t] to the values outside
+    [m, M], and seeds the masks: tl -> {tr, m, M} and {m, M} -> tr for a
+    directed entry, a pair to decide for an undirected one, whose only
+    seeds are the pinned endpoints.  A pass is one depth-first walk that
+    closes each row as it finishes, since no ancestor of a row finishes
+    before it: the row ORs in the rows of its successors, all finished,
+    then fires the NB row rule (row p gains t+1 when it holds t and bit t
+    of nb[p] is set, or the reverse).  A forced head that has finished is
+    ORed in and the row closed again; one not yet visited makes the walk
+    descend into it first; one still on the stack closes a cycle.  The
+    column rule then gives succ[t+1] the bits of succ[t] & tops[t] and
+    succ[t] those of succ[t+1] & tops[t], tested only where row t or t+1
+    changed (in the walk or a sweep) since the last test.  Then a B pair
+    still open with any arc of a side present gains that whole side and
     leaves the open list.  Passes repeat until these sweeps force nothing;
     the predecessor masks, which until then hold only the tails of the
     arcs put in, are closed once, along the last pass's order.
@@ -302,35 +318,53 @@ def _closed_in_rounds(F: Profile, nb: Sequence[int]) -> tuple[Closure, list[BArc
     silent ones, and only they get watch tables: a decided pair's side is
     present at every node below the root, and an arc of its other side is
     the reverse of one of those, a cycle that insertion catches anyway.
-    A cycle met in some pass sets `cyclic` and ends the closure, with the
-    masks partly closed, as a per-arc search closure leaves them at its
-    first cycle, and no pair reported.
+    The silent bases of a top are its NB mask less its successor and
+    predecessor masks.  A cycle met in some pass sets `cyclic` and ends the
+    closure, with the masks partly closed, as a per-arc search closure
+    leaves them at its first cycle, and nothing silent.
     """
-    V = F.n + 2
+    n, directed, cons = F.n, F.directed, F.constraints
+    V = n + 2
     full = (1 << V) - 1
-    entries = F.entries()
-    tops = [full ^ ((2 << c.M) - (1 << c.m)) for c in entries]
-    if F.directed:
+    ltr = Direction.LEFT_TO_RIGHT
+    bad_dir = Direction.UNKNOWN if directed else None  # undirected: all `?`
+    ok = F.k == 1 and (not directed or cons[(0, 1)].dir is cons[(n, 1)].dir is ltr)
+    tops = [0] * (V - 1)
+    by_m, by_after_M = [0] * (V + 1), [0] * (V + 1)
+    if directed:
         succ, pred = [0] * V, [0] * V
-        ltr = Direction.LEFT_TO_RIGHT
-        for c in entries:
-            t, m, M = c.t, c.m, c.M
-            tl, tr = (t, t + 1) if c.dir is ltr else (t + 1, t)
-            lb, rb = 1 << tl, 1 << tr
-            succ[tl] |= 1 << m | 1 << M | rb
-            pred[tr] |= 1 << m | 1 << M | lb
-            succ[m] |= rb
-            succ[M] |= rb
-            pred[m] |= lb
-            pred[M] |= lb
-        succ = [row & ~(1 << v) for v, row in enumerate(succ)]
-        pred = [col & ~(1 << v) for v, col in enumerate(pred)]
-        pending = []
     else:
         succ = [full ^ 1] + [1 << V - 1] * (V - 2) + [0]
         pred = [0] + [1] * (V - 2) + [full ^ 1 << V - 1]
-        pending = [(c, _side_rows(c.t, c.t + 1, c.m, c.M), _side_rows(c.t + 1, c.t, c.m, c.M))
-                   for c in entries]
+    pending = []
+    for t in range(V - 1) if ok else ():
+        c = cons[(t, 1)]
+        m, M = c.m, c.M
+        if c.dir is bad_dir or not (t > 0) <= m <= t < M <= n + (t == n):
+            ok = False
+            break
+        by_m[m] |= 1 << t
+        by_after_M[M + 1] |= 1 << t
+        tops[t] = full ^ ((2 << M) - (1 << m))
+        if not directed:
+            pending.append((c, _side_rows(t, t + 1, m, M), _side_rows(t + 1, t, m, M)))
+            continue
+        tl, tr = (t, t + 1) if c.dir is ltr else (t + 1, t)
+        lb, rb = 1 << tl, 1 << tr
+        succ[tl] |= 1 << m | 1 << M | rb
+        pred[tr] |= 1 << m | 1 << M | lb
+        succ[m] |= rb
+        succ[M] |= rb
+        pred[m] |= lb
+        pred[M] |= lb
+    if not ok:
+        require_solver_profile(F)
+        raise InternalInconsistency("the root's entry check passed a profile the gate rejects")
+    nb = fold_nb_buckets(by_m, by_after_M)
+    if directed:
+        succ = [row & ~(1 << v) for v, row in enumerate(succ)]
+        pred = [col & ~(1 << v) for v, col in enumerate(pred)]
+    changed = full
     while True:
         seen = done = 0
         order = []
@@ -349,9 +383,9 @@ def _closed_in_rounds(F: Profile, nb: Sequence[int]) -> tuple[Closure, list[BArc
                     stack.append(low.bit_length() - 1)
                     continue
                 if row & ~done:  # a successor still on the stack
-                    root = Closure(F.n, nb=nb, search=True)
+                    root = Closure(n, nb=nb, search=True)
                     root.succ, root.pred, root.cyclic = succ, pred, True
-                    return root, []
+                    return RootClosure(root, (), ())
                 # every successor has finished: OR in their rows, then the
                 # rows of the NB-forced heads, until the row forces nothing;
                 # a forced head not yet finished sends v back to the walk
@@ -369,6 +403,7 @@ def _closed_in_rounds(F: Profile, nb: Sequence[int]) -> tuple[Closure, list[BArc
                             pred[q] |= 1 << v
                         if todo & ~done:
                             break
+                changed |= (row != succ[v]) << v
                 succ[v] = row
                 if todo:
                     continue
@@ -376,13 +411,17 @@ def _closed_in_rounds(F: Profile, nb: Sequence[int]) -> tuple[Closure, list[BArc
                 order.append(v)
                 stack.pop()
         forced = False
+        dirty, changed = changed, 0  # from here on, rows forced by the sweeps
         for t, top in enumerate(tops):
+            if not (dirty | changed) >> t & 3:
+                continue
             for a, b in ((t, t + 1), (t + 1, t)):
                 new = succ[a] & top & ~succ[b]
                 if new:
                     succ[b] |= new
                     for q in _bits(new):
                         pred[q] |= 1 << b
+                    changed |= 1 << b
                     forced = True
         still_open = []
         for pair in pending:
@@ -400,6 +439,7 @@ def _closed_in_rounds(F: Profile, nb: Sequence[int]) -> tuple[Closure, list[BArc
                         succ[x] |= new
                         for q in _bits(new):
                             pred[q] |= 1 << x
+                        changed |= 1 << x
                         forced = True
             if not decided:
                 still_open.append(pair)
@@ -407,10 +447,13 @@ def _closed_in_rounds(F: Profile, nb: Sequence[int]) -> tuple[Closure, list[BArc
         if not forced:
             break
     _close_along(pred, reversed(order))
-    silent = [_b_pair(c.t, c.m, c.M) for c, _, _ in pending]
-    root = Closure(F.n, nb=nb, b_pairs=silent, search=True)
+    silent_b = tuple(_b_pair(c.t, c.m, c.M) for c, _, _ in pending)
+    root = Closure(n, nb=nb, b_pairs=silent_b, search=True)
     root.succ, root.pred = succ, pred
-    return root, silent
+    silent = sorted((t, a) for a, bases in enumerate(nb)
+                    for t in _bits(bases & ~(succ[a] | pred[a])))
+    return RootClosure(root, tuple(NBRecord(basis=(t, t + 1), top=a) for t, a in silent),
+                       silent_b)
 
 
 # ---------------------------------------------------------------------------
@@ -490,36 +533,6 @@ def require_solver_profile(F: Profile) -> None:
             raise PreconditionViolation(
                 "entries (0,1) and (n,n+1) must run left-to-right: "
                 "0 and n+1 occupy the outermost places")
-
-
-class RootClosure(NamedTuple):
-    """A profile's search root and the constraints it leaves silent: the
-    NB records and B pairs (undirected profiles only) whose two ends no arc
-    joins.  `closure.cyclic` is the verdict NO, with nothing silent."""
-
-    closure: Closure
-    silent_nb: tuple[NBRecord, ...]
-    silent_b: tuple[BArcPair, ...]
-
-
-def root_closure(F: Profile) -> RootClosure:
-    """Gate a gap-1 profile of either directedness and close it into the
-    search root, the solvers' starting node (`_closed_in_rounds`).
-
-    An acyclic root reports the NB records and B pairs it leaves silent; a
-    cyclic one, which stops at its first cycle, reports none.
-    """
-    require_solver_profile(F)
-    nb = nb_masks(F)
-    root, silent_b = _closed_in_rounds(F, nb)
-    if root.cyclic:
-        return RootClosure(root, (), ())
-    succ, pred = root.succ, root.pred
-    silent = sorted((t, a) for a, bases in enumerate(nb)
-                    for t in _bits(bases & ~(succ[a] | pred[a])))
-    return RootClosure(root,
-                       tuple(NBRecord(basis=(t, t + 1), top=a) for t, a in silent),
-                       tuple(silent_b))
 
 
 def _full_closure(F: Profile) -> Closure:

@@ -10,8 +10,9 @@ additionally records which of t, t+i sits further left.
 Every betweenness fact a profile encodes decomposes into B-constraints
 ("m and M lie between t and t+i") and NB-constraints ("each value outside
 [m, M] does not lie between t and t+i").  `nb_masks` lists a gap-1
-profile's NB-constraints as one bitmask of bases per top, the form the
-precedence-graph solvers read.
+profile's NB-constraints as one bitmask of bases per top, for the full
+fixpoint behind `graph.to_dot`; the search root folds the same buckets
+(`fold_nb_buckets`) in its own sweep over the entries.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -168,7 +170,8 @@ class Profile:
         return f"Profile(n={self.n}, k={self.k}, {kind}, {len(self.constraints)} entries)"
 
 
-def _segment(P: Permutation, pos: Sequence[int], t: int, i: int) -> tuple[int, int, Direction]:
+def segment(P: Permutation, pos: Sequence[int], t: int, i: int) -> tuple[int, int, Direction]:
+    """Entry (t, i) of P's profiles: (m, M, direction), pos = P.positions()."""
     a, b = pos[t], pos[t + i]
     lo, hi = (a, b) if a < b else (b, a)
     seg = P.elems[lo:hi + 1]
@@ -187,7 +190,7 @@ def compute_profile(P: Permutation, k: int, directed: bool) -> Profile:
     pos = P.positions()
     constraints = {}
     for t, i in profile_pairs(P.n, k):
-        m, M, d = _segment(P, pos, t, i)
+        m, M, d = segment(P, pos, t, i)
         if not directed:
             d = Direction.UNKNOWN
         constraints[(t, i)] = KConstraint(t=t, i=i, dir=d, m=m, M=M)
@@ -212,7 +215,7 @@ def compute_set_profile(perms: Iterable[Permutation], k: int, directed: bool) ->
     positions = [p.positions() for p in ps]
     constraints = {}
     for t, i in profile_pairs(n, k):
-        per = [_segment(p, pos, t, i) for p, pos in zip(ps, positions)]
+        per = [segment(p, pos, t, i) for p, pos in zip(ps, positions)]
         m = min(x[0] for x in per)
         M = max(x[1] for x in per)
         dirs = {x[2] for x in per}
@@ -284,12 +287,8 @@ class NBRecord:
 def nb_masks(F: Profile) -> list[int]:
     """The NB-constraints of a gap-1 profile as one bitmask per top:
     mask[a], for a in 0..n+1, has bit t for every entry t with a < m_t or
-    a > M_t.
-
-    Entries are bucketed by m_t and by M_t + 1 (clamped to 0..n+2), then
-    one descending and one ascending OR-scan build every mask, so the cost
-    does not grow with the number of records.
-    """
+    a > M_t.  Built from the entries bucketed by m_t and M_t + 1 (clamped
+    to 0..n+2), so the cost does not grow with the number of records."""
     if F.k != 1:
         raise KMismatch(f"B/NB decomposition is defined for k=1, got k={F.k}")
     V = F.n + 2
@@ -298,13 +297,12 @@ def nb_masks(F: Profile) -> list[int]:
     for c in F.entries():
         by_m[min(max(c.m, 0), V)] |= 1 << c.t
         by_after_M[min(max(c.M + 1, 0), V)] |= 1 << c.t
-    masks = [0] * V
-    above = 0  # entries with M_t < a
-    for a in range(V):
-        above |= by_after_M[a]
-        masks[a] = above
-    below = 0  # entries with m_t > a
-    for a in range(V - 1, -1, -1):
-        below |= by_m[a + 1]
-        masks[a] |= below
-    return masks
+    return fold_nb_buckets(by_m, by_after_M)
+
+
+def fold_nb_buckets(by_m: Sequence[int], by_after_M: Sequence[int]) -> list[int]:
+    """The NB masks on {0..V-1} of entries bucketed in V + 1 masks each, bit
+    t in by_m[m_t] and in by_after_M[M_t + 1], by two OR-scans."""
+    above = accumulate(by_after_M, operator.or_)  # entries with M_t < a
+    below = accumulate(reversed(by_m[1:]), operator.or_)  # with m_t > a
+    return [x | y for x, y in zip(above, reversed(list(below)))]

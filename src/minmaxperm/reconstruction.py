@@ -33,16 +33,12 @@ from .errors import (
     PreconditionViolation,
     TooLarge,
 )
-from .profiles import Permutation, Profile, compute_profile, pair_count
+from .profiles import Permutation, Profile, compute_profile, segment
 from .solvers import DEFAULT_BRUTE_CAP, DEFAULT_GROUPING_CAP, brute_force_solutions
 
 # No cap_n lets a grouping pass this n: at n = 10, fixed_positions_check
 # at k = 2 peaks above 1 GB of resident memory (docs/min_k.md).
 GROUPING_LIMIT = 9
-# collision_pair re-checks its pair through two full profiles, so its time
-# and memory grow with pair_count(n, k): 2-4 s and about 125 MB at this cap
-# on a 2-core machine, depending on k.
-COLLISION_PAIR_CAP = 120_000
 
 
 @dataclass(frozen=True)
@@ -152,9 +148,8 @@ def collision_pair(n: int, k: int, directed: bool) -> tuple[Permutation, Permuta
     directed) and the rest ascend; swapping the first two values leaves the
     k-profile unchanged because every pair constraint reaching past 1 and n
     is saturated and the swapped values sit more than k apart from anything
-    that could separate them.  The profile equality is re-checked before
-    returning; that check is why n, k with more than COLLISION_PAIR_CAP
-    profile pairs raise TooLarge.
+    that could separate them.  The profile equality is re-checked, on the
+    only entries that the swap can change, before returning.
     """
     if directed:
         bound = -(-(n - 3) // 2)  # ceil((n-3)/2)
@@ -167,18 +162,25 @@ def collision_pair(n: int, k: int, directed: bool) -> tuple[Permutation, Permuta
             raise PreconditionViolation(
                 f"undirected collision needs 1 <= k < n-3 = {n - 3}, got k={k}")
         p2 = k + 3
-    if pair_count(n, k) > COLLISION_PAIR_CAP:
-        raise TooLarge(f"n={n}, k={k} has {pair_count(n, k)} profile pairs, "
-                       f"above the cap {COLLISION_PAIR_CAP}")
     head = [k + 2, p2, 1, n]
     tail = sorted(set(range(1, n + 1)) - set(head))
     P = Permutation(n=n, elems=(0, *head, *tail, n + 1))
     swapped = [p2, k + 2] + head[2:]
     Q = Permutation(n=n, elems=(0, *swapped, *tail, n + 1))
-    if compute_profile(P, k, directed) != compute_profile(Q, k, directed):
+    if not _swap_keeps_profile(P, Q, k, directed):
         raise InternalInconsistency(
             f"constructed pair for n={n}, k={k} has differing profiles")
     return P, Q
+
+
+def _swap_keeps_profile(P: Permutation, Q: Permutation, k: int, directed: bool) -> bool:
+    """Whether P and Q, equal but for a swap of positions 1 and 2, have equal
+    k-profiles (m, M and, directed, the direction).  Only the at most 4k
+    entries with a swapped value as an end can differ, so only they are read."""
+    pos_p, pos_q = P.positions(), Q.positions()
+    return all(segment(P, pos_p, t, i)[:2 + directed] == segment(Q, pos_q, t, i)[:2 + directed]
+               for v in P.elems[1:3] for i in range(1, k + 1) for t in (v - i, v)
+               if 0 <= t and t + i <= P.n + 1)
 
 
 def fixed_positions_check(n: int, k: int, directed: bool,

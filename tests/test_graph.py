@@ -1,11 +1,14 @@
+import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 
 from minmaxperm import (
     CyclicGraph,
     KMismatch,
+    MinMaxError,
     NotDirected,
     PreconditionViolation,
     ProfileValidationError,
@@ -479,6 +482,27 @@ class TestRootClosure:
             for _ in range(40))
         assert 0 < cyclic < 40
 
+    @pytest.mark.parametrize("directed, n", [(True, 64), (True, 100), (True, 150),
+                                             (False, 64), (False, 100)])
+    def test_bulk_search_root_permutation_profiles_large(self, directed, n):
+        # unedited profiles do not stop at an early cycle, so their roots
+        # run the column rule's cascades over several passes to the end
+        rng = random.Random(f"multipass:{directed}:{n}")
+        for _ in range(10):
+            F = compute_profile(random_perm(rng, n), 1, directed)
+            assert not self._bulk_matches_per_arc(F)
+
+    def test_bulk_root_column_cascade_over_three_passes(self):
+        # Pass 1's column sweep forces 6 -> 2 on the pair (6, 7), as 2 may
+        # not lie between 6 and 7.  Pass 2's sweep carries it to 5 -> 2 on
+        # (5, 6), after it has passed (4, 5), so only pass 3's sweep, which
+        # tests (4, 5) again because row 5 changed, carries it on to 4 -> 2.
+        P = validate_permutation((0, 3, 1, 7, 6, 5, 4, 2, 8))
+        F = compute_profile(P, 1, True)
+        assert not self._bulk_matches_per_arc(F)
+        succ = root_closure(F).closure.succ
+        assert all(succ[v] >> 2 & 1 for v in (4, 5, 6))
+
     def test_bulk_root_descends_into_nb_forced_head(self):
         # The first pass of the walk finishes 6, 1 and 5; row 0 then holds 1
         # and 5, and the NB rule forces 0 -> 2 and 0 -> 4, neither visited
@@ -544,6 +568,61 @@ class TestRootClosure:
                 build(bad)
             with pytest.raises(NotDirected):
                 build(make_profile([(0, L, 0, 2), (1, U, 1, 2), (2, L, 2, 3)], n=2))
+
+    @staticmethod
+    def _gate_outcome(build, F):
+        """What `build(F)` raises, as (class, message, violations), or None."""
+        try:
+            build(F)
+        except MinMaxError as exc:
+            return type(exc), str(exc), getattr(exc, "violations", None)
+        return None
+
+    @staticmethod
+    def _edge_profiles():
+        """Every profile with n <= 1 whose m and M lie in [-1, n + 2], any
+        direction; about 2,000 seeded n = 2..12 profiles, each a random
+        permutation's with a few entries redrawn from those ranges; and a
+        few k = 2 profiles."""
+        for n in (0, 1):
+            values = range(-1, n + 3)
+            for directed, dirs in ((True, (L, R, U)), (False, (U,))):
+                entry = list(itertools.product(values, values, dirs))
+                for combo in itertools.product(entry, repeat=n + 1):
+                    yield make_profile([(t, d, m, M) for t, (m, M, d) in enumerate(combo)],
+                                       n=n, directed=directed)
+        rng = random.Random("gate")
+        for j in range(2000):
+            n, directed = rng.randint(2, 12), j % 2 == 0
+            entries = [(c.t, c.dir, c.m, c.M)
+                       for c in compute_profile(random_perm(rng, n), 1, directed).entries()]
+            for _ in range(rng.choice((0, 1, 1, 2, 3))):
+                t = rng.randint(0, n)
+                _, d, m, M = entries[t]
+                field = rng.randrange(3)
+                if field == 0:
+                    m = rng.randint(-1, n + 2)
+                elif field == 1:
+                    M = rng.randint(-1, n + 2)
+                elif directed:
+                    d = rng.choice((L, R, U))
+                entries[t] = (t, d, m, M)
+            yield make_profile(entries, n=n, directed=directed)
+        for n, directed in ((1, True), (3, False), (5, True)):
+            yield compute_profile(random_perm(rng, n), 2, directed)
+
+    def test_fused_check_is_the_gate(self):
+        # root_closure checks the entries in its own sweep and leaves the
+        # errors to the gate: it fails exactly where the gate fails, with
+        # the same class, message and violation list
+        outcomes = Counter()
+        for F in self._edge_profiles():
+            gate = self._gate_outcome(require_solver_profile, F)
+            assert self._gate_outcome(root_closure, F) == gate, F
+            outcomes[gate[0].__name__ if gate else "valid"] += 1
+        assert set(outcomes) == {"valid", "KMismatch", "ProfileValidationError",
+                                 "NotDirected", "PreconditionViolation"}
+        assert outcomes["valid"] > 500, outcomes
 
     def test_gate_boundary_direction(self):
         entries = [(0, R, 0, 2), (1, L, 1, 2), (2, L, 2, 3)]

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 import tracemalloc
 
@@ -260,6 +261,46 @@ class TestCollisionPair:
             P, Q = collision_pair(n, k, directed)
             validate_permutation(P.elems)
             validate_permutation(Q.elems)
+
+    @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+    def test_swap_check_is_the_full_comparison(self, directed):
+        # the re-check reads only the entries with a swapped value as an
+        # end; on the pair of every admissible (n, k) with n <= 40, and on
+        # seeded permutations with their values at positions 1 and 2
+        # swapped, mostly not a collision, it agrees with comparing the
+        # two full profiles
+        def agree(P, Q, k):
+            full = compute_profile(P, k, directed) == compute_profile(Q, k, directed)
+            assert reconstruction._swap_keeps_profile(P, Q, k, directed) == full, (P, k)
+            return full
+
+        pairs = 0
+        for n in range(1, 41):
+            for k in range(1, n + 2):
+                try:
+                    P, Q = collision_pair(n, k, directed)
+                except PreconditionViolation:
+                    continue
+                assert agree(P, Q, k)
+                pairs += 1
+        assert pairs == (324 if directed else 666)
+        rng = random.Random(f"swap:{directed}")
+        differ = 0
+        for n in range(2, 13):
+            for k in range(1, n + 2):
+                inner = rng.sample(range(1, n + 1), n)
+                P = Permutation(n=n, elems=(0, *inner, n + 1))
+                Q = Permutation(n=n, elems=(0, inner[1], inner[0], *inner[2:], n + 1))
+                differ += not agree(P, Q, k)
+        assert differ > 60
+
+    def test_large_pair_is_quick(self):
+        # the re-check reads at most 4k entries, not the 95,150 of the
+        # whole 128-profile at n = 1000
+        start = time.perf_counter()
+        P, Q = collision_pair(1000, 128, False)
+        assert time.perf_counter() - start < 1.0
+        assert P.elems[1:3] == Q.elems[2:0:-1] == (130, 131)
 
 
 class TestFixedPositions:
