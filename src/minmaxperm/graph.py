@@ -31,7 +31,8 @@ update for every pair it derives, so the root is built in bulk passes
 (`root_closure`: one depth-first walk that closes each row and
 fires the NB row rule on it as it finishes, then the NB column rule on
 the pairs with a changed row and the B rule on every open pair, until a
-pass forces nothing).  A directed root settles in a few passes; an
+pass forces nothing; a later pass re-covers only the arcs whose heads'
+rows grew).  A directed root settles in a few passes; an
 undirected one cascades inward from the pinned ends, and its passes grow
 with n (medians over 20 random permutation profiles each: directed 2 at
 n = 32 and 3 at n = 150, undirected 7 and 14).  Only the B pairs the
@@ -190,10 +191,6 @@ class Closure:
         c._nb, c._b_mask, c._b_sides = self._nb, self._b_mask, self._b_sides
         return c
 
-    def linked(self, x: int, y: int) -> bool:
-        """Whether an arc joins x and y in either direction."""
-        return bool(self.succ[x] >> y & 1 or self.succ[y] >> x & 1)
-
     def add(self, arcs: Iterable[Arc]) -> None:
         """Insert the arcs (x, y, kind) and propagate to the fixpoint, or,
         in a search closure, up to the first cycle."""
@@ -299,13 +296,17 @@ def root_closure(F: Profile) -> RootClosure:
     buckets it for the NB masks, sets tops[t] to the values outside
     [m, M], and seeds the masks: tl -> {tr, m, M} and {m, M} -> tr for a
     directed entry, a pair to decide for an undirected one, whose only
-    seeds are the pinned endpoints.  A pass is one depth-first walk that
-    closes each row as it finishes, since no ancestor of a row finishes
-    before it: the row ORs in the rows of its successors, all finished,
-    then fires the NB row rule (row p gains t+1 when it holds t and bit t
-    of nb[p] is set, or the reverse).  A forced head that has finished is
-    ORed in and the row closed again; one not yet visited makes the walk
-    descend into it first; one still on the stack closes a cycle.  The
+    seeds are the pinned endpoints.  A second mask list, `arcs`, holds
+    the seeds and every arc a rule forces.  A pass is one depth-first walk
+    that closes each row as it finishes, since no ancestor of a row
+    finishes before it: the row ORs in the rows of its arcs' heads, all
+    finished, then fires the NB row rule (row p gains t+1 when it holds t
+    and bit t of nb[p] is set, or the reverse).  A forced head that has
+    finished is ORed in and the row closed again; one not yet visited
+    makes the walk descend into it first; one still on the stack closes a
+    cycle.  Every pass leaves every row closed, so a later pass ORs in
+    only the heads whose rows grew since (in the walk or a sweep), and all
+    of a row's heads only when that row itself grew.  The
     column rule then gives succ[t+1] the bits of succ[t] & tops[t] and
     succ[t] those of succ[t+1] & tops[t], tested only where row t or t+1
     changed (in the walk or a sweep) since the last test.  Then a B pair
@@ -364,6 +365,7 @@ def root_closure(F: Profile) -> RootClosure:
     if directed:
         succ = [row & ~(1 << v) for v, row in enumerate(succ)]
         pred = [col & ~(1 << v) for v, col in enumerate(pred)]
+    arcs = succ[:]  # the seeds and every arc a rule forces
     changed = full
     while True:
         seen = done = 0
@@ -386,11 +388,12 @@ def root_closure(F: Profile) -> RootClosure:
                     root = Closure(n, nb=nb, search=True)
                     root.succ, root.pred, root.cyclic = succ, pred, True
                     return RootClosure(root, (), ())
-                # every successor has finished: OR in their rows, then the
-                # rows of the NB-forced heads, until the row forces nothing;
-                # a forced head not yet finished sends v back to the walk
+                # every successor has finished: OR in the rows of the arc
+                # heads that grew since v was closed (all if v grew), then
+                # of the NB-forced heads, until the row forces nothing; a
+                # forced head not yet finished sends v back to the walk
                 bases = nb[v]
-                todo = row
+                todo = arcs[v] if changed >> v & 1 else arcs[v] & changed
                 while todo:
                     low = todo & -todo
                     below = succ[low.bit_length() - 1]
@@ -399,6 +402,7 @@ def root_closure(F: Profile) -> RootClosure:
                     if not todo and bases:
                         todo = ((row & bases) << 1 | (row >> 1) & bases) & ~row
                         row |= todo
+                        arcs[v] |= todo
                         for q in _bits(todo):
                             pred[q] |= 1 << v
                         if todo & ~done:
@@ -419,6 +423,7 @@ def root_closure(F: Profile) -> RootClosure:
                 new = succ[a] & top & ~succ[b]
                 if new:
                     succ[b] |= new
+                    arcs[b] |= new
                     for q in _bits(new):
                         pred[q] |= 1 << b
                     changed |= 1 << b
@@ -437,6 +442,7 @@ def root_closure(F: Profile) -> RootClosure:
                     new = heads & ~succ[x]
                     if new:
                         succ[x] |= new
+                        arcs[x] |= new
                         for q in _bits(new):
                             pred[q] |= 1 << x
                         changed |= 1 << x

@@ -39,6 +39,10 @@ from .solvers import DEFAULT_BRUTE_CAP, DEFAULT_GROUPING_CAP, brute_force_soluti
 # No cap_n lets a grouping pass this n: at n = 10, fixed_positions_check
 # at k = 2 peaks above 1 GB of resident memory (docs/min_k.md).
 GROUPING_LIMIT = 9
+# collision_pair refuses a larger n before it builds anything: the pair and
+# its text take about 145 bytes per value (`counterexample N 1` peaks at
+# 42 MB resident at N = 10^5, 172 MB at 10^6 and 318 MB at 2 * 10^6).
+COLLISION_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,8 @@ def collision_pair(n: int, k: int, directed: bool) -> tuple[Permutation, Permuta
     k-profile unchanged because every pair constraint reaching past 1 and n
     is saturated and the swapped values sit more than k apart from anything
     that could separate them.  The profile equality is re-checked, on the
-    only entries that the swap can change, before returning.
+    only entries that the swap can change, before returning.  Past the k
+    range, an n above COLLISION_LIMIT raises TooLarge.
     """
     if directed:
         bound = -(-(n - 3) // 2)  # ceil((n-3)/2)
@@ -162,6 +167,8 @@ def collision_pair(n: int, k: int, directed: bool) -> tuple[Permutation, Permuta
             raise PreconditionViolation(
                 f"undirected collision needs 1 <= k < n-3 = {n - 3}, got k={k}")
         p2 = k + 3
+    if n > COLLISION_LIMIT:
+        raise TooLarge(f"n={n} exceeds the collision-pair limit {COLLISION_LIMIT}")
     head = [k + 2, p2, 1, n]
     tail = sorted(set(range(1, n + 1)) - set(head))
     P = Permutation(n=n, elems=(0, *head, *tail, n + 1))

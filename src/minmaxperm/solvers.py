@@ -10,10 +10,12 @@ order.  The search keeps an explicit stack, so its depth is not bounded
 by Python's recursion limit; its worst case stays 2^s nodes
 for s silent constraints (betweenness is NP-complete), but propagation
 settles most constraints without a branch.  The search walks one ordered
-list of choices with a cursor: a node branches on the first choice its
-closure leaves open, and its children resume after it.  The linear solver
-is the same search, with its choices in the paper's order and one side
-each; it never backtracks on a linear profile.
+list of choices with a cursor.  A choice is a plain tuple (x, y, sides):
+a silent constraint, open while no arc joins x and y either way, and its
+orientations as arc sets, each holding an arc between x and y.  A node
+branches on the first open choice, and its children resume after it.
+The linear solver is the same search, with its choices in the paper's
+order and one side each; it never backtracks on a linear profile.
 
 A returned witness is always re-verified against the input profile
 before being handed out: `verify` checks each entry's min, max and
@@ -33,7 +35,6 @@ first called, so the structured solvers run without numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import (
     InternalInconsistency,
@@ -46,7 +47,6 @@ from .errors import (
 from .graph import (
     Arc,
     ArcKind,
-    BArcPair,
     Closure,
     root_closure,
     topo_order,
@@ -130,36 +130,14 @@ def brute_force_solutions(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> list[Pe
 # Branch-and-propagate search
 # ---------------------------------------------------------------------------
 
-class _Choice(NamedTuple):
-    """A silent constraint: open while no arc joins x and y; sides are its
-    orientations as arc sets, each with an arc between x and y, in the
-    order the search tries them."""
-
-    x: int
-    y: int
-    sides: tuple[tuple[Arc, ...], ...]
-
-
-def _nb_choice(rec: NBRecord) -> _Choice:
-    """Top-first (top left of t and t+1), then basis-first."""
-    top, (t, u) = rec.top, rec.basis
-    return _Choice(top, t, (((top, t, ArcKind.NB), (top, u, ArcKind.NB)),
-                            ((t, top, ArcKind.NB), (u, top, ArcKind.NB))))
-
-
-def _b_choice(bp: BArcPair) -> _Choice:
-    sides = tuple(tuple((x, y, ArcKind.B) for x, y in side) for side in (bp.plus, bp.minus))
-    return _Choice(bp.t, bp.t + 1, sides)
-
-
-def _search(root: Closure, choices: list[_Choice], F: Profile, context: str,
-            backtrack: bool = True) -> tuple[Permutation | None, int]:
+def _search(root: Closure, choices: list[tuple[int, int, tuple[tuple[Arc, ...], ...]]],
+            F: Profile, context: str, backtrack: bool = True) -> tuple[Permutation | None, int]:
     """Depth-first search from a closed root; returns (witness or None,
     nodes visited).  A node branches on the first open choice at or after
-    its parent's, one child per side, and its children resume after it:
-    the choices it skips stay joined, since a closure only grows along a
-    path, and so does the one it decided.  Without `backtrack`, a child
-    whose closure hits a cycle is a fault."""
+    its parent's, one child per side in the order of its sides, and its
+    children resume after it: the choices it skips stay joined, since a
+    closure only grows along a path, and so does the one it decided.
+    Without `backtrack`, a child whose closure hits a cycle is a fault."""
     stack: list[tuple[Closure, tuple[Arc, ...], int]] = [(root, (), 0)]
     nodes = 0
     while stack:
@@ -172,15 +150,19 @@ def _search(root: Closure, choices: list[_Choice], F: Profile, context: str,
             if arcs and not backtrack:
                 raise InternalInconsistency(f"{context}: a decision produced a cycle")
             continue
-        while i < len(choices) and node.linked(choices[i].x, choices[i].y):
+        succ = node.succ
+        while i < len(choices):
+            x, y, sides = choices[i]
+            if not (succ[x] >> y & 1 or succ[y] >> x & 1):
+                break
             i += 1
-        if i == len(choices):
+        else:
             w = topo_order(node)
             if not verify(w, F):
                 raise InternalInconsistency(
                     f"{context}: topological order {w} does not reproduce the profile")
             return w, nodes
-        for side in reversed(choices[i].sides):
+        for side in reversed(sides):
             stack.append((node, side, i + 1))
     return None, nodes
 
@@ -203,16 +185,23 @@ def solve_linear(F: Profile) -> SolveOutcome:
     root, silent, _ = root_closure(F)
     nb_size = {top: len(nb_set(F, top)) for top in {r.top for r in silent}}
     order = sorted(silent, key=lambda r: (-nb_size[r.top], r.top, r.basis))
-    choices = [c._replace(sides=c.sides[1:]) for c in map(_nb_choice, order)]
+    choices = [(r.top, r.basis[0], (tuple((u, r.top, ArcKind.NB) for u in r.basis),))
+               for r in order]
     w, nodes = _search(root, choices, F, "linear solver", backtrack=False)
     return SolveOutcome(witness=w, silent_nb=silent, settings_tested=nodes)
 
 
 def _solve_search(F: Profile, context: str) -> SolveOutcome:
     """The FPT search of either directedness: silent B pairs first (a
-    directed root has none), then silent NB records."""
+    directed root has none), plus side first, then silent NB records, top
+    first (top left of t and t+1) before basis first."""
     root, silent_nb, silent_b = root_closure(F)
-    choices = [_b_choice(bp) for bp in silent_b] + [_nb_choice(r) for r in silent_nb]
+    b, nb = ArcKind.B, ArcKind.NB
+    choices = [(bp.t, bp.t + 1, (tuple((x, y, b) for x, y in bp.plus),
+                                 tuple((x, y, b) for x, y in bp.minus))) for bp in silent_b]
+    for r in silent_nb:
+        a, (t, u) = r.top, r.basis
+        choices.append((a, t, (((a, t, nb), (a, u, nb)), ((t, a, nb), (u, a, nb)))))
     w, nodes = _search(root, choices, F, context)
     return SolveOutcome(witness=w, silent_nb=silent_nb,
                         silent_b=tuple(bp.t for bp in silent_b), settings_tested=nodes)

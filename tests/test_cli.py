@@ -441,6 +441,18 @@ class TestCounterexampleCommand:
         assert main(["counterexample", "100000000", "100000000"]) == 2
         assert capsys.readouterr().err.startswith("error: undirected collision needs")
 
+    def test_n_above_the_limit_is_refused_at_once(self, capsys):
+        # an n far past COLLISION_LIMIT (10^6) in its k range is refused
+        # before anything is built: 10^12 values would need over 100 TB
+        import time
+        start = time.perf_counter()
+        assert main(["counterexample", "1000000000000", "1"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: n=1000000000000 exceeds the collision-pair "
+                                "limit 1000000\n")
+
 
 # Imports the package, runs `main` on the arguments if there are any, and
 # prints [exit code, stdout, whether numpy is loaded] as one JSON line.

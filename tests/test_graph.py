@@ -429,13 +429,16 @@ class TestRootClosure:
             # insertion order got; the verdict is all that is read
             assert bulk.silent_nb == bulk.silent_b == ()
         else:
-            assert bulk.closure.succ == per_arc.succ
+            succ = per_arc.succ
+            assert bulk.closure.succ == succ
             assert bulk.closure.pred == per_arc.pred
+
+            def linked(x, y):
+                return succ[x] >> y & 1 or succ[y] >> x & 1
             assert bulk.silent_nb == tuple(r for r in nb_records(F)
-                                           if not per_arc.linked(r.top, r.basis[0]))
+                                           if not linked(r.top, r.basis[0]))
             pairs = () if F.directed else b_arc_pairs(F)
-            assert bulk.silent_b == tuple(bp for bp in pairs
-                                          if not per_arc.linked(bp.t, bp.t + 1))
+            assert bulk.silent_b == tuple(bp for bp in pairs if not linked(bp.t, bp.t + 1))
         return per_arc.cyclic
 
     def test_bulk_search_root_every_valid_profile(self):
@@ -502,6 +505,27 @@ class TestRootClosure:
         assert not self._bulk_matches_per_arc(F)
         succ = root_closure(F).closure.succ
         assert all(succ[v] >> 2 & 1 for v in (4, 5, 6))
+
+    @pytest.mark.parametrize("elems, directed, row, gained", [
+        # Pass 1's column sweep on the pair (2, 3) forces 3 -> 1 and
+        # 3 -> 7 into the empty row 3.  Row 1 did not change, yet pass 2
+        # must cover the forced arc 3 -> 1, since row 3 grew, to gain 5.
+        ((0, 2, 4, 6, 3, 1, 5, 7), True, 3, 5),
+        # Row 2 finishes holding 1 and 7, and the NB rule forces 2 -> 6,
+        # not yet visited.  The walk finishes 6 holding 4, and row 2, closed
+        # again, must cover the forced arc 2 -> 6 to gain 4.
+        ((0, 2, 6, 4, 7, 1, 3, 5, 8), True, 2, 4),
+        # Pass 1's B sweep forces 2 -> 1, 2 -> 5 and 2 -> 3 (pairs 1 and
+        # 2), and 5 -> 4 and 1 -> 4 (pair 4).  Pass 2 must cover row 2's
+        # forced arcs to gain 4.
+        ((0, 2, 5, 3, 1, 4, 6), False, 2, 4),
+    ], ids=["column-forced", "nb-forced", "b-forced"])
+    def test_bulk_root_covers_the_arcs_its_rules_force(self, elems, directed, row, gained):
+        # a finishing row ORs in the rows of its arcs, the seeds and the
+        # arcs a rule forced, not of every vertex its closed row names
+        F = compute_profile(validate_permutation(elems), 1, directed)
+        assert not self._bulk_matches_per_arc(F)
+        assert root_closure(F).closure.succ[row] >> gained & 1
 
     def test_bulk_root_descends_into_nb_forced_head(self):
         # The first pass of the walk finishes 6, 1 and 5; row 0 then holds 1

@@ -302,6 +302,15 @@ class TestCollisionPair:
         assert time.perf_counter() - start < 1.0
         assert P.elems[1:3] == Q.elems[2:0:-1] == (130, 131)
 
+    @pytest.mark.parametrize("directed", (True, False))
+    def test_limit(self, directed):
+        # past the k range, an n above the limit is refused, not built
+        n = reconstruction.COLLISION_LIMIT + 1
+        with pytest.raises(TooLarge):
+            collision_pair(n, 1, directed)
+        with pytest.raises(PreconditionViolation):
+            collision_pair(n, n, directed)
+
 
 class TestFixedPositions:
     def test_small_exhaustive(self):

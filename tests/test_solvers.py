@@ -481,19 +481,45 @@ class TestSearch:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_each_choice_tested_once_on_a_clean_path(self, monkeypatch, seed):
         # these searches meet no dead end, so the path to the leaf is the
-        # whole search, and along a path each choice is asked about once
+        # whole search, and along a path the cursor reads each choice once
+        import minmaxperm.solvers as solvers
         F = compute_profile(random_perm(random.Random(seed), 150), 1, True)
-        calls = 0
-        linked = Closure.linked
+        reads = 0
 
-        def counted(self, x, y):
-            nonlocal calls
-            calls += 1
-            return linked(self, x, y)
-        monkeypatch.setattr(Closure, "linked", counted)
+        class Counted(list):
+            def __getitem__(self, i):
+                nonlocal reads
+                reads += 1
+                return super().__getitem__(i)
+        search = solvers._search
+        monkeypatch.setattr(solvers, "_search",
+                            lambda root, choices, *args: search(root, Counted(choices), *args))
         out = solve_fpt_directed(F)
         assert out.witness is not None and verify(out.witness, F)
-        assert calls == len(out.silent_nb)
+        assert reads == len(out.silent_nb)
+
+    @pytest.mark.parametrize("elems, directed, first, later", [
+        # top 5 left of its basis (2, 3) puts 5 and 6 left of 2 and 3:
+        # tops 2 and 3 after their basis (5, 6), the basis-first side
+        ((0, 2, 3, 5, 6, 8, 1, 4, 7, 9), True, ((5, 2), (5, 3)), (2, 5)),
+        # the plus side of pair 2 puts 4 left of 3: pair 3's minus side
+        ((0, 2, 4, 3, 6, 1, 5, 7), False, None, (3, 4)),
+    ], ids=["nb-top-after-basis", "b-pair-minus-side"])
+    def test_choice_joined_in_its_second_orientation(self, elems, directed, first, later):
+        # the first decision joins a later choice (x, y) as y -> x; the
+        # cursor must see that join, so the search is the root and one
+        # decision, where a cursor that looks only for x -> y branches on
+        # the joined choice as well
+        F = compute_profile(validate_permutation(elems), 1, directed)
+        root, _, silent_b = root_closure(F)
+        node = root.copy()
+        kind = ArcKind.NB if directed else ArcKind.B
+        node.add([(x, y, kind) for x, y in first or silent_b[0].plus])
+        x, y = later
+        assert node.succ[y] >> x & 1 and not node.succ[x] >> y & 1
+        out = (solve_fpt_directed if directed else solve_undirected)(F)
+        assert out.witness is not None and verify(out.witness, F)
+        assert out.settings_tested == 2
 
     def test_undirected_n150_deep_search(self):
         # a deep undirected search that backtracks: it pins the order in
