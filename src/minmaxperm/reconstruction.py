@@ -8,17 +8,22 @@ fixed-positions consistency check (all members of a profile class place 1
 and n identically and split the remaining elements into the same three
 blocks).
 
-The two exhaustive checks share one grouping: profile codes of a set of
-permutation rows, computed at most one enumeration block at a time, are
-grouped by their bytes with `np.unique`, and each row is compared with its
-class leader, the first row in lexicographic order with the same code.  A
-fixed-positions failure is a row whose position features differ from its
-leader's, over one grouping of all n! rows.  The minimum k refines instead
-of regrouping: equal k-profiles have equal (k-1)-profiles, so a row alone
-in its class stays alone as k grows.  All rows are grouped at k = 1, and
-each later k groups only the rows whose class at k - 1 had another member,
-still in lexicographic order.  A collision is the first row whose leader
-lies before it.
+The two exhaustive checks share one grouping of a set of permutation rows
+by their k-profiles.  The kernel computes the profile codes _ROW_BLOCK
+rows at a time.  Each slot's (m, M, dir) becomes one mixed-radix digit,
+and the rows are grouped exactly, in passes: each pass packs the current
+class id and as many digits as fit below 2**63 into one int64 key, sorts
+the keys with `np.argsort` and numbers the classes densely again, until
+every class is a singleton or the digits run out.  Each row is compared
+with its class leader, the first row in lexicographic order with the same
+code.  A fixed-positions failure is a row whose position features differ
+from its leader's, over one grouping of all n! rows; the features are
+built only for the rows that are not their own leader, and for their
+leaders.  The minimum k refines instead of regrouping: equal k-profiles
+have equal (k-1)-profiles, so a row alone in its class stays alone as k
+grows.  All rows are grouped at k = 1, and each later k groups only the
+rows whose class at k - 1 had another member, still in lexicographic
+order.  A collision is the first row whose leader lies before it.
 """
 
 from __future__ import annotations
@@ -37,12 +42,15 @@ from .profiles import Permutation, Profile, compute_profile, segment
 from .solvers import DEFAULT_BRUTE_CAP, DEFAULT_GROUPING_CAP, brute_force_solutions
 
 # No cap_n lets a grouping pass this n: at n = 10, fixed_positions_check
-# at k = 2 peaks above 1 GB of resident memory (docs/min_k.md).
+# at k = 2 takes over 4 s and peaks above 360 MB resident (docs/min_k.md).
 GROUPING_LIMIT = 9
 # collision_pair refuses a larger n before it builds anything: the pair and
 # its text take about 145 bytes per value (`counterexample N 1` peaks at
 # 42 MB resident at N = 10^5, 172 MB at 10^6 and 318 MB at 2 * 10^6).
 COLLISION_LIMIT = 10**6
+# Rows per kernel call: the fastest of 1,024 to 40,320 at n = 8, and at
+# V <= 11 it keeps each (V, V, b) range table under 1 MB.
+_ROW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -80,30 +88,81 @@ def is_unique(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> UniquenessReport:
                             verdict=verdict, witnesses=witnesses)
 
 
-def _all_rows(n: int) -> tuple[np.ndarray, int]:
-    """All permutation rows in lexicographic order, and the size of one
-    enumeration block."""
-    blocks = list(iter_perm_arrays(n))
-    return np.concatenate(blocks), len(blocks[0])
+def _all_rows(n: int) -> np.ndarray:
+    """All permutation rows in lexicographic order."""
+    return np.concatenate(list(iter_perm_arrays(n)))
 
 
-def _leaders(rows: np.ndarray, k: int, directed: bool, step: int) -> np.ndarray:
+def _slot_digits(rows: np.ndarray, k: int, directed: bool) -> tuple[np.ndarray, list[int]]:
+    """The k-profile codes of the rows as one mixed-radix digit per slot:
+    an (L, B) slot-major array of digits, and the L bases.
+
+    Slot (t, t+i) has m in 0..t and M in t+i..V-1, so its digit
+    m*(V-t-i) + M-t-i lies in 0..(t+1)(V-t-i)-1; a directed slot doubles
+    it and adds 1 when t lies left of t+i.  Equal codes give equal digits
+    and, within those ranges, equal digits give equal codes, so a code
+    outside them raises InternalInconsistency.  The kernel runs on at most
+    _ROW_BLOCK rows at a time, and its codes are copied slot-major into
+    one (3L, B) array, from which the digits come in whole-array steps."""
+    B, V = rows.shape
+    gaps = range(1, min(k, V - 1) + 1)
+    t = np.concatenate([np.arange(V - i, dtype=np.uint8) for i in gaps])[:, None]
+    end = np.concatenate([np.arange(i, V, dtype=np.uint8) for i in gaps])[:, None]
+    width = V - end
+    base = ((t + 1) * width.astype(np.intp) * (1 + directed)).ravel().tolist()
+    L = len(base)
+    codes = np.empty((3 * L, B), np.int8)
+    for at in range(0, B, _ROW_BLOCK):
+        block = batch_profile_codes(rows[at:at + _ROW_BLOCK], k, directed)
+        codes[:, at:at + len(block)] = block.T
+    # unsigned, so that a negative m or a wrapped M - t - i is out of range
+    # too; dir + 1 is 0 or 2 directed and 1 undirected
+    m, low, dirs = np.split(codes.view(np.uint8), 3)
+    low -= end
+    dirs += 1
+    if (m > t).any() or (low >= width).any() or (dirs & 0xFD if directed else dirs != 1).any():
+        raise InternalInconsistency(f"profile code out of range at n={V - 2}, k={k}")
+    digits = np.multiply(m, width, dtype=np.min_scalar_type(max(base) - 1))
+    digits += low
+    if directed:
+        digits <<= 1
+        dirs >>= 1
+        digits += dirs
+    return digits, base
+
+
+def _leaders(rows: np.ndarray, k: int, directed: bool) -> np.ndarray:
     """For each of the rows, the index of the first row sharing its
     k-profile (its class leader).
 
-    Codes are computed at most `step` rows at a time, which bounds the
-    kernel's range tables, then grouped by their bytes; `np.unique` sorts
-    stably, so a leader is the first of its class in the order given."""
-    codes = None
-    for at in range(0, len(rows), step):
-        block = batch_profile_codes(rows[at:at + step], k, directed)
-        if codes is None:
-            codes = np.empty((len(rows), block.shape[1]), np.int8)
-        codes[at:at + len(block)] = block
-    del block  # so that the last block is not held through the sort
-    keys = codes.view(np.dtype((np.void, codes.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first[inverse.ravel()]
+    Rows are grouped by their slot digits in passes.  Each pass appends to
+    the dense class id of every row as many digits as keep the key below
+    2**63, sorts the int64 keys and numbers the distinct ones densely
+    again; the passes stop once every class is a singleton or the digits
+    run out.  The leader of a class is its least row index, so the first
+    of its class in the order given."""
+    digits, base = _slot_digits(rows, k, directed)
+    B = len(rows)
+    if B < 2:
+        return np.arange(B)
+    ids = np.zeros(B, np.int64)
+    classes, s = 1, 0
+    while classes < B and s < len(base):
+        radix = 1
+        key = ids
+        while s < len(base) and classes * radix * base[s] <= 2**63:
+            key = key * base[s]
+            key += digits[s]
+            radix *= base[s]
+            s += 1
+        order = np.argsort(key)
+        key = key[order]
+        new = np.empty(B, bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        ids[order] = np.cumsum(new) - 1
+        classes = int(np.count_nonzero(new))
+    return np.minimum.reduceat(order, np.flatnonzero(new))[ids]
 
 
 def _require_n(n: int, cap_n: int) -> None:
@@ -126,16 +185,16 @@ def min_unique_k(n: int, directed: bool, cap_n: int = DEFAULT_GROUPING_CAP) -> M
     lexicographic order, so each leader and the first row whose leader
     lies before it are those of a grouping of all rows."""
     _require_n(n, cap_n)
-    live, step = _all_rows(n)
+    live = _all_rows(n)
     previous = None
     for k in range(1, n + 2):
-        leader = _leaders(live, k, directed, step)
+        leader = _leaders(live, k, directed)
         later = np.flatnonzero(leader != np.arange(len(live)))
         if later.size == 0:
             return MinKResult(n=n, directed=directed, min_k=k, collision=previous)
         j = later[0]
         P, Q = (Permutation(n=n, elems=tuple(int(v) for v in live[i])) for i in (leader[j], j))
-        # grouped by code bytes; re-check entry-wise through the scalar path
+        # grouped by slot digits; re-check entry-wise through the scalar path
         # before reporting
         if compute_profile(P, k, directed) != compute_profile(Q, k, directed):
             raise InternalInconsistency(
@@ -197,12 +256,21 @@ def fixed_positions_check(n: int, k: int, directed: bool,
     _require_n(n, cap_n)
     if not 1 <= k <= n + 1:
         raise PreconditionViolation(f"need 1 <= k <= n+1, got k={k}, n={n}")
-    rows, step = _all_rows(n)
-    leader = _leaders(rows, k, directed, step)
-    # per row: position of 1, position of n, then the block (0 before both,
-    # 1 between, 2 after) of every value
+    rows = _all_rows(n)
+    leader = _leaders(rows, k, directed)
+    # only a row that is not its own leader can differ from its leader
+    later = np.flatnonzero(leader != np.arange(len(rows)))
+    for at in range(0, len(later), _ROW_BLOCK):
+        j = later[at:at + _ROW_BLOCK]
+        if not np.array_equal(_position_features(rows[j], n), _position_features(rows[leader[j]], n)):
+            return False
+    return True
+
+
+def _position_features(rows: np.ndarray, n: int) -> np.ndarray:
+    """Per row: the position of 1, the position of n, then the block of
+    every value (0 before both, 1 between, 2 after)."""
     pos = value_positions(rows).T
     lo = np.minimum(pos[:, 1], pos[:, n])[:, None]
     hi = np.maximum(pos[:, 1], pos[:, n])[:, None]
-    feats = np.concatenate([pos[:, [1, n]], (pos > lo).astype(np.int8) + (pos > hi)], axis=1)
-    return bool((feats == feats[leader]).all())
+    return np.concatenate([pos[:, [1, n]], (pos > lo).astype(np.int8) + (pos > hi)], axis=1)

@@ -20,6 +20,7 @@ from minmaxperm import (
 )
 from minmaxperm import reconstruction
 from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays, profile_arrays
+from minmaxperm.profiles import pair_count
 
 from helpers import GOLDEN_PERM, golden_profile, identity_perm, unsat2_profile
 
@@ -116,8 +117,8 @@ class TestRefinement:
         calls = []
         real = reconstruction._leaders
 
-        def recording(rows, k, directed, step):
-            leader = real(rows, k, directed, step)
+        def recording(rows, k, directed):
+            leader = real(rows, k, directed)
             calls.append((rows.copy(), k, leader))
             return leader
 
@@ -160,20 +161,93 @@ class TestGroupingMemory:
         result = min_unique_k(9, directed, cap_n=9)
         assert result.min_k == min_k
         assert tuple(P.elems for P in result.collision) == pair
-        assert max(sizes) <= 40_320
+        assert max(sizes) <= 8_192
 
-    # One full regrouping per k peaked at 20.88 MiB directed and 22.15 MiB
-    # undirected; the bounds sit 0.5 MiB below those, and the refinement
-    # pass peaks at 19.15 MiB either way.
-    @pytest.mark.parametrize("directed, bound_mib", [(True, 20.4), (False, 21.7)])
+    # Grouping whole 40,320-row blocks by their code bytes peaked at
+    # 19.15 MiB for min_unique_k(8) and 20.07 MiB for
+    # fixed_positions_check(8, 2); 8,192-row kernel blocks and int64 keys
+    # peak at 5.45 MiB directed, 5.88 MiB undirected and 6.75 MiB.  The
+    # bounds sit 0.5 MiB above those.
+    @pytest.mark.parametrize("directed, bound_mib", [(True, 5.95), (False, 6.4)])
     def test_n8_traced_peak(self, directed, bound_mib):
-        tracemalloc.start()
-        try:
-            min_unique_k(8, directed)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < bound_mib * 2**20
+        assert traced_peak(lambda: min_unique_k(8, directed)) < bound_mib * 2**20
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_fixed_positions_n8_traced_peak(self, directed):
+        assert traced_peak(lambda: fixed_positions_check(8, 2, directed)) < 7.25 * 2**20
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc sees during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLeadersExact:
+    """_leaders equals a dict grouping of the code bytes on keys that take
+    more than one sort pass, and on a single row."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        # the least key of each pass: a key past 2**63 - 1 would wrap to a
+        # negative int64
+        least = []
+        real = np.argsort
+
+        def recording(keys, *args, **kwargs):
+            least.append(keys.min())
+            return real(keys, *args, **kwargs)
+
+        monkeypatch.setattr(reconstruction.np, "argsort", recording)
+        return least
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_all_n8_rows_at_full_span(self, directed, passes):
+        rows = np.concatenate(list(iter_perm_arrays(8)))
+        leader = reconstruction._leaders(rows, 9, directed)
+        assert len(passes) >= 2 and min(passes) >= 0
+        assert (leader == np.arange(len(rows))).all()
+        assert (leader == TestRefinement.full_leaders(rows, 9, directed)).all()
+
+    @pytest.mark.parametrize("directed, k", [(True, 2), (False, 2), (False, 3)])
+    def test_shuffled_n9_subset(self, directed, k, passes):
+        # the first 80,640 rows, two enumeration blocks, in a seeded random
+        # order, so that a leader is the first of its class in that order,
+        # not the least in lexicographic order
+        rows = np.concatenate(list(iter_perm_arrays(9)))[:80_640]
+        rows = rows[np.random.default_rng(9).permutation(len(rows))]
+        leader = reconstruction._leaders(rows, k, directed)
+        assert len(passes) >= 2 and min(passes) >= 0
+        assert (leader != np.arange(len(rows))).sum() > 100
+        assert (leader == TestRefinement.full_leaders(rows, k, directed)).all()
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_digits_decode_to_codes(self, directed):
+        # every digit lies below its base and gives back its slot's m, M
+        # and, directed, dir
+        rows = np.concatenate(list(iter_perm_arrays(7)))
+        V = 9
+        for k in (1, 4, 8):
+            digits, base = reconstruction._slot_digits(rows, k, directed)
+            assert (digits < np.array(base)[:, None]).all()
+            codes = batch_profile_codes(rows, k, directed).T
+            L = len(base)
+            end = np.concatenate([np.arange(i, V) for i in range(1, min(k, V - 1) + 1)])[:, None]
+            rest = digits.astype(np.int64)
+            if directed:
+                assert (rest % 2 * 2 - 1 == codes[2 * L:]).all()
+                rest //= 2
+            assert (rest // (V - end) == codes[:L]).all()
+            assert (rest % (V - end) + end == codes[L:2 * L]).all()
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_single_row(self, directed):
+        rows = np.array([GOLDEN_PERM], np.int8)
+        assert reconstruction._leaders(rows, 3, directed).tolist() == [0]
 
 
 def scan_first_collision(n, k, directed):
@@ -329,16 +403,45 @@ class TestFixedPositions:
 
 
 class TestGroupingFaults:
-    """Codes that put every permutation into one class."""
+    """Codes in range that put every permutation into one class, and codes
+    out of range."""
 
-    @pytest.fixture(autouse=True)
-    def one_class(self, monkeypatch):
-        monkeypatch.setattr(reconstruction, "batch_profile_codes",
-                            lambda rows, k, directed: np.zeros((len(rows), 3), np.int8))
+    @staticmethod
+    def one_class(rows, k, directed):
+        # m = 0, M = V - 1 and, directed, t left of t+i in every slot
+        B, V = rows.shape
+        L = pair_count(V - 2, k)
+        codes = np.zeros((B, 3 * L), np.int8)
+        codes[:, L:2 * L] = V - 1
+        codes[:, 2 * L:] = directed
+        return codes
 
-    def test_fixed_positions_fails(self):
+    def test_fixed_positions_fails(self, monkeypatch):
+        monkeypatch.setattr(reconstruction, "batch_profile_codes", self.one_class)
         assert fixed_positions_check(6, 1, True) is False
 
-    def test_collision_is_rechecked(self):
+    def test_collision_is_rechecked(self, monkeypatch):
+        monkeypatch.setattr(reconstruction, "batch_profile_codes", self.one_class)
         with pytest.raises(InternalInconsistency):
             min_unique_k(6, True)
+
+    # (column, value) written into one code row: slot (0, 1) has m = 0,
+    # M in 1..V-1 and, directed, a direction of -1 or +1; column 2 is slot
+    # (2, 3), whose m lies in 0..2
+    @pytest.mark.parametrize("directed, column, value", [
+        (True, "m", -1), (False, "m", 1), (True, "m2", 3), (False, "M", 0),
+        (True, "M", 7), (False, "M", -128), (True, "dir", 0), (True, "dir", 2),
+        (False, "dir", 1), (False, "dir", -1),
+    ])
+    def test_code_out_of_range(self, directed, column, value, monkeypatch):
+        def corrupt(rows, k, directed):
+            codes = batch_profile_codes(rows, k, directed)
+            L = codes.shape[1] // 3
+            codes[len(codes) // 2, {"m": 0, "m2": 2, "M": L, "dir": 2 * L}[column]] = value
+            return codes
+
+        monkeypatch.setattr(reconstruction, "batch_profile_codes", corrupt)
+        with pytest.raises(InternalInconsistency):
+            fixed_positions_check(5, 2, directed)
+        with pytest.raises(InternalInconsistency):
+            min_unique_k(5, directed)
