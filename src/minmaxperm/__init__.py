@@ -1,9 +1,9 @@
 """Reconstruction of permutations from min/max betweenness profiles.
 
-The uniqueness analysis (`reconstruction`) and the batch kernels
-(`_kernels`) run on numpy, so they and the six names below load on first
-use: importing the package, the structured solvers and `verify` load no
-numpy.
+The exhaustive uniqueness analysis (`reconstruction`) and its batch
+kernels (`_kernels`) run on numpy, so they and the four names below load
+on first use: importing the package, the solvers, the brute-force oracle
+and `is_unique` load no numpy.
 """
 
 import importlib
@@ -43,7 +43,9 @@ from .profiles import (
 )
 from .solvers import (
     SolveOutcome,
+    UniquenessReport,
     brute_force_solutions,
+    is_unique,
     solve_fpt_directed,
     solve_linear,
     solve_undirected,
@@ -54,10 +56,8 @@ __version__ = "0.1.0"
 
 _RECONSTRUCTION = (
     "MinKResult",
-    "UniquenessReport",
     "collision_pair",
     "fixed_positions_check",
-    "is_unique",
     "min_unique_k",
 )
 

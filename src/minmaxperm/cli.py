@@ -18,10 +18,10 @@ Exit codes: 0 success/witness, 1 NO / non-unique / mismatch, 2 input error
 fault (InternalInconsistency or CyclicGraph: a solver caught itself
 producing an inconsistent answer; or any other unexpected exception).
 
-Only the oracle and the exhaustive commands load numpy, when they run:
-`solve --method brute`, `enumerate`, `check-unique`, `min-k` and
-`counterexample`.  `profile`, `verify` and the other `solve` methods run
-without it, so a process that answers one of them starts faster.
+Only the exhaustive commands `min-k` and `counterexample` load numpy,
+when they run.  The others, the oracle's `solve --method brute`,
+`enumerate` and `check-unique` included, run without it, so a process
+that answers one of them starts faster.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .solvers import (
     DEFAULT_GROUPING_CAP,
     SolveOutcome,
     brute_force_solutions,
+    is_unique,
     solve_fpt_directed,
     solve_linear,
     solve_undirected,
@@ -112,7 +113,6 @@ def _cmd_enumerate(args) -> _Result:
 
 
 def _cmd_check_unique(args) -> _Result:
-    from .reconstruction import is_unique
     report = is_unique(parse_profile(_read(args.profile_file)), args.cap)
     return 0 if report.verdict == "unique" else 1, {
         "n": report.n,

@@ -1,12 +1,13 @@
 """Uniqueness analysis of k-profiles.
 
 How much of a permutation does its k-profile pin down?  These operations
-answer that exhaustively at small n: per-profile uniqueness, the minimum k
-at which every profile class over all n! permutations is a singleton, the
-explicit two-permutation collisions built from a shared prefix, and the
+answer that exhaustively at small n: the minimum k at which every profile
+class over all n! permutations is a singleton, the explicit
+two-permutation collisions built from a shared prefix, and the
 fixed-positions consistency check (all members of a profile class place 1
 and n identically and split the remaining elements into the same three
-blocks).
+blocks).  Per-profile uniqueness, `is_unique`, is the oracle's, in
+`solvers`.
 
 The two exhaustive checks share one grouping of a set of permutation rows
 by their k-profiles.  The kernel computes the profile codes _ROW_BLOCK
@@ -38,8 +39,14 @@ from .errors import (
     PreconditionViolation,
     TooLarge,
 )
-from .profiles import Permutation, Profile, compute_profile, segment
-from .solvers import DEFAULT_BRUTE_CAP, DEFAULT_GROUPING_CAP, brute_force_solutions
+from . import solvers
+from .profiles import Permutation, compute_profile, segment
+from .solvers import DEFAULT_GROUPING_CAP
+
+# Per-profile uniqueness is the oracle's and lives in `solvers`, which
+# loads no numpy; the two names stay here, the same objects, for callers
+# that import them from this module.
+UniquenessReport, is_unique = solvers.UniquenessReport, solvers.is_unique
 
 # No cap_n lets a grouping pass this n: at n = 10, fixed_positions_check
 # at k = 2 takes over 4 s and peaks above 360 MB resident (docs/min_k.md).
@@ -54,17 +61,6 @@ _ROW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
-class UniquenessReport:
-    """Uniqueness of one profile: unique witness, a collision pair, or empty."""
-
-    n: int
-    k: int
-    directed: bool
-    verdict: str  # "unique" | "collision" | "empty"
-    witnesses: tuple[Permutation, ...]
-
-
-@dataclass(frozen=True)
 class MinKResult:
     """Least k making every k-profile class over all n! permutations a
     singleton, with a witness collision from k-1 when k > 1."""
@@ -73,19 +69,6 @@ class MinKResult:
     directed: bool
     min_k: int
     collision: tuple[Permutation, Permutation] | None
-
-
-def is_unique(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> UniquenessReport:
-    """Classify F by the cardinality of its exhaustive solution set."""
-    sols = brute_force_solutions(F, cap_n)
-    if not sols:
-        verdict, witnesses = "empty", ()
-    elif len(sols) == 1:
-        verdict, witnesses = "unique", (sols[0],)
-    else:
-        verdict, witnesses = "collision", (sols[0], sols[1])
-    return UniquenessReport(n=F.n, k=F.k, directed=F.directed,
-                            verdict=verdict, witnesses=witnesses)
 
 
 def _all_rows(n: int) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Solvers for profile satisfiability: linear, FPT, undirected, brute force.
+"""Solvers for profile satisfiability: linear, FPT, undirected, brute force,
+and uniqueness by the brute-force oracle.
 
 The three structured solvers run one depth-first branch-and-propagate
 search.  Its root, `graph.root_closure(F)`, is the closure of the arcs a
@@ -26,10 +27,10 @@ acyclic graph is impossible by construction and raises
 InternalInconsistency rather than leaking a bad answer.
 
 The brute-force oracle is independent of the precedence machinery: it
-reads only the profile's (m, M, dir) arrays and builds permutations left
-to right, dropping a prefix as soon as an entry rules out every extension
-of it (`_kernels.prefix_solutions`).  It imports the numpy kernels when
-first called, so the structured solvers run without numpy.
+reads only the profile's entries and builds permutations left to right in
+plain Python, dropping a prefix as soon as an entry rules out every
+extension of it.  `is_unique` classifies a profile by the oracle's list.
+Nothing here loads numpy.
 """
 
 from __future__ import annotations
@@ -60,11 +61,13 @@ from .profiles import (
     nb_set,
 )
 
-# The default n caps of the oracle and of the uniqueness grouping
-# (`reconstruction`), both here so that the CLI reads them without loading
-# the kernels.
+# The default n caps of the oracle and of the uniqueness grouping; the
+# grouping's is here, not in `reconstruction`, so that the CLI reads it
+# without loading numpy.
 DEFAULT_BRUTE_CAP = 9
 DEFAULT_GROUPING_CAP = 8
+
+_SIDE = {Direction.LEFT_TO_RIGHT: 1, Direction.RIGHT_TO_LEFT: -1, Direction.UNKNOWN: 0}
 
 
 @dataclass(frozen=True)
@@ -113,17 +116,131 @@ def verify(P: Permutation, F: Profile) -> bool:
 def brute_force_solutions(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> list[Permutation]:
     """Every permutation whose profile equals F, in lexicographic order.
 
-    A prefix search that never builds a permutation an entry has already
-    ruled out.  It refuses n beyond cap_n: an adversarial profile, such as
-    one whose entries constrain little, can still have on the order of n!
-    solutions or surviving prefixes.
+    A depth-first search over prefixes: position j takes every value still
+    free in ascending order (n+1 only at the last position), and a prefix
+    is dropped as soon as no extension of it can match, that is when
+    (a) a slot with both ends placed has the wrong segment min, max or
+        direction;
+    (b) a slot with exactly one end placed has a value placed after that
+        end outside [m, M];
+    (c) a slot's end that must lie on the right is placed while the other
+        end is not;
+    (d) a slot's m or M is already placed when its first end is placed.
+    An Unknown direction skips the direction checks for that slot.  Each
+    slot is checked in full by (a) when its second end is placed, so a
+    complete row survives exactly when its profile equals F.  The window
+    of (b), the intersection of the open slots' [m, M], is narrowed when a
+    slot opens and kept when one closes, unless that slot was the last
+    open one at a bound: only then is it recomputed.  The search keeps an
+    explicit stack, so its depth is not bounded by the recursion limit.
+
+    It refuses n beyond cap_n: an adversarial profile, such as one whose
+    entries constrain little, can still have on the order of n! solutions
+    or surviving prefixes.
     """
     if F.n > cap_n:
         raise TooLarge(f"n={F.n} exceeds the enumeration cap {cap_n}")
-    from ._kernels import prefix_solutions, profile_arrays
-    m, M, d = profile_arrays(F)
-    return [Permutation(n=F.n, elems=tuple(row))
-            for rows in prefix_solutions(F.n, F.k, m, M, d) for row in rows.tolist()]
+    V = F.n + 2
+    # ends[v] holds (other end, m, M, side) for each slot with v as an end;
+    # side is +1 when v must lie right of the other end, -1 when left, 0
+    # when the slot records no direction
+    ends: list[list[tuple[int, int, int, int]]] = [[] for _ in range(V)]
+    for c in F.constraints.values():
+        t, u = c.t, c.t + c.i
+        # a slot's segment holds both its ends and only values of 0..n+1
+        if not (0 <= c.m <= t and u <= c.M < V):
+            return []
+        side = _SIDE[c.dir]
+        ends[t].append((u, c.m, c.M, -side))
+        ends[u].append((t, c.m, c.M, side))
+    row, pos = [0] * V, [-1] * V  # pos[v] is -1 while v is free
+
+    def window(placed):
+        """The window of (b) over the slots with exactly one end among the
+        placed values and a slot [0, n+1] that never closes: (lo, the
+        number of slots with m = lo, hi, the number with M = hi)."""
+        lows, highs = [0], [V - 1]
+        for p in placed:
+            for o, m, M, _ in ends[p]:
+                if pos[o] < 0:
+                    lows.append(m)
+                    highs.append(M)
+        lo, hi = max(lows), min(highs)
+        return lo, lows.count(lo), hi, highs.count(hi)
+
+    sols: list[Permutation] = []
+    # (j, v, window) of each prefix still to extend: row[:j] with v
+    # appended, v having passed every prune; value 0 opens its slots
+    # unchecked, as (a) checks them in full later
+    pos[0] = 0
+    stack = [(0, 0, *window([0]))]
+    depth = 0
+    while stack:
+        j, v, lo, nlo, hi, nhi = stack.pop()
+        while depth > j:
+            depth -= 1
+            pos[row[depth]] = -1
+        row[j], pos[v], depth = v, j, j + 1
+        if depth == V:
+            sols.append(Permutation(n=F.n, elems=tuple(row)))
+            continue
+        # (b), and n+1 only at the last position
+        for w in range(min(hi, V - 1 if depth == V - 1 else V - 2), lo - 1, -1):
+            if pos[w] >= 0:
+                continue
+            pos[w] = depth
+            # the window after w: a slot w opens narrows it, one w closes
+            # leaves it; a bound whose count drops to 0 is recomputed
+            wlo, wnlo, whi, wnhi = lo, nlo, hi, nhi
+            for o, m, M, side in ends[w]:
+                q = pos[o]
+                if q >= 0:
+                    # (a): by (b) every value between the ends lies in
+                    # [m, M], so the min is m and the max M when both sit
+                    # at positions q..depth
+                    if side < 0 or pos[m] < q or pos[M] < q:
+                        break
+                    wnlo -= m == wlo
+                    wnhi -= M == whi
+                elif side > 0 or -1 < pos[m] < depth or -1 < pos[M] < depth:  # (c), (d)
+                    break
+                else:
+                    if m >= wlo:
+                        wnlo = wnlo + 1 if m == wlo else 1
+                        wlo = m
+                    if M <= whi:
+                        wnhi = wnhi + 1 if M == whi else 1
+                        whi = M
+            else:
+                if not (wnlo and wnhi):
+                    wlo, wnlo, whi, wnhi = window(row[:depth] + [w])
+                stack.append((depth, w, wlo, wnlo, whi, wnhi))
+            pos[w] = -1
+    return sols
+
+
+@dataclass(frozen=True)
+class UniquenessReport:
+    """Uniqueness of one profile: unique witness, a collision pair, or empty."""
+
+    n: int
+    k: int
+    directed: bool
+    verdict: str  # "unique" | "collision" | "empty"
+    witnesses: tuple[Permutation, ...]
+
+
+def is_unique(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> UniquenessReport:
+    """Classify F by the cardinality of its exhaustive solution set."""
+    sols = brute_force_solutions(F, cap_n)
+    if not sols:
+        verdict, witnesses = "empty", ()
+    elif len(sols) == 1:
+        verdict, witnesses = "unique", (sols[0],)
+    else:
+        verdict, witnesses = "collision", (sols[0], sols[1])
+    return UniquenessReport(n=F.n, k=F.k, directed=F.directed,
+                            verdict=verdict, witnesses=witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,15 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 import minmaxperm
 from minmaxperm import (
     BArcPair,
     CyclicGraph,
     Permutation,
     Profile,
+    TooLarge,
     validate_permutation,
 )
 from minmaxperm.profiles import Direction, KConstraint, NBRecord
@@ -66,6 +69,23 @@ def run_fresh(code: str, *argv: str) -> str:
                           text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+_DIR_CODE = {Direction.LEFT_TO_RIGHT: 1, Direction.RIGHT_TO_LEFT: -1, Direction.UNKNOWN: 0}
+
+
+def profile_arrays(F: Profile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, M, dir) int8 arrays of F's entries in canonical (i, t) order;
+    dir is +1/-1/0: the per-slot layout of `_kernels.batch_profile_codes`
+    rows, [m | M | dir].  Raises TooLarge when n+1 does not fit in int8
+    (n >= 127)."""
+    if F.n + 1 > 127:
+        raise TooLarge(f"n={F.n} too large for int8 profile arrays")
+    ents = F.entries()
+    m = np.array([c.m for c in ents], dtype=np.int8)
+    M = np.array([c.M for c in ents], dtype=np.int8)
+    d = np.array([_DIR_CODE[c.dir] for c in ents], dtype=np.int8)
+    return m, M, d
 
 
 def make_profile(entries, n=None, directed=True, k=1) -> Profile:

@@ -4,6 +4,7 @@ import pytest
 
 from minmaxperm import (
     compute_profile,
+    emit_permutation,
     emit_profile,
     nb_masks,
     validate_permutation,
@@ -469,9 +470,10 @@ print(json.dumps([code, out.getvalue(), "numpy" in sys.modules]))
 
 
 class TestColdPath:
-    """In a fresh process, the package and the commands that need no
-    kernels load no numpy, and the oracle commands, which load the kernels
-    on first use, answer as a warm process does."""
+    """In a fresh process, the package and every command but the two
+    exhaustive ones, the oracle's included, load no numpy, and all of them
+    answer as a warm process does; `min-k` and `counterexample` load the
+    kernels on first use."""
 
     @pytest.fixture
     def files(self, golden_perm_file, golden_profile_file, golden_undirected_file, tmp_path):
@@ -507,8 +509,17 @@ class TestColdPath:
         (["check-unique", "{uprof}"], 1, 3),
     ], ids=["solve-brute", "enumerate", "check-unique"])
     def test_oracle_commands_answer(self, argv, code, lines, files, capsys):
-        got_code, out, _ = self._cold_and_warm(argv, files, capsys)
-        assert (got_code, len(out.splitlines())) == (code, lines)
+        # the oracle is plain Python: no numpy here either
+        got_code, out, numpy = self._cold_and_warm(argv, files, capsys)
+        assert (got_code, len(out.splitlines()), numpy) == (code, lines, False)
+
+    @pytest.mark.parametrize("argv, lines", [
+        (["min-k", "5"], 1),
+        (["counterexample", "8", "2", "--directed"], 2),
+    ], ids=["min-k", "counterexample"])
+    def test_exhaustive_commands_answer(self, argv, lines, files, capsys):
+        code, out, _ = self._cold_and_warm(argv, files, capsys)
+        assert (code, len(out.splitlines())) == (0, lines)
 
 
 class TestInternalFault:
@@ -615,12 +626,11 @@ class TestInputErrors:
         ["check-unique", "--cap", "200"],
         ["solve", "--method", "brute", "--cap", "200"],
     ])
-    def test_beyond_int8_is_input_error(self, tmp_path, argv, capsys):
-        from minmaxperm import compute_profile
+    def test_beyond_int8_answers(self, tmp_path, argv, capsys):
+        # the oracle keeps no int8 arrays: a raised cap lets it past n = 126
         path = tmp_path / "id130.prof"
         path.write_text(emit_profile(compute_profile(identity_perm(130), 1, True)))
-        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert main([argv[0], str(path), *argv[1:]]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
+        head = "UNIQUE\n" if argv[0] == "check-unique" else ""
+        assert (captured.out, captured.err) == (head + emit_permutation(identity_perm(130)), "")

@@ -6,18 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from minmaxperm import Permutation, TooLarge, compute_profile
+from minmaxperm import Permutation, TooLarge, brute_force_solutions, compute_profile, verify
 from minmaxperm.profiles import profile_pairs
 from minmaxperm._kernels import (
     batch_profile_codes,
     iter_perm_arrays,
     pair_count,
-    prefix_solutions,
-    profile_arrays,
     value_positions,
 )
 
-from helpers import golden_profile, golden_witness_family, random_perm
+from helpers import golden_profile, golden_witness_family, profile_arrays, random_perm
 
 
 def reference_codes(rows, k, directed):
@@ -104,7 +102,6 @@ class TestKernelsMatchReference:
 
     def test_match_agrees_with_verify(self):
         F = golden_profile()
-        m, M, d = profile_arrays(F)
         rows = []
         base = list(range(1, 10))
         rng = random.Random(3)
@@ -112,20 +109,15 @@ class TestKernelsMatchReference:
             rng.shuffle(base)
             rows.append((0, *base, 10))
         rows.extend(sorted(P.elems for P in golden_witness_family(True)))
-        rows = np.array(rows, np.int8)
-        from minmaxperm import verify
-        expected = np.array([
-            verify(Permutation(n=9, elems=tuple(int(v) for v in r)), F) for r in rows])
-        assert expected.sum() == 12  # the golden witnesses; no shuffled row matches
-        matched = {tuple(r) for block in prefix_solutions(9, 1, m, M, d) for r in block.tolist()}
-        assert np.array_equal([tuple(r) in matched for r in rows.tolist()], expected)
+        expected = [verify(Permutation(n=9, elems=r), F) for r in rows]
+        assert sum(expected) == 12  # the golden witnesses; no shuffled row matches
+        matched = {P.elems for P in brute_force_solutions(F)}
+        assert [r in matched for r in rows] == expected
 
     def test_undirected_match_ignores_direction(self):
         P = Permutation(n=4, elems=(0, 2, 1, 4, 3, 5))
         F = compute_profile(P, 1, False)
-        m, M, d = profile_arrays(F)
-        matched = {tuple(r) for block in prefix_solutions(4, 1, m, M, d) for r in block.tolist()}
-        assert P.elems in matched
+        assert P in brute_force_solutions(F)
 
 
 def assert_codes(rows, k, directed):

@@ -17,7 +17,7 @@ SRC = Path(minmaxperm.__file__).parent
 # and the CLI, load them only when a call needs the kernels.
 NUMPY_MODULES = ("_kernels", "reconstruction")
 
-# The names the package exports; the six reconstruction names resolve on
+# The names the package exports; the four reconstruction names resolve on
 # first use.
 EXPORTED = [
     "BArcPair", "BadEndpoints", "COutOfRange", "CyclicGraph", "Direction",
@@ -90,21 +90,28 @@ def test_no_unused_private_name():
     assert [f"{module}: {name}" for module, name in defined if name not in read] == []
 
 
+def _imported(node):
+    """The modules an import statement names, siblings by bare name; none
+    for any other node."""
+    if isinstance(node, ast.Import):
+        return [a.name.removeprefix("minmaxperm.") for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        module = (node.module or "").removeprefix("minmaxperm").lstrip(".")
+        # `from . import x` may import the sibling module x
+        return [module] if module else [a.name for a in node.names]
+    return []
+
+
 def _import_time_modules(tree):
     """The modules a module imports when it is itself imported, that is by
-    all but the imports inside a function body; siblings by bare name."""
+    all but the imports inside a function body."""
     stack = list(tree.body)
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         stack.extend(ast.iter_child_nodes(node))
-        if isinstance(node, ast.Import):
-            yield from (a.name for a in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            module = (node.module or "").removeprefix("minmaxperm").lstrip(".")
-            # `from . import x` may import the sibling module x
-            yield from (module,) if module else (a.name for a in node.names)
+        yield from _imported(node)
 
 
 def test_numpy_only_at_the_kernels():
@@ -117,6 +124,23 @@ def test_numpy_only_at_the_kernels():
             if path.stem not in NUMPY_MODULES and top in ("numpy", *NUMPY_MODULES):
                 found.append(f"{path.name}: {module}")
     assert found == []
+
+
+def test_only_reconstruction_imports_the_kernels():
+    # the oracle reads profile entries alone; the batch kernels serve only
+    # the uniqueness grouping, so no other module imports them, inside a
+    # function body or not
+    found = [path.name for path in sorted(SRC.glob("*.py")) if path.stem != "reconstruction"
+             for node in ast.walk(ast.parse(path.read_text())) if "_kernels" in _imported(node)]
+    assert found == []
+
+
+def test_uniqueness_names_shared():
+    # `reconstruction` keeps the oracle's uniqueness names as the same
+    # objects, so patching or importing either module reaches one function
+    from minmaxperm import reconstruction, solvers
+    assert reconstruction.is_unique is solvers.is_unique is minmaxperm.is_unique
+    assert reconstruction.UniquenessReport is solvers.UniquenessReport
 
 
 @pytest.mark.parametrize("how", ["getattr", "from-import"])

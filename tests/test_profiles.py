@@ -21,7 +21,6 @@ from minmaxperm import (
     validate_permutation,
     validate_profile,
 )
-from minmaxperm._kernels import profile_arrays
 from minmaxperm.profiles import Direction, NBRecord
 
 from helpers import (
@@ -36,6 +35,7 @@ from helpers import (
     mutate_directed,
     mutate_undirected,
     nb_records,
+    profile_arrays,
     profile_restricted,
     random_perm,
 )

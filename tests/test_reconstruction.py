@@ -19,10 +19,10 @@ from minmaxperm import (
     validate_permutation,
 )
 from minmaxperm import reconstruction
-from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays, profile_arrays
+from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays
 from minmaxperm.profiles import pair_count
 
-from helpers import GOLDEN_PERM, golden_profile, identity_perm, unsat2_profile
+from helpers import GOLDEN_PERM, golden_profile, identity_perm, profile_arrays, unsat2_profile
 
 
 class TestIsUnique:

@@ -29,7 +29,7 @@ from minmaxperm import (
     validate_permutation,
     verify,
 )
-from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays, profile_arrays
+from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays
 from minmaxperm.graph import ArcKind, Closure, _full_closure, topo_order
 from minmaxperm.profiles import KConstraint
 
@@ -38,6 +38,7 @@ from helpers import (
     all_perms,
     arc_set,
     b_arc_pairs,
+    deadline,
     endpoint_arcs,
     golden_profile,
     golden_witness_family,
@@ -51,6 +52,7 @@ from helpers import (
     masks_of,
     mutate_directed,
     mutate_undirected,
+    profile_arrays,
     profile_restricted,
     random_perm,
     random_valid_directed,
@@ -255,6 +257,60 @@ class TestOracleAboveCap:
                     assert out.is_no or out.witness in sols
                     assert all(verify(Q, G) for Q in sols)
                     assert G is not F or P in sols
+
+
+class TestOracleSearch:
+    """The oracle's prunes (c) and (d), a span beyond the other scans, and
+    depths beyond int8 values and beyond the recursion limit."""
+
+    def test_extreme_placed_before_first_end(self):
+        # the entry (0, 1) keeps n out of the segment between 0 and 1, so 1
+        # comes before n, while the entry (n, 1) wants 1 between n and
+        # n+1: no solution.  Every prefix that places n has 1 placed
+        # already, and only prune (d) drops it there; the other checks wait
+        # for n+1, at the last position, and alone take about a minute at
+        # n = 14 on a 2-core machine
+        n = 14
+        cons = {(t, 1): KConstraint(t=t, i=1, dir=U, m=0 if t == 0 else 1,
+                                    M=n - 1 if t == 0 else n + 1 if t == n else n)
+                for t in range(n + 1)}
+        with deadline(5):
+            assert brute_force_solutions(Profile(n=n, k=1, directed=False,
+                                                 constraints=cons), cap_n=n) == []
+
+    def test_right_end_placed_first(self):
+        # the directions of the solutions of TestOracleAboveCap's profile,
+        # but the entry (n, 1) puts n+1 left of n, which no permutation
+        # does.  Prune (c) drops each prefix as it places n; the other
+        # checks wait for n+1, at the last position, and alone take 7 s at
+        # n = 14 on a 2-core machine, about 36 times that at n = 16
+        n = 16
+        cons = {(t, 1): KConstraint(t=t, i=1, dir=R if t % 2 or t == n else L,
+                                    m=0 if t == 0 else 1, M=n + 1 if t == n else n)
+                for t in range(n + 1)}
+        with deadline(5):
+            assert brute_force_solutions(Profile(n=n, k=1, directed=True,
+                                                 constraints=cons), cap_n=n) == []
+
+    @pytest.mark.parametrize("directed", (True, False))
+    def test_k3_equals_itertools_scan(self, directed):
+        # every distinct k = 3 profile up to n = 6, and one edited copy
+        rng = random.Random(30 + directed)
+        for n in range(2, 7):
+            classes, profiles = defaultdict(list), {}
+            for inner in itertools.permutations(range(1, n + 1)):
+                P = Permutation(n=n, elems=(0, *inner, n + 1))
+                F = compute_profile(P, 3, directed)
+                classes[tuple(F.entries())].append(P)
+                profiles.setdefault(tuple(F.entries()), F)
+            for F in profiles.values():
+                for G in (F, _edited(rng, F)):
+                    assert brute_force_solutions(G) == classes.get(tuple(G.entries()), []), G
+
+    @pytest.mark.parametrize("n", (130, 1100))
+    def test_identity_at_depth(self, n):
+        P = identity_perm(n)
+        assert brute_force_solutions(compute_profile(P, 1, True), cap_n=n) == [P]
 
 
 class TestSolveLinear:
