@@ -1,9 +1,9 @@
 """Reconstruction of permutations from min/max betweenness profiles.
 
-The exhaustive uniqueness analysis (`reconstruction`) and its batch
-kernels (`_kernels`) run on numpy, so they and the four names below load
-on first use: importing the package, the solvers, the brute-force oracle
-and `is_unique` load no numpy.
+The exhaustive uniqueness analysis (`reconstruction`) is the one module
+that runs on numpy, so it and the four names below load on first use:
+importing the package, the solvers, the brute-force oracle and
+`is_unique` load no numpy.
 """
 
 import importlib
@@ -63,10 +63,13 @@ _RECONSTRUCTION = (
 
 
 def __getattr__(name: str):
-    """Import `_kernels`, `reconstruction` or a name of the latter on first
-    use, and keep it as a module global so later lookups skip this."""
+    """Import `reconstruction` or one of its names on first use, and keep
+    it as a module global so later lookups skip this."""
     if name in ("_kernels", "reconstruction"):
-        value = importlib.import_module(f"{__name__}.{name}")
+        # `_kernels` names `reconstruction` too: `run_header` in
+        # perfbench/run.py reads `minmaxperm._kernels` and then numpy from
+        # sys.modules in every benchmark run
+        value = importlib.import_module(f"{__name__}.reconstruction")
     elif name in _RECONSTRUCTION:
         value = getattr(importlib.import_module(f"{__name__}.reconstruction"), name)
     else:

@@ -9,10 +9,18 @@ and n identically and split the remaining elements into the same three
 blocks).  Per-profile uniqueness, `is_unique`, is the oracle's, in
 `solvers`.
 
+This is the one module that uses numpy, and no module the package or the
+CLI loads at start-up imports it: the exhaustive questions load it when
+first called.
+
 The two exhaustive checks share one grouping of a set of permutation rows
-by their k-profiles.  The kernel computes the profile codes _ROW_BLOCK
-rows at a time.  Each slot's (m, M, dir) becomes one mixed-radix digit,
-and the rows are grouped exactly, in passes: each pass packs the current
+by their k-profiles.  A profile of span k over {0..n+1} has one slot per
+(gap i, start t) pair, i = 1..k and t = 0..n+1-i, ordered by (i, t), and
+its code is the three per-slot arrays [m | M | dir], dir being +1 (t left
+of t+i), -1 (right of) or 0 (undirected).  The codes are computed
+value-major, _ROW_BLOCK rows at a time, into range tables allocated once
+per grouping.  Each slot's (m, M, dir) becomes one mixed-radix digit, and
+the rows are grouped exactly, in passes: each pass packs the current
 class id and as many digits as fit below 2**63 into one int64 key, sorts
 the keys with `np.argsort` and numbers the classes densely again, until
 every class is a singleton or the digits run out.  Each row is compared
@@ -33,14 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import batch_profile_codes, iter_perm_arrays, value_positions
 from .errors import (
     InternalInconsistency,
     PreconditionViolation,
     TooLarge,
 )
 from . import solvers
-from .profiles import Permutation, compute_profile, segment
+from .profiles import Permutation, compute_profile, pair_count, segment
 from .solvers import DEFAULT_GROUPING_CAP
 
 # Per-profile uniqueness is the oracle's and lives in `solvers`, which
@@ -55,8 +62,8 @@ GROUPING_LIMIT = 9
 # its text take about 145 bytes per value (`counterexample N 1` peaks at
 # 42 MB resident at N = 10^5, 172 MB at 10^6 and 318 MB at 2 * 10^6).
 COLLISION_LIMIT = 10**6
-# Rows per kernel call: the fastest of 1,024 to 40,320 at n = 8, and at
-# V <= 11 it keeps each (V, V, b) range table under 1 MB.
+# Rows per range-table fill: the fastest of 1,024 to 40,320 at n = 8, and
+# at V <= 11 it keeps each (V, V, b) range table under 1 MB.
 _ROW_BLOCK = 8192
 
 
@@ -72,8 +79,98 @@ class MinKResult:
 
 
 def _all_rows(n: int) -> np.ndarray:
-    """All permutation rows in lexicographic order."""
-    return np.concatenate(list(iter_perm_arrays(n)))
+    """All n! permutations of {0..n+1} with pinned endpoints, in
+    lexicographic order, as an (n!, n+2) int8 array.
+
+    The rows over the values 1..size are those over 1..size-1 with each
+    first value v prepended in turn and the entries >= v shifted up by
+    one; the shift keeps each block's order, so the whole stays
+    lexicographic.  Each step writes its rows, ends included, in place."""
+    rows = np.array([[0, 1]], np.int8)
+    for size in range(1, n + 1):
+        inner, count = rows[:, 1:-1], len(rows)
+        rows = np.empty((size * count, size + 2), np.int8)
+        rows[:, 0] = 0
+        rows[:, -1] = size + 1
+        for v in range(1, size + 1):
+            block = rows[(v - 1) * count:v * count]
+            block[:, 1] = v
+            np.add(inner, inner >= v, out=block[:, 2:-1])
+    return rows
+
+
+def _value_positions(perms: np.ndarray) -> np.ndarray:
+    """Inverse of a (B, V) int8 block of permutation rows of range(V), as a
+    (V, B) int8 array: entry [v, b] is the position of value v in row b.
+    One scatter through flat indices v*B + b."""
+    B, V = perms.shape
+    flat = perms.T.astype(np.intp)
+    flat *= B
+    flat += np.arange(B)
+    pos = np.empty(V * B, np.int8)
+    pos[flat] = np.arange(V, dtype=np.int8)[:, None]
+    return pos.reshape(V, B)
+
+
+def _slot_codes(rows: np.ndarray, k: int, directed: bool) -> np.ndarray:
+    """The k-profile codes [m | M | dir] of (B, V) int8 permutation rows,
+    slot-major: a (3L, B) int8 array whose column b is the code of row b.
+
+    The rows go through in blocks of at most _ROW_BLOCK, value-major, one
+    length-b array per table cell: mn[lo, hi] and mx[lo, hi] hold the min
+    and max of the values at positions lo..hi of every row of the block,
+    each cell one binary np.minimum / np.maximum of the cell before it
+    (hi - 1) and column hi, then copied to mn[hi, lo] so that either order
+    of the two ends reads the same cell.  Slot (t, t+i) of row b is cell
+    (pos[t, b]*V + pos[t+i, b])*span + b of the flat tables, and each
+    gap's slots are gathered at once into the codes.  The tables, the
+    columns and the cell indices are allocated once per call, span rows
+    wide; a shorter last block fills and reads only its first columns."""
+    B, V = rows.shape
+    L = pair_count(V - 2, k)
+    span = min(B, _ROW_BLOCK)
+    mn = np.empty((V, V, span), np.int8)
+    mx = np.empty((V, V, span), np.int8)
+    flat_mn, flat_mx = mn.reshape(-1), mx.reshape(-1)
+    cols = np.empty((V, span), np.int8)
+    starts = np.empty((V, span), np.intp)
+    ends = np.empty((V, span), np.intp)
+    cells = np.empty((V - 1, span), np.intp)
+    index = np.arange(span)
+    codes = np.empty((3 * L, B), np.int8)
+    dirs = codes[2 * L:]
+    for at in range(0, B, _ROW_BLOCK):
+        block = rows[at:at + _ROW_BLOCK]
+        b = len(block)
+        col = cols[:, :b]
+        np.copyto(col, block.T)
+        for lo in range(V):
+            mn[lo, lo, :b] = mx[lo, lo, :b] = col[lo]
+            for hi in range(lo + 1, V):
+                np.minimum(mn[lo, hi - 1, :b], col[hi], out=mn[lo, hi, :b])
+                np.maximum(mx[lo, hi - 1, :b], col[hi], out=mx[lo, hi, :b])
+            mn[lo + 1:, lo, :b] = mn[lo, lo + 1:, :b]
+            mx[lo + 1:, lo, :b] = mx[lo, lo + 1:, :b]
+        pos = _value_positions(block)
+        end = np.multiply(pos, span, out=ends[:, :b], dtype=np.intp)
+        start = np.multiply(end, V, out=starts[:, :b])
+        start += index[:b]
+        idx = 0
+        for i in range(1, min(k, V - 1) + 1):
+            width = V - i
+            cell = np.add(start[:width], end[i:], out=cells[:width, :b])
+            np.take(flat_mn, cell, out=codes[idx:idx + width, at:at + b])
+            np.take(flat_mx, cell, out=codes[L + idx:L + idx + width, at:at + b])
+            if directed:
+                np.less(pos[:width], pos[i:], out=dirs[idx:idx + width, at:at + b])
+            idx += width
+    if directed:
+        # 1 where t lies left of t+i and 0 where right, to +1 and -1
+        dirs *= 2
+        dirs -= 1
+    else:
+        dirs[:] = 0
+    return codes
 
 
 def _slot_digits(rows: np.ndarray, k: int, directed: bool) -> tuple[np.ndarray, list[int]]:
@@ -84,20 +181,15 @@ def _slot_digits(rows: np.ndarray, k: int, directed: bool) -> tuple[np.ndarray, 
     m*(V-t-i) + M-t-i lies in 0..(t+1)(V-t-i)-1; a directed slot doubles
     it and adds 1 when t lies left of t+i.  Equal codes give equal digits
     and, within those ranges, equal digits give equal codes, so a code
-    outside them raises InternalInconsistency.  The kernel runs on at most
-    _ROW_BLOCK rows at a time, and its codes are copied slot-major into
-    one (3L, B) array, from which the digits come in whole-array steps."""
-    B, V = rows.shape
+    outside them raises InternalInconsistency.  The digits come from the
+    slot-major codes of _slot_codes in whole-array steps."""
+    V = rows.shape[1]
     gaps = range(1, min(k, V - 1) + 1)
     t = np.concatenate([np.arange(V - i, dtype=np.uint8) for i in gaps])[:, None]
     end = np.concatenate([np.arange(i, V, dtype=np.uint8) for i in gaps])[:, None]
     width = V - end
     base = ((t + 1) * width.astype(np.intp) * (1 + directed)).ravel().tolist()
-    L = len(base)
-    codes = np.empty((3 * L, B), np.int8)
-    for at in range(0, B, _ROW_BLOCK):
-        block = batch_profile_codes(rows[at:at + _ROW_BLOCK], k, directed)
-        codes[:, at:at + len(block)] = block.T
+    codes = _slot_codes(rows, k, directed)
     # unsigned, so that a negative m or a wrapped M - t - i is out of range
     # too; dir + 1 is 0 or 2 directed and 1 undirected
     m, low, dirs = np.split(codes.view(np.uint8), 3)
@@ -253,7 +345,7 @@ def fixed_positions_check(n: int, k: int, directed: bool,
 def _position_features(rows: np.ndarray, n: int) -> np.ndarray:
     """Per row: the position of 1, the position of n, then the block of
     every value (0 before both, 1 between, 2 after)."""
-    pos = value_positions(rows).T
+    pos = _value_positions(rows).T
     lo = np.minimum(pos[:, 1], pos[:, n])[:, None]
     hi = np.maximum(pos[:, 1], pos[:, n])[:, None]
     return np.concatenate([pos[:, [1, n]], (pos > lo).astype(np.int8) + (pos > hi)], axis=1)

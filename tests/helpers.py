@@ -76,9 +76,9 @@ _DIR_CODE = {Direction.LEFT_TO_RIGHT: 1, Direction.RIGHT_TO_LEFT: -1, Direction.
 
 def profile_arrays(F: Profile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(m, M, dir) int8 arrays of F's entries in canonical (i, t) order;
-    dir is +1/-1/0: the per-slot layout of `_kernels.batch_profile_codes`
-    rows, [m | M | dir].  Raises TooLarge when n+1 does not fit in int8
-    (n >= 127)."""
+    dir is +1/-1/0: the per-slot layout of a code column of
+    `reconstruction._slot_codes`, [m | M | dir].  Raises TooLarge when n+1
+    does not fit in int8 (n >= 127)."""
     if F.n + 1 > 127:
         raise TooLarge(f"n={F.n} too large for int8 profile arrays")
     ents = F.entries()
@@ -394,16 +394,28 @@ def reference_topo_order(incoming: Sequence[int]) -> Permutation:
     return validate_permutation(order)
 
 
+class _Expired(BaseException):
+    """The alarm of `deadline`, raised inside its block."""
+
+
 @contextlib.contextmanager
 def deadline(seconds: float):
-    """Raise TimeoutError inside the block once `seconds` of wall time have
-    passed (SIGALRM, so the block must run on the main thread)."""
+    """Raise TimeoutError out of the block once `seconds` of wall time have
+    passed (SIGALRM, so the block must run on the main thread).
+
+    The alarm interrupts the block with a private exception, and the
+    TimeoutError is raised afresh from this frame, without the interrupted
+    ones: on Python 3.11 a frame interrupted at a jump that has no line
+    number gives a traceback entry whose tb_lineno is None, on which
+    pytest's failure report crashes the whole session."""
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise _Expired
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
+    except _Expired:
+        raise TimeoutError(f"still running after {seconds} s") from None
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)

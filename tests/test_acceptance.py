@@ -31,9 +31,9 @@ from minmaxperm import (
     validate_profile,
     verify,
 )
-from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays, pair_count
 from minmaxperm.graph import ArcKind, Closure, _full_closure
-from minmaxperm.profiles import NBRecord, profile_pairs
+from minmaxperm.profiles import NBRecord, pair_count, profile_pairs
+from minmaxperm.reconstruction import _all_rows, _slot_codes
 
 from helpers import (
     GOLDEN_ENTRIES,
@@ -355,11 +355,11 @@ def test_criterion_10_property_suites():
 
     # complement duality of directed k-profiles, all n <= 7, all k
     for n in range(1, 8):
-        rows = np.concatenate(list(iter_perm_arrays(n)))
+        rows = _all_rows(n)
         dual_rows = (n + 1 - rows)[:, ::-1]
         for k in range(1, n + 2):
-            codes = batch_profile_codes(rows, k, True)
-            dcodes = batch_profile_codes(dual_rows, k, True)
+            codes = _slot_codes(rows, k, True).T
+            dcodes = _slot_codes(dual_rows, k, True).T
             L = pair_count(n, k)
             pairs = profile_pairs(n, k)
             index = {pair: i for i, pair in enumerate(pairs)}

@@ -1,19 +1,13 @@
 import itertools
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from minmaxperm import Permutation, TooLarge, brute_force_solutions, compute_profile, verify
-from minmaxperm.profiles import profile_pairs
-from minmaxperm._kernels import (
-    batch_profile_codes,
-    iter_perm_arrays,
-    pair_count,
-    value_positions,
-)
+from minmaxperm import Permutation, brute_force_solutions, compute_profile, verify
+from minmaxperm.profiles import pair_count, profile_pairs
+from minmaxperm.reconstruction import _ROW_BLOCK, _all_rows, _slot_codes, _value_positions
 
 from helpers import golden_profile, golden_witness_family, profile_arrays, random_perm
 
@@ -44,52 +38,23 @@ class TestPairCount:
 class TestEnumeration:
     def test_counts_and_shape(self):
         for n in (1, 2, 4):
-            rows = np.concatenate(list(iter_perm_arrays(n)))
+            rows = _all_rows(n)
             assert rows.shape == (math.factorial(n), n + 2)
             assert (rows[:, 0] == 0).all() and (rows[:, -1] == n + 1).all()
 
     def test_lexicographic_order(self):
-        rows = np.concatenate(list(iter_perm_arrays(4)))
+        rows = _all_rows(4)
         as_tuples = [tuple(r) for r in rows]
         assert as_tuples == sorted(as_tuples)
 
-    def test_chunking(self):
-        chunks = list(iter_perm_arrays(5, chunk=17))
-        assert sum(c.shape[0] for c in chunks) == 120
-        assert all(c.shape[0] <= 17 for c in chunks)
-        joined = [tuple(r) for c in chunks for r in c]
-        assert joined == [tuple(r) for r in np.concatenate(list(iter_perm_arrays(5)))]
-
     def test_matches_itertools_across_blocks(self):
-        blocks = list(iter_perm_arrays(9))
-        assert [len(b) for b in blocks] == [math.factorial(8)] * 9
+        rows = _all_rows(9)
+        assert rows.dtype == np.int8 and rows.flags.c_contiguous
         expected = np.array(list(itertools.permutations(range(1, 10))), np.int8)
-        assert np.array_equal(np.concatenate(blocks)[:, 1:-1], expected)
-
-    def test_one_row_blocks(self):
-        blocks = list(iter_perm_arrays(4, chunk=1))
-        assert [b.shape for b in blocks] == [(1, 6)] * 24
-        assert [tuple(b[0, 1:-1]) for b in blocks] == list(itertools.permutations(range(1, 5)))
+        assert np.array_equal(rows[:, 1:-1], expected)
 
     def test_n_zero(self):
-        blocks = list(iter_perm_arrays(0))
-        assert len(blocks) == 1
-        assert blocks[0].tolist() == [[0, 1]]
-
-    def test_first_block_does_not_materialize_all_rows(self):
-        tracemalloc.start()
-        try:
-            first = next(iter_perm_arrays(12))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert first.shape == (math.factorial(8), 14)
-        assert first[0].tolist() == list(range(14))
-        assert peak < 10 * 2**20
-
-    def test_too_large_for_int8(self):
-        with pytest.raises(TooLarge):
-            next(iter_perm_arrays(130))
+        assert _all_rows(0).tolist() == [[0, 1]]
 
 
 class TestKernelsMatchReference:
@@ -98,7 +63,7 @@ class TestKernelsMatchReference:
         for n, k, directed in ((3, 1, True), (5, 2, False), (7, 3, True), (8, 9, False)):
             rows = random_rows(rng, n, 40)
             ref = reference_codes(rows, k, directed)
-            assert np.array_equal(batch_profile_codes(rows, k, directed), ref)
+            assert np.array_equal(_slot_codes(rows, k, directed).T, ref)
 
     def test_match_agrees_with_verify(self):
         F = golden_profile()
@@ -121,18 +86,18 @@ class TestKernelsMatchReference:
 
 
 def assert_codes(rows, k, directed):
-    """batch_profile_codes of rows is the (B, 3L) int8 C-contiguous array
-    of their reference codes."""
-    codes = batch_profile_codes(rows, k, directed)
+    """_slot_codes of rows is the (3L, B) int8 C-contiguous array of their
+    reference codes, one column per row."""
+    codes = _slot_codes(rows, k, directed)
     assert codes.dtype == np.int8 and codes.flags.c_contiguous
-    assert codes.shape == (len(rows), 3 * pair_count(np.shape(rows)[1] - 2, k))
-    assert np.array_equal(codes, reference_codes(rows, k, directed).reshape(codes.shape))
+    assert codes.shape == (3 * pair_count(rows.shape[1] - 2, k), len(rows))
+    assert np.array_equal(codes.T, reference_codes(rows, k, directed).reshape(codes.T.shape))
 
 
 class TestKernelEdgeCases:
     def test_value_positions_inverts_rows(self):
-        rows = np.concatenate(list(iter_perm_arrays(6)))
-        pos = value_positions(rows)
+        rows = _all_rows(6)
+        pos = _value_positions(rows)
         assert pos.dtype == np.int8 and pos.shape == (8, len(rows))
         assert np.array_equal(pos.T, rows.argsort(axis=1))
 
@@ -157,19 +122,22 @@ class TestKernelEdgeCases:
             assert_codes(rows, n + 1, directed)
 
     @pytest.mark.parametrize("directed", [True, False])
-    def test_int64_and_non_contiguous_input(self, directed):
-        rows = random_rows(random.Random(9), 8, 40)
-        for k in (1, 3):
-            assert_codes(rows.astype(np.int64), k, directed)
-            assert not rows[::-1].flags.c_contiguous
-            assert_codes(rows[::-1], k, directed)
-            assert_codes(rows.astype(np.int64)[::-1], k, directed)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_tables_reused_across_blocks(self, directed, k):
+        # all n = 8 rows: four full blocks and a short last one, which
+        # reads only cells that its own rows filled
+        rows = _all_rows(8)
+        last = len(rows) // _ROW_BLOCK * _ROW_BLOCK
+        assert (len(rows) - last, last // _ROW_BLOCK) == (7552, 4)
+        codes = _slot_codes(rows, k, directed)
+        assert np.array_equal(codes[:, last:].T, reference_codes(rows[last:], k, directed))
+        assert np.array_equal(_slot_codes(rows[_ROW_BLOCK:], k, directed), codes[:, _ROW_BLOCK:])
 
 
 class TestExhaustiveAgreement:
     @pytest.mark.parametrize("directed", [True, False])
     def test_all_profiles_up_to_n6(self, directed):
         for n in range(1, 7):
-            rows = np.concatenate(list(iter_perm_arrays(n)))
+            rows = _all_rows(n)
             for k in range(1, n + 2):
                 assert_codes(rows, k, directed)

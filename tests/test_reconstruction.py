@@ -19,8 +19,8 @@ from minmaxperm import (
     validate_permutation,
 )
 from minmaxperm import reconstruction
-from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays
 from minmaxperm.profiles import pair_count
+from minmaxperm.reconstruction import _all_rows, _slot_codes
 
 from helpers import GOLDEN_PERM, golden_profile, identity_perm, profile_arrays, unsat2_profile
 
@@ -89,7 +89,7 @@ class TestGroupingLimit:
         def forbidden(n):
             raise AssertionError(f"enumeration of n={n} started")
 
-        monkeypatch.setattr(reconstruction, "iter_perm_arrays", forbidden)
+        monkeypatch.setattr(reconstruction, "_all_rows", forbidden)
 
     @pytest.mark.parametrize("n", [reconstruction.GROUPING_LIMIT + 1, 11])
     def test_raised_cap_stops_at_limit(self, n):
@@ -110,7 +110,7 @@ class TestRefinement:
     def full_leaders(rows, k, directed):
         first = {}
         return np.array([first.setdefault(code.tobytes(), i)
-                         for i, code in enumerate(batch_profile_codes(rows, k, directed))])
+                         for i, code in enumerate(_slot_codes(rows, k, directed).T)])
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_live_rows_match_full_grouping(self, directed, monkeypatch):
@@ -126,7 +126,7 @@ class TestRefinement:
         for n in range(1, 8):
             calls.clear()
             min_k = min_unique_k(n, directed).min_k
-            rows = np.concatenate(list(iter_perm_arrays(n)))
+            rows = _all_rows(n)
             index = {row.tobytes(): i for i, row in enumerate(rows)}
             assert [k for _, k, _ in calls] == list(range(1, min_k + 1))
             assert len(calls[0][0]) == len(rows)
@@ -150,22 +150,31 @@ class TestGroupingMemory:
         (False, 6, ((0, 4, 5, 6, 7, 8, 1, 9, 2, 3, 10), (0, 4, 5, 6, 7, 8, 1, 9, 3, 2, 10))),
     ])
     def test_n9_kernel_calls_stay_within_one_block(self, directed, min_k, pair, monkeypatch):
-        # at k = 2 more than one block of rows is still live
-        sizes = []
+        # at k = 2 more than one block of rows is still live; each grouping
+        # allocates its two (V, V, b) range tables once, b <= 8,192
+        calls, tables = [], []
+        real_codes, real_empty = reconstruction._slot_codes, np.empty
 
         def recording(rows, k, directed):
-            sizes.append(len(rows))
-            return batch_profile_codes(rows, k, directed)
+            calls.append(len(rows))
+            return real_codes(rows, k, directed)
 
-        monkeypatch.setattr(reconstruction, "batch_profile_codes", recording)
+        def recording_empty(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and len(shape) == 3:
+                tables.append(shape)
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(reconstruction, "_slot_codes", recording)
+        monkeypatch.setattr(reconstruction.np, "empty", recording_empty)
         result = min_unique_k(9, directed, cap_n=9)
         assert result.min_k == min_k
         assert tuple(P.elems for P in result.collision) == pair
-        assert max(sizes) <= 8_192
+        assert max(calls) > 8_192
+        assert tables == [(11, 11, min(8_192, b)) for b in calls for _ in range(2)]
 
     # Grouping whole 40,320-row blocks by their code bytes peaked at
     # 19.15 MiB for min_unique_k(8) and 20.07 MiB for
-    # fixed_positions_check(8, 2); 8,192-row kernel blocks and int64 keys
+    # fixed_positions_check(8, 2); 8,192-row code blocks and int64 keys
     # peak at 5.45 MiB directed, 5.88 MiB undirected and 6.75 MiB.  The
     # bounds sit 0.5 MiB above those.
     @pytest.mark.parametrize("directed, bound_mib", [(True, 5.95), (False, 6.4)])
@@ -207,7 +216,7 @@ class TestLeadersExact:
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_all_n8_rows_at_full_span(self, directed, passes):
-        rows = np.concatenate(list(iter_perm_arrays(8)))
+        rows = _all_rows(8)
         leader = reconstruction._leaders(rows, 9, directed)
         assert len(passes) >= 2 and min(passes) >= 0
         assert (leader == np.arange(len(rows))).all()
@@ -218,7 +227,7 @@ class TestLeadersExact:
         # the first 80,640 rows, two enumeration blocks, in a seeded random
         # order, so that a leader is the first of its class in that order,
         # not the least in lexicographic order
-        rows = np.concatenate(list(iter_perm_arrays(9)))[:80_640]
+        rows = _all_rows(9)[:80_640]
         rows = rows[np.random.default_rng(9).permutation(len(rows))]
         leader = reconstruction._leaders(rows, k, directed)
         assert len(passes) >= 2 and min(passes) >= 0
@@ -229,12 +238,12 @@ class TestLeadersExact:
     def test_digits_decode_to_codes(self, directed):
         # every digit lies below its base and gives back its slot's m, M
         # and, directed, dir
-        rows = np.concatenate(list(iter_perm_arrays(7)))
+        rows = _all_rows(7)
         V = 9
         for k in (1, 4, 8):
             digits, base = reconstruction._slot_digits(rows, k, directed)
             assert (digits < np.array(base)[:, None]).all()
-            codes = batch_profile_codes(rows, k, directed).T
+            codes = _slot_codes(rows, k, directed)
             L = len(base)
             end = np.concatenate([np.arange(i, V) for i in range(1, min(k, V - 1) + 1)])[:, None]
             rest = digits.astype(np.int64)
@@ -411,17 +420,17 @@ class TestGroupingFaults:
         # m = 0, M = V - 1 and, directed, t left of t+i in every slot
         B, V = rows.shape
         L = pair_count(V - 2, k)
-        codes = np.zeros((B, 3 * L), np.int8)
-        codes[:, L:2 * L] = V - 1
-        codes[:, 2 * L:] = directed
+        codes = np.zeros((3 * L, B), np.int8)
+        codes[L:2 * L] = V - 1
+        codes[2 * L:] = directed
         return codes
 
     def test_fixed_positions_fails(self, monkeypatch):
-        monkeypatch.setattr(reconstruction, "batch_profile_codes", self.one_class)
+        monkeypatch.setattr(reconstruction, "_slot_codes", self.one_class)
         assert fixed_positions_check(6, 1, True) is False
 
     def test_collision_is_rechecked(self, monkeypatch):
-        monkeypatch.setattr(reconstruction, "batch_profile_codes", self.one_class)
+        monkeypatch.setattr(reconstruction, "_slot_codes", self.one_class)
         with pytest.raises(InternalInconsistency):
             min_unique_k(6, True)
 
@@ -435,12 +444,12 @@ class TestGroupingFaults:
     ])
     def test_code_out_of_range(self, directed, column, value, monkeypatch):
         def corrupt(rows, k, directed):
-            codes = batch_profile_codes(rows, k, directed)
-            L = codes.shape[1] // 3
-            codes[len(codes) // 2, {"m": 0, "m2": 2, "M": L, "dir": 2 * L}[column]] = value
+            codes = _slot_codes(rows, k, directed)
+            L = len(codes) // 3
+            codes[{"m": 0, "m2": 2, "M": L, "dir": 2 * L}[column], len(rows) // 2] = value
             return codes
 
-        monkeypatch.setattr(reconstruction, "batch_profile_codes", corrupt)
+        monkeypatch.setattr(reconstruction, "_slot_codes", corrupt)
         with pytest.raises(InternalInconsistency):
             fixed_positions_check(5, 2, directed)
         with pytest.raises(InternalInconsistency):

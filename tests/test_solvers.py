@@ -29,9 +29,9 @@ from minmaxperm import (
     validate_permutation,
     verify,
 )
-from minmaxperm._kernels import batch_profile_codes, iter_perm_arrays
 from minmaxperm.graph import ArcKind, Closure, _full_closure, topo_order
 from minmaxperm.profiles import KConstraint
+from minmaxperm.reconstruction import _all_rows, _slot_codes
 
 from helpers import (
     GOLDEN_PERM,
@@ -208,10 +208,9 @@ class TestOracleReferences:
     @pytest.mark.parametrize("n, k", ((8, 1), (8, 2), (9, 1)))
     def test_equals_code_scan(self, n, k):
         rng = random.Random(100 * n + k)
-        rows = np.concatenate(list(iter_perm_arrays(n)))
+        rows = _all_rows(n)
         for directed in (True, False):
-            codes = np.concatenate([batch_profile_codes(b, k, directed)
-                                    for b in iter_perm_arrays(n)])
+            codes = _slot_codes(rows, k, directed).T
             for _ in range(3):
                 F = compute_profile(random_perm(rng, n), k, directed)
                 for G in (F, _edited(rng, F)):
