@@ -7,7 +7,7 @@ Subcommands:
     verify PERM PROFILE                   recompute-and-compare
     enumerate PROFILE [--cap N]           all witnesses, one per line
     check-unique PROFILE [--cap N]        UNIQUE / COLLISION / EMPTY
-    min-k N [--directed] [--cap N]        exhaustive minimum k
+    min-k N [--directed]                  exhaustive minimum k
     counterexample N K [--directed]       explicit collision pair
 
 Every subcommand accepts --json for a single structured report object.
@@ -37,7 +37,6 @@ from .graph import require_solver_profile, to_dot
 from .profiles import Profile, compute_profile
 from .solvers import (
     DEFAULT_BRUTE_CAP,
-    DEFAULT_GROUPING_CAP,
     SolveOutcome,
     brute_force_solutions,
     is_unique,
@@ -71,7 +70,7 @@ def _solve_dispatch(F: Profile, method: str, cap: int) -> SolveOutcome:
     if method == "fpt":
         if F.directed:
             return solve_fpt_directed(F)
-        return solve_undirected(F, method="fpt")
+        return solve_undirected(F)
     if method == "brute":
         require_solver_profile(F)  # same gate as the other methods
         sols = brute_force_solutions(F, cap)
@@ -125,7 +124,7 @@ def _cmd_check_unique(args) -> _Result:
 
 def _cmd_min_k(args) -> _Result:
     from .reconstruction import min_unique_k
-    result = min_unique_k(args.n, args.directed, args.cap)
+    result = min_unique_k(args.n, args.directed)
     return 0, {
         "n": result.n,
         "directed": result.directed,
@@ -196,7 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="minimum k at which every k-profile is unique")
     p.add_argument("n", type=int)
     p.add_argument("--directed", action="store_true")
-    p.add_argument("--cap", type=int, default=DEFAULT_GROUPING_CAP)
     p.set_defaults(func=_cmd_min_k)
 
     p = sub.add_parser("counterexample", parents=[common],

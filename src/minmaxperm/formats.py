@@ -16,14 +16,16 @@ Profile documents are line oriented; `#` starts a comment anywhere:
 Header fields come in that fixed order.  Constraint lines read
 `t i dir m M` with dir one of `>` (t left of t+i), `<`, `?` (undirected).
 Emission is canonical (constraints sorted by gap, then start), and
-parse/emit round-trip bit-exactly on canonical documents.
+parse/emit round-trip bit-exactly on canonical documents.  A directed
+document has no `?` entry, so a directed profile with an Unknown entry,
+such as a set profile whose members disagree on a pair, is not emitted.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import ProfileSyntaxError, ProfileValidationError
+from .errors import PreconditionViolation, ProfileSyntaxError, ProfileValidationError
 from .profiles import (
     Direction,
     KConstraint,
@@ -130,7 +132,10 @@ def parse_profile(text: str) -> Profile:
 
 
 def emit_profile(F: Profile) -> str:
-    """Canonical document for F; parse(emit(F)) == F."""
+    """Canonical document for F; parse(emit(F)) == F.
+
+    A directed F with an Unknown entry raises PreconditionViolation, since
+    parse_profile rejects `?` in a directed document."""
     lines = [
         f"{FORMAT_TAG} {FORMAT_VERSION}",
         f"n {F.n}",
@@ -138,6 +143,9 @@ def emit_profile(F: Profile) -> str:
         f"directed {1 if F.directed else 0}",
     ]
     for c in F.entries():
+        if F.directed and c.dir is Direction.UNKNOWN:
+            raise PreconditionViolation(
+                f"directed profile with an Unknown entry at ({c.t},{c.i}) has no document")
         lines.append(f"{c.t} {c.i} {c.dir.value} {c.m} {c.M}")
     return "\n".join(lines) + "\n"
 

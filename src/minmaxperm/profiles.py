@@ -121,17 +121,24 @@ class Profile:
     """A full (t, t+i) constraint map for all gaps 1 <= i <= k.
 
     Structural requirements are enforced at construction: exactly one
-    constraint per admissible (t, i) pair, and an undirected profile has
-    every direction Unknown.  Value bounds are *not* enforced here; they
-    are what validate_profile reports on.  A directed profile may carry
-    Unknown entries only when produced from a set of permutations whose
-    members disagree on that pair.
+    constraint per admissible (t, i) pair, every direction a `Direction`,
+    and an undirected profile has every direction Unknown.  n, k and each
+    entry's t, i, m and M must be integers, as `operator.index` reads one,
+    and are stored as plain ints (an entry with a field of another integer
+    type is rebuilt).  Value bounds are *not* enforced here; they are what
+    validate_profile reports on.  A directed profile may carry Unknown
+    entries only when produced from a set of permutations whose members
+    disagree on that pair.
     """
 
     __slots__ = ("n", "k", "directed", "constraints")
 
     def __init__(self, n: int, k: int, directed: bool,
                  constraints: dict[tuple[int, int], KConstraint]):
+        try:
+            n, k = operator.index(n), operator.index(k)
+        except TypeError:
+            raise PreconditionViolation(f"n and k must be integers, got n={n!r}, k={k!r}") from None
         if not 1 <= k <= n + 1:
             raise PreconditionViolation(f"need 1 <= k <= n+1, got k={k}, n={n}")
         expected = profile_pairs(n, k)
@@ -141,15 +148,26 @@ class Profile:
             raise PreconditionViolation(
                 f"constraint keys do not cover the (t, i) grid "
                 f"(missing {missing[:4]}, extra {extra[:4]})")
+        checked = dict(constraints)
         for (t, i), c in constraints.items():
             if (c.t, c.i) != (t, i):
                 raise PreconditionViolation(f"constraint at key ({t},{i}) labeled ({c.t},{c.i})")
+            if not isinstance(c.dir, Direction):
+                raise PreconditionViolation(f"direction {c.dir!r} at ({t},{i}) is not a Direction")
             if not directed and c.dir is not Direction.UNKNOWN:
                 raise PreconditionViolation(f"undirected profile with direction at ({t},{i})")
+            if not type(c.t) is type(c.i) is type(c.m) is type(c.M) is int:
+                fields = c.t, c.i, c.m, c.M
+                try:
+                    t, i, m, M = map(operator.index, fields)
+                except TypeError:
+                    raise PreconditionViolation(
+                        f"non-integer field in entry ({t},{i}): {fields}") from None
+                checked[t, i] = KConstraint(t=t, i=i, dir=c.dir, m=m, M=M)
         self.n = n
         self.k = k
         self.directed = directed
-        self.constraints = dict(constraints)
+        self.constraints = checked
 
     def entry(self, t: int, i: int = 1) -> KConstraint:
         return self.constraints[(t, i)]

@@ -48,15 +48,14 @@ from .errors import (
 )
 from . import solvers
 from .profiles import Permutation, compute_profile, pair_count, segment
-from .solvers import DEFAULT_GROUPING_CAP
 
 # Per-profile uniqueness is the oracle's and lives in `solvers`, which
 # loads no numpy; the two names stay here, the same objects, for callers
 # that import them from this module.
 UniquenessReport, is_unique = solvers.UniquenessReport, solvers.is_unique
 
-# No cap_n lets a grouping pass this n: at n = 10, fixed_positions_check
-# at k = 2 takes over 4 s and peaks above 360 MB resident (docs/min_k.md).
+# The groupings refuse a larger n before building any row: at n = 10,
+# fixed_positions_check at k = 2 takes seconds and peaks above 360 MB.
 GROUPING_LIMIT = 9
 # collision_pair refuses a larger n before it builds anything: the pair and
 # its text take about 145 bytes per value (`counterexample N 1` peaks at
@@ -240,16 +239,14 @@ def _leaders(rows: np.ndarray, k: int, directed: bool) -> np.ndarray:
     return np.minimum.reduceat(order, np.flatnonzero(new))[ids]
 
 
-def _require_n(n: int, cap_n: int) -> None:
+def _require_n(n: int) -> None:
     if n < 1:
         raise PreconditionViolation(f"n must be at least 1, got n={n}")
-    if n > cap_n:
-        raise TooLarge(f"n={n} exceeds the grouping cap {cap_n}")
     if n > GROUPING_LIMIT:
         raise TooLarge(f"n={n} exceeds the grouping limit {GROUPING_LIMIT}")
 
 
-def min_unique_k(n: int, directed: bool, cap_n: int = DEFAULT_GROUPING_CAP) -> MinKResult:
+def min_unique_k(n: int, directed: bool) -> MinKResult:
     """Exhaustive minimum k such that no two permutations share a k-profile,
     with the first colliding pair (lexicographic enumeration) at k - 1.
 
@@ -259,7 +256,7 @@ def min_unique_k(n: int, directed: bool, cap_n: int = DEFAULT_GROUPING_CAP) -> M
     another member, are grouped again.  The live rows keep their
     lexicographic order, so each leader and the first row whose leader
     lies before it are those of a grouping of all rows."""
-    _require_n(n, cap_n)
+    _require_n(n)
     live = _all_rows(n)
     previous = None
     for k in range(1, n + 2):
@@ -324,11 +321,10 @@ def _swap_keeps_profile(P: Permutation, Q: Permutation, k: int, directed: bool) 
                if 0 <= t and t + i <= P.n + 1)
 
 
-def fixed_positions_check(n: int, k: int, directed: bool,
-                          cap_n: int = DEFAULT_GROUPING_CAP) -> bool:
+def fixed_positions_check(n: int, k: int, directed: bool) -> bool:
     """Whether every k-profile class over all n! permutations agrees on the
     positions of 1 and n and on the three element blocks they delimit."""
-    _require_n(n, cap_n)
+    _require_n(n)
     if not 1 <= k <= n + 1:
         raise PreconditionViolation(f"need 1 <= k <= n+1, got k={k}, n={n}")
     rows = _all_rows(n)

@@ -29,13 +29,16 @@ InternalInconsistency rather than leaking a bad answer.
 The brute-force oracle is independent of the precedence machinery: it
 reads only the profile's entries and builds permutations left to right in
 plain Python, dropping a prefix as soon as an entry rules out every
-extension of it.  `is_unique` classifies a profile by the oracle's list.
+extension of it.  `is_unique` classifies a profile by the oracle's first
+two solutions.
 Nothing here loads numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from .errors import (
     InternalInconsistency,
@@ -61,11 +64,8 @@ from .profiles import (
     nb_set,
 )
 
-# The default n caps of the oracle and of the uniqueness grouping; the
-# grouping's is here, not in `reconstruction`, so that the CLI reads it
-# without loading numpy.
+# The default n cap of the oracle.
 DEFAULT_BRUTE_CAP = 9
-DEFAULT_GROUPING_CAP = 8
 
 _SIDE = {Direction.LEFT_TO_RIGHT: 1, Direction.RIGHT_TO_LEFT: -1, Direction.UNKNOWN: 0}
 
@@ -116,6 +116,17 @@ def verify(P: Permutation, F: Profile) -> bool:
 def brute_force_solutions(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> list[Permutation]:
     """Every permutation whose profile equals F, in lexicographic order.
 
+    It refuses n beyond cap_n: an adversarial profile, such as one whose
+    entries constrain little, can still have on the order of n! solutions
+    or surviving prefixes.
+    """
+    return list(_solutions(F, cap_n))
+
+
+def _solutions(F: Profile, cap_n: int) -> Iterator[Permutation]:
+    """The permutations whose profile equals F, in lexicographic order, one
+    at a time; TooLarge beyond cap_n, at the first step.
+
     A depth-first search over prefixes: position j takes every value still
     free in ascending order (n+1 only at the last position), and a prefix
     is dropped as soon as no extension of it can match, that is when
@@ -133,10 +144,6 @@ def brute_force_solutions(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> list[Pe
     slot opens and kept when one closes, unless that slot was the last
     open one at a bound: only then is it recomputed.  The search keeps an
     explicit stack, so its depth is not bounded by the recursion limit.
-
-    It refuses n beyond cap_n: an adversarial profile, such as one whose
-    entries constrain little, can still have on the order of n! solutions
-    or surviving prefixes.
     """
     if F.n > cap_n:
         raise TooLarge(f"n={F.n} exceeds the enumeration cap {cap_n}")
@@ -149,7 +156,7 @@ def brute_force_solutions(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> list[Pe
         t, u = c.t, c.t + c.i
         # a slot's segment holds both its ends and only values of 0..n+1
         if not (0 <= c.m <= t and u <= c.M < V):
-            return []
+            return
         side = _SIDE[c.dir]
         ends[t].append((u, c.m, c.M, -side))
         ends[u].append((t, c.m, c.M, side))
@@ -168,7 +175,6 @@ def brute_force_solutions(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> list[Pe
         lo, hi = max(lows), min(highs)
         return lo, lows.count(lo), hi, highs.count(hi)
 
-    sols: list[Permutation] = []
     # (j, v, window) of each prefix still to extend: row[:j] with v
     # appended, v having passed every prune; value 0 opens its slots
     # unchecked, as (a) checks them in full later
@@ -182,7 +188,7 @@ def brute_force_solutions(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> list[Pe
             pos[row[depth]] = -1
         row[j], pos[v], depth = v, j, j + 1
         if depth == V:
-            sols.append(Permutation(n=F.n, elems=tuple(row)))
+            yield Permutation(n=F.n, elems=tuple(row))
             continue
         # (b), and n+1 only at the last position
         for w in range(min(hi, V - 1 if depth == V - 1 else V - 2), lo - 1, -1):
@@ -216,7 +222,6 @@ def brute_force_solutions(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> list[Pe
                     wlo, wnlo, whi, wnhi = window(row[:depth] + [w])
                 stack.append((depth, w, wlo, wnlo, whi, wnhi))
             pos[w] = -1
-    return sols
 
 
 @dataclass(frozen=True)
@@ -231,8 +236,9 @@ class UniquenessReport:
 
 
 def is_unique(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> UniquenessReport:
-    """Classify F by the cardinality of its exhaustive solution set."""
-    sols = brute_force_solutions(F, cap_n)
+    """Classify F by the cardinality of its exhaustive solution set, read
+    from the oracle's search only up to its second solution."""
+    sols = list(islice(_solutions(F, cap_n), 2))
     if not sols:
         verdict, witnesses = "empty", ()
     elif len(sols) == 1:

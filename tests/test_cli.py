@@ -15,13 +15,10 @@ from minmaxperm.graph import ArcKind, Closure
 
 from helpers import (
     GOLDEN_PERM,
-    L,
-    U,
     b_arc_pairs,
     endpoint_arcs,
     golden_profile,
     identity_perm,
-    make_profile,
     run_fresh,
     seed_arcs,
     unsat2_profile,
@@ -304,14 +301,15 @@ class TestSolveCommand:
                     "}"]
         assert dot.read_text() == "\n".join(expected) + "\n"
 
-    @pytest.mark.parametrize("F", [
-        compute_profile(identity_perm(4), 2, True),
-        make_profile([(0, L, 0, 2), (1, U, 1, 2), (2, L, 2, 3)], n=2),
+    @pytest.mark.parametrize("doc", [
+        emit_profile(compute_profile(identity_perm(4), 2, True)),
+        # a `?` entry in a directed document, which emit_profile refuses
+        "minmax-profile 1\nn 2\nk 1\ndirected 1\n0 1 > 0 2\n1 1 ? 1 2\n2 1 > 2 3\n",
     ], ids=["k2", "unknown-direction"])
-    def test_dump_graph_gate_error(self, F, tmp_path, capsys):
+    def test_dump_graph_gate_error(self, doc, tmp_path, capsys):
         # the dump runs the solvers' gate: an input error, and no file
         prof, dot = tmp_path / "f.prof", tmp_path / "g.dot"
-        prof.write_text(emit_profile(F))
+        prof.write_text(doc)
         assert main(["solve", str(prof), "--dump-graph", str(dot)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not dot.exists()
@@ -378,6 +376,17 @@ class TestMinKCommand:
         assert main(["min-k", "7"]) == 0
         assert capsys.readouterr().out.strip() == "4"
 
+    @pytest.mark.parametrize("argv, min_k", [(["9"], "6"), (["9", "--directed"], "3")])
+    def test_value_at_grouping_limit(self, argv, min_k, capsys):
+        assert main(["min-k", *argv]) == 0
+        assert capsys.readouterr().out == min_k + "\n"
+
+    def test_cap_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["min-k", "7", "--cap", "9"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_json(self, capsys):
         assert main(["min-k", "5", "--directed", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -402,10 +411,10 @@ class TestMinKCommand:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
-    def test_cap_above_grouping_limit_is_input_error(self, capsys):
-        # a raised --cap meets the fixed grouping limit before any of the
-        # 12! rows is built
-        assert main(["min-k", "12", "--cap", "12"]) == 2
+    @pytest.mark.parametrize("n", ["10", "12"])
+    def test_above_grouping_limit_is_input_error(self, n, capsys):
+        # refused before any of the n! rows is built
+        assert main(["min-k", n]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.splitlines()

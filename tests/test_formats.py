@@ -5,9 +5,11 @@ import pytest
 from minmaxperm import (
     BadEndpoints,
     NotBijection,
+    PreconditionViolation,
     ProfileSyntaxError,
     ProfileValidationError,
     compute_profile,
+    compute_set_profile,
     emit_permutation,
     emit_profile,
     parse_permutation,
@@ -136,6 +138,14 @@ class TestRoundTrip:
             doc = emit_profile(F)
             assert parse_profile(doc) == F
             assert emit_profile(parse_profile(doc)) == doc
+
+    def test_directed_unknown_entry_not_emitted(self):
+        # the two permutations disagree on the direction of (1, 2), which a
+        # directed document cannot state
+        F = compute_set_profile([identity_perm(2), validate_permutation((0, 2, 1, 3))], 1, True)
+        assert emit_profile(compute_set_profile([identity_perm(2)], 1, True))
+        with pytest.raises(PreconditionViolation):
+            emit_profile(F)
 
 
 class TestPermutationDocuments:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -12,14 +13,18 @@ from minmaxperm import (
     NotBijection,
     Permutation,
     PreconditionViolation,
+    Profile,
     TooLarge,
     compute_profile,
     compute_set_profile,
     is_linear,
     nb_masks,
     nb_set,
+    solve_fpt_directed,
+    solve_undirected,
     validate_permutation,
     validate_profile,
+    verify,
 )
 from minmaxperm.profiles import Direction, NBRecord
 
@@ -188,6 +193,53 @@ class TestValidateProfile:
         assert any(v.t == 1 and "m=2 outside" in v.reason for v in bad)
         # M = n+1 away from the t+i = n+1 entry is also flagged
         assert any(v.t == 1 and "M=3" in v.reason for v in bad)
+
+
+class TestProfileFieldTypes:
+    """A Profile reads n, k and each entry's t, i, m and M as integers and
+    stores plain ints; a non-integer field, or a direction that is not a
+    Direction, is refused at construction."""
+
+    @staticmethod
+    def with_entry(F, key, **fields):
+        cons = dict(F.constraints)
+        cons[key] = dataclasses.replace(cons[key], **fields)
+        return Profile(n=F.n, k=F.k, directed=F.directed, constraints=cons)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_numpy_fields_are_plain_ints(self, directed):
+        F = compute_profile(random_perm(random.Random(3), 100), 1, directed)
+        cons = {key: dataclasses.replace(c, t=np.int64(c.t), i=np.int64(c.i),
+                                         m=np.int64(c.m), M=np.int64(c.M))
+                for key, c in F.constraints.items()}
+        G = Profile(n=F.n, k=F.k, directed=directed, constraints=cons)
+        assert G == F
+        assert all(type(x) is int for c in G.entries() for x in (c.t, c.i, c.m, c.M))
+        W = (solve_fpt_directed if directed else solve_undirected)(G).witness
+        assert W is not None and verify(W, F)
+
+    def test_numpy_n_and_k(self):
+        F = compute_profile(random_perm(random.Random(3), 100), 1, True)
+        G = Profile(n=np.int64(100), k=np.int64(1), directed=True, constraints=F.constraints)
+        assert type(G.n) is int and type(G.k) is int
+        W = solve_fpt_directed(G).witness
+        assert W is not None and verify(W, F)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_fractional_bound(self, directed):
+        F = compute_profile(identity_perm(5), 1, directed)
+        with pytest.raises(PreconditionViolation):
+            self.with_entry(F, (2, 1), m=0.5)
+
+    def test_direction_symbol(self):
+        F = compute_profile(identity_perm(5), 1, True)
+        with pytest.raises(PreconditionViolation):
+            self.with_entry(F, (2, 1), dir=">")
+
+    def test_float_label(self):
+        F = compute_profile(identity_perm(6), 1, True)
+        with pytest.raises(PreconditionViolation):
+            self.with_entry(F, (5, 1), t=5.0)
 
 
 class TestIsLinear:

@@ -69,13 +69,19 @@ class TestMinUniqueK:
         assert P != Q
         assert compute_profile(P, r.min_k - 1, False) == compute_profile(Q, r.min_k - 1, False)
 
+    def test_closed_forms_at_grouping_limit(self):
+        # the directed minimum k is exactly the lower bound max(1, ceil((n-3)/2))
+        for n in range(1, reconstruction.GROUPING_LIMIT + 1):
+            assert min_unique_k(n, True).min_k == max(1, -(-(n - 3) // 2))
+        assert min_unique_k(9, False).min_k == 6
+
     def test_directed_refines_undirected(self):
         for n in range(1, 8):
             assert min_unique_k(n, True).min_k <= min_unique_k(n, False).min_k
 
     def test_cap(self):
         with pytest.raises(TooLarge):
-            min_unique_k(9, False)
+            min_unique_k(reconstruction.GROUPING_LIMIT + 1, False)
 
     def test_n_below_one(self):
         for n in (0, -2):
@@ -92,13 +98,13 @@ class TestGroupingLimit:
         monkeypatch.setattr(reconstruction, "_all_rows", forbidden)
 
     @pytest.mark.parametrize("n", [reconstruction.GROUPING_LIMIT + 1, 11])
-    def test_raised_cap_stops_at_limit(self, n):
+    def test_above_limit_refused_before_enumeration(self, n):
         start = time.perf_counter()
         for directed in (True, False):
             with pytest.raises(TooLarge):
-                min_unique_k(n, directed, cap_n=n)
+                min_unique_k(n, directed)
             with pytest.raises(TooLarge):
-                fixed_positions_check(n, 2, directed, cap_n=n)
+                fixed_positions_check(n, 2, directed)
         assert time.perf_counter() - start < 1.0
 
 
@@ -166,7 +172,7 @@ class TestGroupingMemory:
 
         monkeypatch.setattr(reconstruction, "_slot_codes", recording)
         monkeypatch.setattr(reconstruction.np, "empty", recording_empty)
-        result = min_unique_k(9, directed, cap_n=9)
+        result = min_unique_k(9, directed)
         assert result.min_k == min_k
         assert tuple(P.elems for P in result.collision) == pair
         assert max(calls) > 8_192
@@ -403,7 +409,7 @@ class TestFixedPositions:
 
     def test_cap(self):
         with pytest.raises(TooLarge):
-            fixed_positions_check(9, 1, False)
+            fixed_positions_check(reconstruction.GROUPING_LIMIT + 1, 1, False)
 
     def test_preconditions(self):
         for n, k in ((0, 1), (-2, 1), (4, 0), (4, 6)):

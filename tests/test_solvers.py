@@ -16,10 +16,12 @@ from minmaxperm import (
     Profile,
     ProfileValidationError,
     TooLarge,
+    UniquenessReport,
     brute_force_solutions,
     compute_profile,
     compute_set_profile,
     is_linear,
+    is_unique,
     nb_masks,
     nb_set,
     root_closure,
@@ -29,6 +31,7 @@ from minmaxperm import (
     validate_permutation,
     verify,
 )
+from minmaxperm import solvers
 from minmaxperm.graph import ArcKind, Closure, _full_closure, topo_order
 from minmaxperm.profiles import KConstraint
 from minmaxperm.reconstruction import _all_rows, _slot_codes
@@ -220,14 +223,19 @@ class TestOracleReferences:
 
 
 class TestOracleAboveCap:
-    def test_memory_bounded_with_many_solutions(self):
+    @staticmethod
+    def many_solutions_profile():
         # 1 and 12 must lie between t and t+1 for every 1 <= t < 12: the
         # solutions are 0, the evens 2..10 in any order, 12, 1, the odds
         # 3..11 in any order, 13
         n = 12
         cons = {(t, 1): KConstraint(t=t, i=1, dir=U, m=0 if t == 0 else 1,
                                     M=n + 1 if t == n else n) for t in range(n + 1)}
-        F = Profile(n=n, k=1, directed=False, constraints=cons)
+        return Profile(n=n, k=1, directed=False, constraints=cons)
+
+    def test_memory_bounded_with_many_solutions(self):
+        F = self.many_solutions_profile()
+        n = F.n
         tracemalloc.start()
         try:
             sols = brute_force_solutions(F, cap_n=n)
@@ -242,6 +250,23 @@ class TestOracleAboveCap:
         # the returned list alone takes about 3 MB; a search that held every
         # surviving prefix of one level at once would need about 15 MB more
         assert peak < 8 * 2**20
+
+    def test_is_unique_stops_at_second_solution(self, monkeypatch):
+        F = self.many_solutions_profile()
+        built = []
+
+        def counting(**fields):
+            built.append(fields["elems"])
+            return Permutation(**fields)
+
+        monkeypatch.setattr(solvers, "Permutation", counting)
+        report = is_unique(F, cap_n=F.n)
+        first = (0, 2, 4, 6, 8, 10, 12, 1, 3, 5, 7, 9, 11, 13)
+        second = (0, 2, 4, 6, 8, 10, 12, 1, 3, 5, 7, 11, 9, 13)
+        assert report == UniquenessReport(
+            n=12, k=1, directed=False, verdict="collision",
+            witnesses=(Permutation(n=12, elems=first), Permutation(n=12, elems=second)))
+        assert built == [first, second]
 
     def test_agrees_with_solvers(self):
         rng = random.Random(1216)
