@@ -5,8 +5,8 @@ Subcommands:
     profile PERM --k K [--directed]       compute and print a profile
     solve PROFILE [--method M]            witness line or `NO`
     verify PERM PROFILE                   recompute-and-compare
-    enumerate PROFILE [--cap N]           all witnesses, one per line
-    check-unique PROFILE [--cap N]        UNIQUE / COLLISION / EMPTY
+    enumerate PROFILE                     all witnesses, one per line
+    check-unique PROFILE                  UNIQUE / COLLISION / EMPTY
     min-k N [--directed]                  exhaustive minimum k
     counterexample N K [--directed]       explicit collision pair
 
@@ -36,7 +36,6 @@ from .formats import emit_permutation, emit_profile, parse_permutation, parse_pr
 from .graph import require_solver_profile, to_dot
 from .profiles import Profile, compute_profile
 from .solvers import (
-    DEFAULT_BRUTE_CAP,
     SolveOutcome,
     brute_force_solutions,
     is_unique,
@@ -64,25 +63,23 @@ def _cmd_profile(args) -> _Result:
     return 0, {"n": F.n, "k": F.k, "directed": F.directed, "entries": entries}, emit_profile(F)
 
 
-def _solve_dispatch(F: Profile, method: str, cap: int) -> SolveOutcome:
+def _solve_dispatch(F: Profile, method: str) -> SolveOutcome:
     if method == "linear":
         return solve_linear(F)
     if method == "fpt":
         if F.directed:
             return solve_fpt_directed(F)
         return solve_undirected(F)
-    if method == "brute":
-        require_solver_profile(F)  # same gate as the other methods
-        sols = brute_force_solutions(F, cap)
-        return SolveOutcome(witness=sols[0] if sols else None)
-    raise ValueError(f"unknown method {method!r}")
+    # "brute": the other methods' gate, then the oracle up to its second solution
+    require_solver_profile(F)
+    return SolveOutcome(witness=next(iter(is_unique(F).witnesses), None))
 
 
 def _cmd_solve(args) -> _Result:
     F = parse_profile(_read(args.profile_file))
     if args.dump_graph:
         Path(args.dump_graph).write_text(to_dot(F))
-    outcome = _solve_dispatch(F, args.method, args.cap)
+    outcome = _solve_dispatch(F, args.method)
     W = outcome.witness
     return 1 if outcome.is_no else 0, {
         "method": args.method,
@@ -104,7 +101,7 @@ def _cmd_verify(args) -> _Result:
 
 
 def _cmd_enumerate(args) -> _Result:
-    sols = brute_force_solutions(parse_profile(_read(args.profile_file)), args.cap)
+    sols = brute_force_solutions(parse_profile(_read(args.profile_file)))
     return 0 if sols else 1, {
         "count": len(sols),
         "witnesses": [list(p.elems) for p in sols],
@@ -112,7 +109,7 @@ def _cmd_enumerate(args) -> _Result:
 
 
 def _cmd_check_unique(args) -> _Result:
-    report = is_unique(parse_profile(_read(args.profile_file)), args.cap)
+    report = is_unique(parse_profile(_read(args.profile_file)))
     return 0 if report.verdict == "unique" else 1, {
         "n": report.n,
         "k": report.k,
@@ -167,8 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="find a permutation matching a profile file")
     p.add_argument("profile_file")
     p.add_argument("--method", choices=("linear", "fpt", "brute"), default="fpt")
-    p.add_argument("--cap", type=int, default=DEFAULT_BRUTE_CAP,
-                   help="enumeration cap for --method brute")
     p.add_argument("--dump-graph", metavar="PATH",
                    help="write the closed precedence graph as DOT")
     p.set_defaults(func=_cmd_solve)
@@ -182,13 +177,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[common],
                        help="list all permutations matching a profile file")
     p.add_argument("profile_file")
-    p.add_argument("--cap", type=int, default=DEFAULT_BRUTE_CAP)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("check-unique", parents=[common],
                        help="classify a profile as unique / collision / empty")
     p.add_argument("profile_file")
-    p.add_argument("--cap", type=int, default=DEFAULT_BRUTE_CAP)
     p.set_defaults(func=_cmd_check_unique)
 
     p = sub.add_parser("min-k", parents=[common],

@@ -64,8 +64,10 @@ from .profiles import (
     nb_set,
 )
 
-# The default n cap of the oracle.
-DEFAULT_BRUTE_CAP = 9
+# The oracle's work budget: the most any n <= 9 profile can cost (986,410
+# prefixes of 1..9, each walking at most V = 11 candidates, and 9! rows,
+# each costing 11), so no answer the former n cap of 9 gave can change.
+ORACLE_WORK = 11 * (986_410 + 362_880)
 
 _SIDE = {Direction.LEFT_TO_RIGHT: 1, Direction.RIGHT_TO_LEFT: -1, Direction.UNKNOWN: 0}
 
@@ -113,19 +115,17 @@ def verify(P: Permutation, F: Profile) -> bool:
     return True
 
 
-def brute_force_solutions(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> list[Permutation]:
-    """Every permutation whose profile equals F, in lexicographic order.
-
-    It refuses n beyond cap_n: an adversarial profile, such as one whose
-    entries constrain little, can still have on the order of n! solutions
-    or surviving prefixes.
-    """
-    return list(_solutions(F, cap_n))
+def brute_force_solutions(F: Profile) -> list[Permutation]:
+    """Every permutation whose profile equals F, in lexicographic order;
+    TooLarge past ORACLE_WORK, since a profile whose entries constrain
+    little can have on the order of n! solutions or surviving prefixes."""
+    return list(_solutions(F))
 
 
-def _solutions(F: Profile, cap_n: int) -> Iterator[Permutation]:
+def _solutions(F: Profile) -> Iterator[Permutation]:
     """The permutations whose profile equals F, in lexicographic order, one
-    at a time; TooLarge beyond cap_n, at the first step.
+    at a time; TooLarge once its work, the length of the candidate range of
+    each prefix it pops and V per finished row, exceeds ORACLE_WORK.
 
     A depth-first search over prefixes: position j takes every value still
     free in ascending order (n+1 only at the last position), and a prefix
@@ -145,8 +145,6 @@ def _solutions(F: Profile, cap_n: int) -> Iterator[Permutation]:
     open one at a bound: only then is it recomputed.  The search keeps an
     explicit stack, so its depth is not bounded by the recursion limit.
     """
-    if F.n > cap_n:
-        raise TooLarge(f"n={F.n} exceeds the enumeration cap {cap_n}")
     V = F.n + 2
     # ends[v] holds (other end, m, M, side) for each slot with v as an end;
     # side is +1 when v must lie right of the other end, -1 when left, 0
@@ -180,18 +178,22 @@ def _solutions(F: Profile, cap_n: int) -> Iterator[Permutation]:
     # unchecked, as (a) checks them in full later
     pos[0] = 0
     stack = [(0, 0, *window([0]))]
-    depth = 0
+    depth, left = 0, ORACLE_WORK
     while stack:
         j, v, lo, nlo, hi, nhi = stack.pop()
         while depth > j:
             depth -= 1
             pos[row[depth]] = -1
         row[j], pos[v], depth = v, j, j + 1
+        # (b), and n+1 only at the last position
+        top = min(hi, V - 1 if depth == V - 1 else V - 2)
+        left -= V if depth == V else top - lo + 1 if top >= lo else 0
+        if left < 0:
+            raise TooLarge(f"n={F.n}: the search exceeds the oracle's work budget {ORACLE_WORK}")
         if depth == V:
             yield Permutation(n=F.n, elems=tuple(row))
             continue
-        # (b), and n+1 only at the last position
-        for w in range(min(hi, V - 1 if depth == V - 1 else V - 2), lo - 1, -1):
+        for w in range(top, lo - 1, -1):
             if pos[w] >= 0:
                 continue
             pos[w] = depth
@@ -235,10 +237,10 @@ class UniquenessReport:
     witnesses: tuple[Permutation, ...]
 
 
-def is_unique(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> UniquenessReport:
+def is_unique(F: Profile) -> UniquenessReport:
     """Classify F by the cardinality of its exhaustive solution set, read
-    from the oracle's search only up to its second solution."""
-    sols = list(islice(_solutions(F, cap_n), 2))
+    from the oracle's search only up to its second solution (or TooLarge)."""
+    sols = list(islice(_solutions(F), 2))
     if not sols:
         verdict, witnesses = "empty", ()
     elif len(sols) == 1:
@@ -254,13 +256,12 @@ def is_unique(F: Profile, cap_n: int = DEFAULT_BRUTE_CAP) -> UniquenessReport:
 # ---------------------------------------------------------------------------
 
 def _search(root: Closure, choices: list[tuple[int, int, tuple[tuple[Arc, ...], ...]]],
-            F: Profile, context: str, backtrack: bool = True) -> tuple[Permutation | None, int]:
+            F: Profile, context: str) -> tuple[Permutation | None, int]:
     """Depth-first search from a closed root; returns (witness or None,
     nodes visited).  A node branches on the first open choice at or after
     its parent's, one child per side in the order of its sides, and its
     children resume after it: the choices it skips stay joined, since a
-    closure only grows along a path, and so does the one it decided.
-    Without `backtrack`, a child whose closure hits a cycle is a fault."""
+    closure only grows along a path, and so does the one it decided."""
     stack: list[tuple[Closure, tuple[Arc, ...], int]] = [(root, (), 0)]
     nodes = 0
     while stack:
@@ -270,8 +271,6 @@ def _search(root: Closure, choices: list[tuple[int, int, tuple[tuple[Arc, ...], 
             node = node.copy()
             node.add(arcs)
         if node.cyclic:
-            if arcs and not backtrack:
-                raise InternalInconsistency(f"{context}: a decision produced a cycle")
             continue
         succ = node.succ
         while i < len(choices):
@@ -299,7 +298,8 @@ def solve_linear(F: Profile) -> SolveOutcome:
     then sets the open top with the largest NB set (ties: smallest top)
     after its smallest open basis.  Linearity guarantees no cycle ever
     appears after a clean root, so the search visits one node per
-    decision plus the root; a cycle raises InternalInconsistency.
+    decision plus the root; with one side per choice, a cycle after a
+    clean root ends it with no witness, which raises InternalInconsistency.
     """
     if not F.directed:
         raise NotDirected("the linear solver needs a directed profile")
@@ -310,7 +310,9 @@ def solve_linear(F: Profile) -> SolveOutcome:
     order = sorted(silent, key=lambda r: (-nb_size[r.top], r.top, r.basis))
     choices = [(r.top, r.basis[0], (tuple((u, r.top, ArcKind.NB) for u in r.basis),))
                for r in order]
-    w, nodes = _search(root, choices, F, "linear solver", backtrack=False)
+    w, nodes = _search(root, choices, F, "linear solver")
+    if w is None and not root.cyclic:
+        raise InternalInconsistency("linear solver: a decision produced a cycle")
     return SolveOutcome(witness=w, silent_nb=silent, settings_tested=nodes)
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -10,8 +11,9 @@ from minmaxperm import (
     validate_permutation,
     verify,
 )
+from minmaxperm import solvers
 from minmaxperm.cli import main
-from minmaxperm.graph import ArcKind, Closure
+from minmaxperm.graph import DUMP_LIMIT, ArcKind, Closure
 
 from helpers import (
     GOLDEN_PERM,
@@ -19,6 +21,7 @@ from helpers import (
     endpoint_arcs,
     golden_profile,
     identity_perm,
+    random_perm,
     run_fresh,
     seed_arcs,
     unsat2_profile,
@@ -192,6 +195,11 @@ def test_pinned_output(argv, code, expected, tmp_path, capsys):
     assert captured.err == ""
 
 
+# The three commands that run the oracle, each with its profile file after
+# the first word.
+ORACLE_COMMANDS = [["enumerate"], ["check-unique"], ["solve", "--method", "brute"]]
+
+
 @pytest.fixture
 def golden_perm_file(tmp_path):
     path = tmp_path / "golden.perm"
@@ -259,6 +267,15 @@ class TestSolveCommand:
             assert validate_permutation([int(v) for v in line.split()]) == \
                 brute_force_solutions(F)[0]
 
+    def test_brute_reads_the_first_solutions_only(self, tmp_path, capsys):
+        # 201,600 solutions, more than the oracle's budget lists, but the
+        # first two come at once
+        F = compute_profile(random_perm(random.Random("d:24:2"), 24), 1, True)
+        path = tmp_path / "d24.prof"
+        path.write_text(emit_profile(F))
+        assert main(["solve", str(path), "--method", "brute"]) == 0
+        assert capsys.readouterr().out == emit_permutation(next(solvers._solutions(F)))
+
     def test_json_diagnostics(self, golden_profile_file, capsys):
         assert main(["solve", golden_profile_file, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -312,6 +329,18 @@ class TestSolveCommand:
         prof.write_text(doc)
         assert main(["solve", str(prof), "--dump-graph", str(dot)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not dot.exists()
+
+    def test_dump_graph_size_limit(self, tmp_path, capsys):
+        # above the limit the dump is refused before anything is closed:
+        # an input error, and no file
+        n = DUMP_LIMIT + 1
+        prof, dot = tmp_path / "f.prof", tmp_path / "g.dot"
+        prof.write_text(emit_profile(compute_profile(identity_perm(n), 1, True)))
+        assert main(["solve", str(prof), "--dump-graph", str(dot)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: n={n} exceeds the graph dump limit {DUMP_LIMIT}\n")
         assert not dot.exists()
 
     def test_dump_graph_golden_bytes(self, golden_profile_file, tmp_path, capsys):
@@ -605,6 +634,22 @@ class TestExitCodePolicy:
 
 
 class TestInputErrors:
+    @pytest.mark.parametrize("argv", ORACLE_COMMANDS)
+    def test_cap_is_a_usage_error(self, argv, golden_undirected_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], golden_undirected_file, *argv[1:], "--cap", "9"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", ORACLE_COMMANDS)
+    def test_past_the_oracle_budget(self, argv, golden_undirected_file, monkeypatch, capsys):
+        # the running example's first solution alone costs more than 20
+        monkeypatch.setattr(solvers, "ORACLE_WORK", 20)
+        assert main([argv[0], golden_undirected_file, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: n=9: the search exceeds the oracle's work budget 20\n")
+
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/x.prof"]) == 2
         capsys.readouterr()
@@ -630,13 +675,10 @@ class TestInputErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
-    @pytest.mark.parametrize("argv", [
-        ["enumerate", "--cap", "200"],
-        ["check-unique", "--cap", "200"],
-        ["solve", "--method", "brute", "--cap", "200"],
-    ])
+    @pytest.mark.parametrize("argv", ORACLE_COMMANDS)
     def test_beyond_int8_answers(self, tmp_path, argv, capsys):
-        # the oracle keeps no int8 arrays: a raised cap lets it past n = 126
+        # the oracle keeps no int8 arrays and has no n cap: it answers past
+        # n = 126
         path = tmp_path / "id130.prof"
         path.write_text(emit_profile(compute_profile(identity_perm(130), 1, True)))
         assert main([argv[0], str(path), *argv[1:]]) == 0

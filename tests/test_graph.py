@@ -12,6 +12,7 @@ from minmaxperm import (
     NotDirected,
     PreconditionViolation,
     ProfileValidationError,
+    TooLarge,
     compute_profile,
     nb_masks,
     root_closure,
@@ -20,8 +21,9 @@ from minmaxperm import (
     to_dot,
     validate_permutation,
 )
-from minmaxperm import solvers
+from minmaxperm import graph, solvers
 from minmaxperm.graph import (
+    DUMP_LIMIT,
     ArcKind,
     Closure,
     _b_pair,
@@ -90,6 +92,14 @@ class TestClosureSeeds:
         dot = to_dot(compute_profile(identity_perm(1), 1, True))
         assert dot.startswith("digraph")
         assert '0 -> 1 [label="R"]' in dot
+
+    def test_dot_dump_size_limit(self, monkeypatch):
+        # refused before the full closure, which grows as n^2, runs
+        def unreachable(F):
+            raise AssertionError("closed a profile above the dump limit")
+        monkeypatch.setattr(graph, "_full_closure", unreachable)
+        with pytest.raises(TooLarge, match=f"limit {DUMP_LIMIT}$"):
+            to_dot(compute_profile(identity_perm(DUMP_LIMIT + 1), 1, True))
 
     @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
     def test_dot_arcs_are_the_reference_closure(self, directed):

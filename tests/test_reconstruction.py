@@ -44,8 +44,9 @@ class TestIsUnique:
         assert report.verdict == "empty" and report.witnesses == ()
 
     def test_cap(self):
-        with pytest.raises(TooLarge):
-            is_unique(compute_profile(identity_perm(10), 1, True))
+        # the oracle has no n cap: the identity at n = 10 is unique
+        report = is_unique(compute_profile(identity_perm(10), 1, True))
+        assert report.verdict == "unique" and report.witnesses == (identity_perm(10),)
 
 
 class TestMinUniqueK:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import tracemalloc
 from collections import defaultdict
@@ -31,7 +32,8 @@ from minmaxperm import (
     validate_permutation,
     verify,
 )
-from minmaxperm import solvers
+from minmaxperm import emit_permutation, emit_profile, solvers
+from minmaxperm.cli import main
 from minmaxperm.graph import ArcKind, Closure, _full_closure, topo_order
 from minmaxperm.profiles import KConstraint
 from minmaxperm.reconstruction import _all_rows, _slot_codes
@@ -151,10 +153,9 @@ class TestBruteForce:
         assert brute_force_solutions(unsat2_profile()) == []
 
     def test_cap(self):
-        F = compute_profile(identity_perm(10), 1, True)
-        with pytest.raises(TooLarge):
-            brute_force_solutions(F)
-        assert brute_force_solutions(F, cap_n=10) == [identity_perm(10)]
+        # the oracle has no n cap: the identity at n = 10 is one solution
+        assert brute_force_solutions(compute_profile(identity_perm(10), 1, True)) \
+            == [identity_perm(10)]
 
     def test_entry_leaving_out_its_pair_is_empty(self):
         # an interval [m, M] that leaves out one end of its own pair, or
@@ -235,10 +236,9 @@ class TestOracleAboveCap:
 
     def test_memory_bounded_with_many_solutions(self):
         F = self.many_solutions_profile()
-        n = F.n
         tracemalloc.start()
         try:
-            sols = brute_force_solutions(F, cap_n=n)
+            sols = brute_force_solutions(F)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -251,7 +251,7 @@ class TestOracleAboveCap:
         # surviving prefix of one level at once would need about 15 MB more
         assert peak < 8 * 2**20
 
-    def test_is_unique_stops_at_second_solution(self, monkeypatch):
+    def test_is_unique_stops_at_second_solution(self, monkeypatch, tmp_path, capsys):
         F = self.many_solutions_profile()
         built = []
 
@@ -260,12 +260,19 @@ class TestOracleAboveCap:
             return Permutation(**fields)
 
         monkeypatch.setattr(solvers, "Permutation", counting)
-        report = is_unique(F, cap_n=F.n)
+        report = is_unique(F)
         first = (0, 2, 4, 6, 8, 10, 12, 1, 3, 5, 7, 9, 11, 13)
         second = (0, 2, 4, 6, 8, 10, 12, 1, 3, 5, 7, 11, 9, 13)
         assert report == UniquenessReport(
             n=12, k=1, directed=False, verdict="collision",
             witnesses=(Permutation(n=12, elems=first), Permutation(n=12, elems=second)))
+        assert built == [first, second]
+        # `solve --method brute` prints the first, and reads no further
+        built.clear()
+        path = tmp_path / "many.prof"
+        path.write_text(emit_profile(F))
+        assert main(["solve", str(path), "--method", "brute"]) == 0
+        assert capsys.readouterr().out == emit_permutation(Permutation(n=12, elems=first))
         assert built == [first, second]
 
     def test_agrees_with_solvers(self):
@@ -275,12 +282,45 @@ class TestOracleAboveCap:
                 P = random_perm(rng, n)
                 F = compute_profile(P, 1, directed)
                 for G in (F, (mutate_directed if directed else mutate_undirected)(rng, F)):
-                    sols = brute_force_solutions(G, cap_n=n)
+                    sols = brute_force_solutions(G)
                     out = solve_fpt_directed(G) if directed else solve_undirected(G)
                     assert out.is_no == (not sols), G
                     assert out.is_no or out.witness in sols
                     assert all(verify(Q, G) for Q in sols)
                     assert G is not F or P in sols
+
+
+class TestOracleWork:
+    """The oracle bounds its work, not n: a popped prefix costs the length
+    of the candidate range it walks and a finished row costs V = n + 2;
+    past ORACLE_WORK the search raises TooLarge."""
+
+    def test_budget_is_the_n9_bound(self):
+        # every prefix of 1..9 after 0 walks at most V = 11 candidates, and
+        # each of the 9! rows costs 11
+        prefixes = sum(math.perm(9, j) for j in range(10))
+        assert solvers.ORACLE_WORK == 11 * (prefixes + math.perm(9)) == 14_842_190
+
+    @pytest.mark.parametrize("directed", (True, False))
+    @pytest.mark.parametrize("n", (1, 10))
+    def test_identity_cost_is_exact(self, n, directed, monkeypatch):
+        # each of the n + 1 prefixes 0..j walks the range j..j+1, and the
+        # row costs n + 2: 3n + 4 in all, which answers, and one less refuses
+        F = compute_profile(identity_perm(n), 1, directed)
+        monkeypatch.setattr(solvers, "ORACLE_WORK", 3 * n + 4)
+        assert brute_force_solutions(F) == [identity_perm(n)]
+        assert is_unique(F).witnesses == (identity_perm(n),)
+        monkeypatch.setattr(solvers, "ORACLE_WORK", 3 * n + 3)
+        for call in (brute_force_solutions, is_unique):
+            with pytest.raises(TooLarge, match=f"work budget {3 * n + 3}$"):
+                call(F)
+
+    def test_undirected_stall_is_refused(self):
+        # an unedited undirected n = 32 profile that ran unbounded under a
+        # raised n cap: it is refused in about 3 s on a 2-core machine
+        F = compute_profile(random_perm(random.Random("u:32:0"), 32), 1, False)
+        with deadline(30), pytest.raises(TooLarge):
+            brute_force_solutions(F)
 
 
 class TestOracleSearch:
@@ -300,7 +340,7 @@ class TestOracleSearch:
                 for t in range(n + 1)}
         with deadline(5):
             assert brute_force_solutions(Profile(n=n, k=1, directed=False,
-                                                 constraints=cons), cap_n=n) == []
+                                                 constraints=cons)) == []
 
     def test_right_end_placed_first(self):
         # the directions of the solutions of TestOracleAboveCap's profile,
@@ -314,7 +354,7 @@ class TestOracleSearch:
                 for t in range(n + 1)}
         with deadline(5):
             assert brute_force_solutions(Profile(n=n, k=1, directed=True,
-                                                 constraints=cons), cap_n=n) == []
+                                                 constraints=cons)) == []
 
     @pytest.mark.parametrize("directed", (True, False))
     def test_k3_equals_itertools_scan(self, directed):
@@ -334,7 +374,7 @@ class TestOracleSearch:
     @pytest.mark.parametrize("n", (130, 1100))
     def test_identity_at_depth(self, n):
         P = identity_perm(n)
-        assert brute_force_solutions(compute_profile(P, 1, True), cap_n=n) == [P]
+        assert brute_force_solutions(compute_profile(P, 1, True)) == [P]
 
 
 class TestSolveLinear:
@@ -664,14 +704,22 @@ class TestSearch:
             assert out.silent_nb == () and out.silent_b == ()
 
     def test_backtrack_is_a_fault_when_disallowed(self, monkeypatch):
-        # the linear solver searches without backtracking: a dead end there
-        # is an internal fault, never a NO
-        import minmaxperm.solvers as solvers
-        search = solvers._search
-        monkeypatch.setattr(solvers, "_search",
-                            lambda *a, **kw: search(*a, **{**kw, "backtrack": False}))
-        with pytest.raises(InternalInconsistency):
-            solve_undirected(make_profile(BRANCHING_NO_ENTRIES, n=9, directed=False))
+        # the linear solver's choices have one side each, so its search is a
+        # chain: a decision whose closure is cyclic ends it with no witness,
+        # which after a clean root is an internal fault, never a NO
+        add = Closure.add
+
+        def cyclic_add(self, arcs):
+            # the root's constructor adds no arcs; a decision adds some
+            add(self, arcs)
+            if arcs:
+                self.cyclic = True
+
+        F = golden_profile()
+        assert not root_closure(F).closure.cyclic and solve_linear(F).settings_tested == 2
+        monkeypatch.setattr(Closure, "add", cyclic_add)
+        with pytest.raises(InternalInconsistency, match="linear solver"):
+            solve_linear(F)
 
 
 def _agrees_with_oracle(F):
