@@ -25,7 +25,7 @@ from .errors import (
     TooLarge,
 )
 from .formats import emit_permutation, emit_profile, parse_permutation, parse_profile
-from .graph import BArcPair, RootClosure, root_closure, to_dot
+from .graph import RootClosure, root_closure, to_dot
 from .profiles import (
     Direction,
     KConstraint,

@@ -57,7 +57,11 @@ class CyclicGraph(MinMaxError):
 
 
 class TooLarge(MinMaxError):
-    """Instance exceeds the exhaustive-search cap."""
+    """Instance exceeds one of the four size guards: the oracle's work
+    budget `solvers.ORACLE_WORK`, the grouping limit
+    `reconstruction.GROUPING_LIMIT`, the collision-pair limit
+    `reconstruction.COLLISION_LIMIT` or the graph dump limit
+    `graph.DUMP_LIMIT`."""
 
 
 class InternalInconsistency(MinMaxError):

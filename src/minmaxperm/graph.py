@@ -20,10 +20,12 @@ B pairs.
 a profile, closes it into the search root, and reports the NB-constraints
 and B pairs the root orients neither way as silent, all from one sweep
 over the entries (the gate's check, the NB masks, the seeds); only the
-silent ones become `NBRecord`s.  The search copies the root's masks at
-each node before inserting the arcs of one decision.
+silent NB-constraints become `NBRecord`s, and a silent B pair is its t.
+The search copies the root's masks at each node before inserting the one
+arc of a decision: the root holds every NB fact and watches every silent
+B pair, so the NB and B rules add the rest of that arc's side.
 
-Insertion suits a search node, which adds two arcs to a closed parent.
+Insertion suits a search node, which adds one arc to a closed parent.
 The search root instead closes a whole profile at once (the 5n+5 R/B arcs
 of a directed one, or the 2n+2 endpoint arcs and n+1 betweenness pairs
 of an undirected one), and per-arc insertion there pays a row or column
@@ -54,7 +56,6 @@ set finds the minimal ones, so no step rescans the vertices left.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -91,31 +92,17 @@ class ArcKind(enum.Enum):
     NB = "NB"
 
 
-@dataclass(frozen=True)
-class BArcPair:
-    """The two orientations of one betweenness pair, as concrete arc sets.
-
-    plus places t left of t+1 (with m, M in between), minus the reverse.
-    Self-loops from degenerate facts (m = t, M = t+1) are already dropped.
-    """
-
-    t: int
-    plus: tuple[tuple[int, int], ...]
-    minus: tuple[tuple[int, int], ...]
+Side = tuple[tuple[int, int], ...]
 
 
-def _loop_free(arcs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    seen = []
-    for x, y in arcs:
-        if x != y and (x, y) not in seen:
-            seen.append((x, y))
-    return tuple(seen)
-
-
-def _b_pair(t: int, m: int, M: int) -> BArcPair:
-    plus = _loop_free([(t, t + 1), (t, m), (t, M), (m, t + 1), (M, t + 1)])
-    minus = _loop_free([(t + 1, t), (m, t), (M, t), (t + 1, m), (t + 1, M)])
-    return BArcPair(t=t, plus=plus, minus=minus)
+def _b_pair(t: int, m: int, M: int) -> tuple[Side, Side]:
+    """The two sides of the betweenness fact (t, m, M) as arc sets: plus
+    places t left of t+1 with m and M in between, minus the reverse.
+    Self-loops from degenerate facts (m = t, M = t+1) and repeats are
+    dropped."""
+    plus = ((t, t + 1), (t, m), (t, M), (m, t + 1), (M, t + 1))
+    minus = ((t + 1, t), (m, t), (M, t), (t + 1, m), (t + 1, M))
+    return tuple(tuple(dict.fromkeys((x, y) for x, y in side if x != y)) for side in (plus, minus))
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +132,12 @@ class Closure:
     closes a cycle and sets `cyclic`.
 
     nb is empty (no NB facts) or holds one mask per vertex, as
-    `profiles.nb_masks` gives them; the closure keeps its own copy.  The
-    seeds are arcs (x, y, kind): each keeps the kind it was given (the
-    first, when it repeats), self-loops are dropped, and the seeds go to
-    `add` in ascending (x, y) order, which fixes the kinds of the derived
-    arcs.  By default the closure runs on to the full fixpoint, through
+    `profiles.nb_masks` gives them; the closure keeps its own copy.
+    b_pairs holds the B pairs to watch, each as the (plus, minus) sides
+    that `_b_pair` gives.  The seeds are arcs (x, y, kind): each keeps the
+    kind it was given (the first, when it repeats), self-loops are
+    dropped, and the seeds go to `add` in ascending (x, y) order, which
+    fixes the kinds of the derived arcs.  By default the closure runs on to the full fixpoint, through
     cycles, and `kinds` maps every pair to the rule that first derived it
     (`_full_closure`, for `to_dot`).  A `search` closure stops at the
     first cycle and keeps no kinds; copies never carry kinds either, so a
@@ -166,7 +154,7 @@ class Closure:
                  "_nb", "_b_mask", "_b_sides")
 
     def __init__(self, n: int, seeds: Iterable[Arc] = (), nb: Sequence[int] = (),
-                 b_pairs: Sequence[BArcPair] = (), *, search: bool = False):
+                 b_pairs: Iterable[tuple[Side, Side]] = (), *, search: bool = False):
         V = n + 2
         self.succ = [0] * V
         self.pred = [0] * V
@@ -180,8 +168,8 @@ class Closure:
         self._nb = list(nb) if nb else [0] * V
         self._b_mask = [0] * V
         self._b_sides: dict[tuple[int, int], list[tuple[Arc, ...]]] = {}
-        for bp in b_pairs:
-            for side in (bp.plus, bp.minus):
+        for pair in b_pairs:
+            for side in pair:
                 arcs = tuple((x, y, ArcKind.B) for x, y in side)
                 for x, y in side:
                     self._b_mask[x] |= 1 << y
@@ -284,11 +272,12 @@ def _side_rows(a: int, b: int, m: int, M: int) -> tuple[tuple[int, int], ...]:
 class RootClosure(NamedTuple):
     """A profile's search root and the constraints it leaves silent: the
     NB records and B pairs (undirected profiles only) whose two ends no arc
-    joins.  `closure.cyclic` is the verdict NO, with nothing silent."""
+    joins, a B pair as its t (ascending), the pair {t, t+1}.
+    `closure.cyclic` is the verdict NO, with nothing silent."""
 
     closure: Closure
     silent_nb: tuple[NBRecord, ...]
-    silent_b: tuple[BArcPair, ...]
+    silent_b: tuple[int, ...]
 
 
 def root_closure(F: Profile) -> RootClosure:
@@ -367,7 +356,7 @@ def root_closure(F: Profile) -> RootClosure:
         pred[M] |= lb
     if not ok:
         require_solver_profile(F)
-        raise InternalInconsistency("the root's entry check passed a profile the gate rejects")
+        raise InternalInconsistency("the root's entry check rejected a profile the gate passes")
     nb = fold_nb_buckets(by_m, by_after_M)
     if directed:
         succ = [row & ~(1 << v) for v, row in enumerate(succ)]
@@ -460,13 +449,13 @@ def root_closure(F: Profile) -> RootClosure:
         if not forced:
             break
     _close_along(pred, reversed(order))
-    silent_b = tuple(_b_pair(c.t, c.m, c.M) for c, _, _ in pending)
-    root = Closure(n, nb=nb, b_pairs=silent_b, search=True)
+    root = Closure(n, nb=nb, b_pairs=[_b_pair(c.t, c.m, c.M) for c, _, _ in pending],
+                   search=True)
     root.succ, root.pred = succ, pred
     silent = sorted((t, a) for a, bases in enumerate(nb)
                     for t in _bits(bases & ~(succ[a] | pred[a])))
     return RootClosure(root, tuple(NBRecord(basis=(t, t + 1), top=a) for t, a in silent),
-                       silent_b)
+                       tuple(c.t for c, _, _ in pending))
 
 
 # ---------------------------------------------------------------------------

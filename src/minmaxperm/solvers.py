@@ -11,12 +11,17 @@ order.  The search keeps an explicit stack, so its depth is not bounded
 by Python's recursion limit; its worst case stays 2^s nodes
 for s silent constraints (betweenness is NP-complete), but propagation
 settles most constraints without a branch.  The search walks one ordered
-list of choices with a cursor.  A choice is a plain tuple (x, y, sides):
-a silent constraint, open while no arc joins x and y either way, and its
-orientations as arc sets, each holding an arc between x and y.  A node
-branches on the first open choice, and its children resume after it.
-The linear solver is the same search, with its choices in the paper's
-order and one side each; it never backtracks on a linear profile.
+list of choices with a cursor.  A choice is the tuple of arcs a silent
+constraint may add, one per orientation in the order they are tried: a
+B pair's (t, t+1) and (t+1, t), an NB record's (a, t) and (t, a).  It is
+open while no arc joins the ends of its first arc either way.  A node
+branches on the first open choice, one child per arc, and its children
+resume after it.  A child adds its one arc and the closure's own rules
+add the rest of that orientation: the root watches every silent B pair,
+whose side an arc between t and t+1 brings in whole, and holds every NB
+fact, whose rules copy an arc between a and t to a and t+1.  The linear
+solver is the same search, with its choices in the paper's order and one
+arc each; it never backtracks on a linear profile.
 
 A returned witness is always re-verified against the input profile
 before being handed out: `verify` checks each entry's min, max and
@@ -48,13 +53,7 @@ from .errors import (
     PreconditionViolation,
     TooLarge,
 )
-from .graph import (
-    Arc,
-    ArcKind,
-    Closure,
-    root_closure,
-    topo_order,
-)
+from .graph import Arc, ArcKind, Closure, root_closure, topo_order
 from .profiles import (
     Direction,
     NBRecord,
@@ -255,26 +254,27 @@ def is_unique(F: Profile) -> UniquenessReport:
 # Branch-and-propagate search
 # ---------------------------------------------------------------------------
 
-def _search(root: Closure, choices: list[tuple[int, int, tuple[tuple[Arc, ...], ...]]],
+def _search(root: Closure, choices: list[tuple[Arc, ...]],
             F: Profile, context: str) -> tuple[Permutation | None, int]:
     """Depth-first search from a closed root; returns (witness or None,
     nodes visited).  A node branches on the first open choice at or after
-    its parent's, one child per side in the order of its sides, and its
+    its parent's, one child per arc in the order of its arcs, and its
     children resume after it: the choices it skips stay joined, since a
     closure only grows along a path, and so does the one it decided."""
-    stack: list[tuple[Closure, tuple[Arc, ...], int]] = [(root, (), 0)]
+    stack: list[tuple[Closure, Arc | None, int]] = [(root, None, 0)]
     nodes = 0
     while stack:
-        node, arcs, i = stack.pop()
+        node, arc, i = stack.pop()
         nodes += 1
-        if arcs:
+        if arc:
             node = node.copy()
-            node.add(arcs)
+            node.add((arc,))
         if node.cyclic:
             continue
         succ = node.succ
         while i < len(choices):
-            x, y, sides = choices[i]
+            choice = choices[i]
+            x, y, _ = choice[0]
             if not (succ[x] >> y & 1 or succ[y] >> x & 1):
                 break
             i += 1
@@ -284,8 +284,8 @@ def _search(root: Closure, choices: list[tuple[int, int, tuple[tuple[Arc, ...], 
                 raise InternalInconsistency(
                     f"{context}: topological order {w} does not reproduce the profile")
             return w, nodes
-        for side in reversed(sides):
-            stack.append((node, side, i + 1))
+        for arc in reversed(choice):
+            stack.append((node, arc, i + 1))
     return None, nodes
 
 
@@ -294,12 +294,13 @@ def solve_linear(F: Profile) -> SolveOutcome:
 
     The search with its choices in the paper's order: the silent records
     sorted by NB-set size of the top (largest first), then top, then
-    basis, each with its basis-first side only.  The first open choice
-    then sets the open top with the largest NB set (ties: smallest top)
-    after its smallest open basis.  Linearity guarantees no cycle ever
-    appears after a clean root, so the search visits one node per
-    decision plus the root; with one side per choice, a cycle after a
-    clean root ends it with no witness, which raises InternalInconsistency.
+    basis, each with its basis-first arc (t, a) only, whose column rule
+    adds (t+1, a).  The first open choice then sets the open top with the
+    largest NB set (ties: smallest top) after its smallest open basis.
+    Linearity guarantees no cycle ever appears after a clean root, so the
+    search visits one node per decision plus the root; with one arc per
+    choice, a cycle after a clean root ends it with no witness, which
+    raises InternalInconsistency.
     """
     if not F.directed:
         raise NotDirected("the linear solver needs a directed profile")
@@ -308,8 +309,7 @@ def solve_linear(F: Profile) -> SolveOutcome:
     root, silent, _ = root_closure(F)
     nb_size = {top: len(nb_set(F, top)) for top in {r.top for r in silent}}
     order = sorted(silent, key=lambda r: (-nb_size[r.top], r.top, r.basis))
-    choices = [(r.top, r.basis[0], (tuple((u, r.top, ArcKind.NB) for u in r.basis),))
-               for r in order]
+    choices = [((r.basis[0], r.top, ArcKind.NB),) for r in order]
     w, nodes = _search(root, choices, F, "linear solver")
     if w is None and not root.cyclic:
         raise InternalInconsistency("linear solver: a decision produced a cycle")
@@ -318,18 +318,15 @@ def solve_linear(F: Profile) -> SolveOutcome:
 
 def _solve_search(F: Profile, context: str) -> SolveOutcome:
     """The FPT search of either directedness: silent B pairs first (a
-    directed root has none), plus side first, then silent NB records, top
-    first (top left of t and t+1) before basis first."""
+    directed root has none), plus side (t left of t+1) first, then silent
+    NB records, top first (top left of t and t+1) before basis first."""
     root, silent_nb, silent_b = root_closure(F)
     b, nb = ArcKind.B, ArcKind.NB
-    choices = [(bp.t, bp.t + 1, (tuple((x, y, b) for x, y in bp.plus),
-                                 tuple((x, y, b) for x, y in bp.minus))) for bp in silent_b]
-    for r in silent_nb:
-        a, (t, u) = r.top, r.basis
-        choices.append((a, t, (((a, t, nb), (a, u, nb)), ((t, a, nb), (u, a, nb)))))
+    choices = [((t, t + 1, b), (t + 1, t, b)) for t in silent_b]
+    choices += [((r.top, r.basis[0], nb), (r.basis[0], r.top, nb)) for r in silent_nb]
     w, nodes = _search(root, choices, F, context)
-    return SolveOutcome(witness=w, silent_nb=silent_nb,
-                        silent_b=tuple(bp.t for bp in silent_b), settings_tested=nodes)
+    return SolveOutcome(witness=w, silent_nb=silent_nb, silent_b=silent_b,
+                        settings_tested=nodes)
 
 
 def solve_fpt_directed(F: Profile) -> SolveOutcome:

@@ -21,7 +21,6 @@ import numpy as np
 
 import minmaxperm
 from minmaxperm import (
-    BArcPair,
     CyclicGraph,
     Permutation,
     Profile,
@@ -266,17 +265,17 @@ def nb_records(F: Profile) -> list[NBRecord]:
     return sorted(out)
 
 
-def b_arc_pairs(F: Profile) -> list[BArcPair]:
-    """Arcs+/Arcs- of every entry of a gap-1 profile, ascending t: plus puts
-    t left of t+1 with m and M in between, minus is its reverse, arc by
-    arc; self-loops and repeats are dropped."""
+def b_arc_pairs(F: Profile) -> list[tuple]:
+    """Arcs+/Arcs- of every entry of a gap-1 profile as (plus, minus), at
+    index t: plus puts t left of t+1 with m and M in between, minus is its
+    reverse, arc by arc; self-loops and repeats are dropped."""
     out = []
     for c in F.entries():
         t, u = c.t, c.t + 1
         plus = [(t, u), (t, c.m), (t, c.M), (c.m, u), (c.M, u)]
         minus = [(y, x) for x, y in plus]
-        out.append(BArcPair(t, *(tuple(dict.fromkeys((x, y) for x, y in side if x != y))
-                                 for side in (plus, minus))))
+        out.append(tuple(tuple(dict.fromkeys((x, y) for x, y in side if x != y))
+                         for side in (plus, minus)))
     return out
 
 
@@ -326,8 +325,8 @@ def reference_close(n: int, arcs: set[tuple[int, int]], records, b_pairs,
                 cands.append((u, a))
             if (u, a) in g and (t, a) not in g:
                 cands.append((t, a))
-        for bp in b_pairs:
-            for side in (bp.plus, bp.minus):
+        for pair in b_pairs:
+            for side in pair:
                 if any((x, y) in g for x, y in side):
                     cands.extend((x, y) for x, y in side if (x, y) not in g)
         if not cands:

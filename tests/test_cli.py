@@ -16,11 +16,14 @@ from minmaxperm.cli import main
 from minmaxperm.graph import DUMP_LIMIT, ArcKind, Closure
 
 from helpers import (
+    GOLDEN_ENTRIES,
     GOLDEN_PERM,
+    R,
     b_arc_pairs,
     endpoint_arcs,
     golden_profile,
     identity_perm,
+    make_profile,
     random_perm,
     run_fresh,
     seed_arcs,
@@ -573,6 +576,26 @@ class TestInternalFault:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "internal error: witness does not reproduce the profile"]
+
+    def test_root_entry_check_stricter_than_gate(self, tmp_path, monkeypatch, capsys):
+        # the root's own entry check and the gate must agree; with the gate
+        # made a no-op, a boundary entry running right to left passes it
+        # and the entry check's rejection is a fault
+        import minmaxperm.graph as graph
+        from minmaxperm import InternalInconsistency, PreconditionViolation
+        F = make_profile([(0, R, 0, 9), *GOLDEN_ENTRIES[1:]])
+        path = tmp_path / "backwards.prof"
+        path.write_text(emit_profile(F))
+        assert main(["solve", str(path)]) == 2
+        capsys.readouterr()
+        with pytest.raises(PreconditionViolation):
+            graph.root_closure(F)
+        monkeypatch.setattr(graph, "require_solver_profile", lambda F: None)
+        message = "the root's entry check rejected a profile the gate passes"
+        with pytest.raises(InternalInconsistency, match=message):
+            graph.root_closure(F)
+        assert main(["solve", str(path)]) == 3
+        assert capsys.readouterr().err == f"internal error: {message}\n"
 
     def test_unexpected_exception_is_internal(self, golden_profile_file, monkeypatch, capsys):
         import minmaxperm.cli as cli

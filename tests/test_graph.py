@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -101,14 +102,19 @@ class TestClosureSeeds:
         with pytest.raises(TooLarge, match=f"limit {DUMP_LIMIT}$"):
             to_dot(compute_profile(identity_perm(DUMP_LIMIT + 1), 1, True))
 
+    @staticmethod
+    def _dump_sweep(directed):
+        """Every valid profile with n <= 3 (directed) or n <= 4 (undirected)."""
+        return ([F for n in range(1, 4) for F in all_valid_directed(n)] if directed
+                else [F for n in range(1, 5) for F in all_valid_undirected(n)])
+
     @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
     def test_dot_arcs_are_the_reference_closure(self, directed):
-        # every valid profile with n <= 3 (directed) or n <= 4 (undirected),
-        # cyclic ones included: the arcs the dump prints are the stated
-        # arcs closed by the one-rule-at-a-time reference
+        # every profile of the sweep, cyclic ones included: the arcs the
+        # dump prints are the stated arcs closed by the one-rule-at-a-time
+        # reference
         rng = random.Random(21)
-        sweep = ([F for n in range(1, 4) for F in all_valid_directed(n)] if directed
-                 else [F for n in range(1, 5) for F in all_valid_undirected(n)])
+        sweep = self._dump_sweep(directed)
         cyclic = 0
         for F in sweep:
             pairs = [] if directed else b_arc_pairs(F)
@@ -117,6 +123,18 @@ class TestClosureSeeds:
             assert printed == ref, F
             cyclic += has_cycle(ref)
         assert 0 < cyclic < len(sweep)
+
+    @pytest.mark.parametrize("directed, count, digest", [
+        (True, 153, "f2ae5faaa60c5e402a2bf1777060e459d0efb11e4d1d990f757c2b10461a68a8"),
+        (False, 617, "ac99678b4d3788843b78dd3f198f2b8ca9da082e7d55e09e5b5de26091243097"),
+    ], ids=["directed", "undirected"])
+    def test_dot_bytes_pinned(self, directed, count, digest):
+        # the sweep's dumps hashed together, labels included: a label is
+        # the rule that first derived its pair, so it moves with the order
+        # in which the seeds and the B sides' arcs reach `Closure.add`
+        sweep = self._dump_sweep(directed)
+        assert len(sweep) == count
+        assert hashlib.sha256("".join(map(to_dot, sweep)).encode()).hexdigest() == digest
 
 
 class TestBuildClosure:
@@ -174,19 +192,16 @@ def library_pairs(F):
 class TestBArcPairs:
     def test_vacuous_facts_add_no_arc(self):
         # identity n=3: every entry is [t, t+1], so both facts are vacuous
-        for bp in library_pairs(compute_profile(identity_perm(3), 1, True)):
-            assert bp.plus == ((bp.t, bp.t + 1),)
-            assert bp.minus == ((bp.t + 1, bp.t),)
+        for t, pair in enumerate(library_pairs(compute_profile(identity_perm(3), 1, True))):
+            assert pair == (((t, t + 1),), ((t + 1, t),))
         pairs = library_pairs(golden_profile())
         assert pairs == b_arc_pairs(golden_profile())
         # entry 6 is 6 <->[4,7] 7: M coincides with the basis element 7
-        assert pairs[6].plus == ((6, 7), (6, 4), (4, 7))
-        assert pairs[6].minus == ((7, 6), (4, 6), (7, 4))
+        assert pairs[6] == (((6, 7), (6, 4), (4, 7)), ((7, 6), (4, 6), (7, 4)))
         # entry 0 is 0 <->[0,9] 1: m coincides with 0
-        assert pairs[0].plus == ((0, 1), (0, 9), (9, 1))
-        assert pairs[0].minus == ((1, 0), (9, 0), (1, 9))
-        for bp in pairs:
-            assert all(x != y for side in (bp.plus, bp.minus) for x, y in side)
+        assert pairs[0] == (((0, 1), (0, 9), (9, 1)), ((1, 0), (9, 0), (1, 9)))
+        for pair in pairs:
+            assert all(x != y for side in pair for x, y in side)
 
 
 class TestIsSettled:
@@ -327,7 +342,7 @@ class TestRootClosure:
         assert res.silent_nb == (NBRecord(basis=(6, 7), top=2),)
         res = root_closure(golden_profile(directed=False))
         assert not res.closure.cyclic
-        assert [bp.t for bp in res.silent_b] == [6]
+        assert res.silent_b == (6,)
 
     def test_identity_empty_silent(self):
         for n in (1, 3, 6):
@@ -389,7 +404,7 @@ class TestRootClosure:
             assert mask_arcs(res.closure.succ) == ref
             joined = ref | {(y, x) for x, y in ref}
             assert res.silent_nb == tuple(r for r in records if (r.top, r.basis[0]) not in joined)
-            assert res.silent_b == tuple(bp for bp in pairs if (bp.t, bp.t + 1) not in joined)
+            assert res.silent_b == tuple(t for t in range(len(pairs)) if (t, t + 1) not in joined)
         assert 0 < cyclic_cases < len(profiles)
 
     def test_directed_full_fixpoint_matches_reference(self):
@@ -448,7 +463,7 @@ class TestRootClosure:
             assert bulk.silent_nb == tuple(r for r in nb_records(F)
                                            if not linked(r.top, r.basis[0]))
             pairs = () if F.directed else b_arc_pairs(F)
-            assert bulk.silent_b == tuple(bp for bp in pairs if not linked(bp.t, bp.t + 1))
+            assert bulk.silent_b == tuple(t for t in range(len(pairs)) if not linked(t, t + 1))
         return per_arc.cyclic
 
     def test_bulk_search_root_every_valid_profile(self):
@@ -561,9 +576,11 @@ class TestRootClosure:
 
     def test_search_root_watches_silent_pairs_only(self):
         # the bulk root watches only its silent B pairs, the per-arc root
-        # every pair; either side of every silent choice grows both alike
+        # every pair; either side of every silent choice grows both alike,
+        # and the search's decision arc, the side's first, grows the bulk
+        # root as the whole side does
         rng = random.Random(1988)
-        cases = sides_tried = 0
+        cases = sides_tried = one_arc_cyclic = 0
         while cases < 40:
             n = rng.randint(4, 40)
             F = compute_profile(random_perm(rng, n), 1, False)
@@ -574,20 +591,26 @@ class TestRootClosure:
                 continue
             cases += 1
             per_arc = self._per_arc_root(F)
-            sides = [side for bp in bulk.silent_b for side in (bp.plus, bp.minus)]
+            pairs = library_pairs(F)
+            sides = [side for t in bulk.silent_b for side in pairs[t]]
             assert set(bulk.closure._b_sides) == {arc for side in sides for arc in side}
             for r in bulk.silent_nb:
                 top, (t, u) = r.top, r.basis
                 sides += [((top, t), (top, u)), ((t, top), (u, top))]
             for side in sides:
                 grown = []
-                for root in (bulk.closure, per_arc):
+                for root, arcs in ((bulk.closure, side), (per_arc, side), (bulk.closure, side[:1])):
                     node = root.copy()
-                    node.add([(x, y, ArcKind.B) for x, y in side])
+                    node.add([(x, y, ArcKind.B) for x, y in arcs])
                     grown.append((node.succ, node.pred, node.cyclic))
                 assert grown[0] == grown[1], (F, side)
+                # a cyclic node stops at its first cycle, its masks closed as
+                # far as its insertion order got, so only the flag is read
+                whole, one_arc = grown[0], grown[2]
+                assert one_arc[2] == whole[2] and (whole[2] or one_arc == whole), (F, side)
+                one_arc_cyclic += one_arc[2]
                 sides_tried += 1
-        assert sides_tried > 200
+        assert sides_tried > 200 and 0 < one_arc_cyclic < sides_tried
 
     def test_gate_rejections(self):
         # the search root and the dump run the same gate

@@ -20,7 +20,7 @@ NUMPY_MODULES = ("reconstruction",)
 # The names the package exports; the four reconstruction names resolve on
 # first use.
 EXPORTED = [
-    "BArcPair", "BadEndpoints", "COutOfRange", "CyclicGraph", "Direction",
+    "BadEndpoints", "COutOfRange", "CyclicGraph", "Direction",
     "InternalInconsistency", "KConstraint", "KMismatch", "MinKResult", "MinMaxError",
     "MismatchedN", "NBRecord", "NotBijection", "NotDirected", "NotLinear", "Permutation",
     "PreconditionViolation", "Profile", "ProfileSyntaxError", "ProfileValidationError",

@@ -619,10 +619,12 @@ class TestSearch:
         assert reads == len(out.silent_nb)
 
     @pytest.mark.parametrize("elems, directed, first, later", [
-        # top 5 left of its basis (2, 3) puts 5 and 6 left of 2 and 3:
+        # top 5 left of its basis (2, 3), the decision arc 5 -> 2, puts 5
+        # and 6 left of 2 and 3:
         # tops 2 and 3 after their basis (5, 6), the basis-first side
-        ((0, 2, 3, 5, 6, 8, 1, 4, 7, 9), True, ((5, 2), (5, 3)), (2, 5)),
-        # the plus side of pair 2 puts 4 left of 3: pair 3's minus side
+        ((0, 2, 3, 5, 6, 8, 1, 4, 7, 9), True, (5, 2), (2, 5)),
+        # the plus side of pair 2, which the arc 2 -> 3 brings in, puts 4
+        # left of 3: pair 3's minus side
         ((0, 2, 4, 3, 6, 1, 5, 7), False, None, (3, 4)),
     ], ids=["nb-top-after-basis", "b-pair-minus-side"])
     def test_choice_joined_in_its_second_orientation(self, elems, directed, first, later):
@@ -634,7 +636,8 @@ class TestSearch:
         root, _, silent_b = root_closure(F)
         node = root.copy()
         kind = ArcKind.NB if directed else ArcKind.B
-        node.add([(x, y, kind) for x, y in first or silent_b[0].plus])
+        x, y = first or (silent_b[0], silent_b[0] + 1)
+        node.add([(x, y, kind)])
         x, y = later
         assert node.succ[y] >> x & 1 and not node.succ[x] >> y & 1
         out = (solve_fpt_directed if directed else solve_undirected)(F)
@@ -703,8 +706,21 @@ class TestSearch:
             assert out.is_no and out.settings_tested == 1
             assert out.silent_nb == () and out.silent_b == ()
 
+    @pytest.mark.parametrize("solve, directed, context", [
+        (solve_linear, True, "linear solver"),
+        (solve_fpt_directed, True, "FPT solver"),
+        (solve_undirected, False, "undirected solver"),
+    ], ids=["linear", "fpt", "undirected"])
+    def test_witness_recheck_failure_is_a_fault(self, monkeypatch, solve, directed, context):
+        # a settled acyclic leaf whose order does not reproduce the profile
+        # is a fault of the search, reported under the solver's own name
+        monkeypatch.setattr(solvers, "verify", lambda P, F: False)
+        with pytest.raises(InternalInconsistency,
+                           match=f"^{context}: topological order .* does not reproduce"):
+            solve(golden_profile(directed))
+
     def test_backtrack_is_a_fault_when_disallowed(self, monkeypatch):
-        # the linear solver's choices have one side each, so its search is a
+        # the linear solver's choices have one arc each, so its search is a
         # chain: a decision whose closure is cyclic ends it with no witness,
         # which after a clean root is an internal fault, never a NO
         add = Closure.add
