@@ -34,11 +34,12 @@ update for every pair it derives, so the root is built in bulk passes
 fires the NB row rule on it as it finishes, then the NB column rule on
 the pairs with a changed row and the B rule on every open pair, until a
 pass forces nothing; a later pass re-covers only the arcs whose heads'
-rows grew).  A directed root settles in a few passes; an
-undirected one cascades inward from the pinned ends, and its passes grow
-with n (medians over 20 random permutation profiles each: directed 2 at
-n = 32 and 3 at n = 150, undirected 7 and 14).  Only the B pairs the
-root leaves silent get watch tables.
+rows grew; no pass reads a predecessor mask, so those are derived once,
+at the end).  A directed root settles in a few passes; an undirected one
+cascades inward from the pinned ends, and its passes grow with n
+(medians over 20 random permutation profiles each: directed 2 at n = 32
+and 3 at n = 150, undirected 7 and 14).  Only the B pairs the root
+leaves silent get watch tables.
 
 `to_dot` renders the full fixpoint instead (`_full_closure`), which runs
 on through cycles and labels every pair with the rule that first derived
@@ -247,18 +248,26 @@ class Closure:
         return [(x, y, self.kinds[(x, y)]) for x, row in enumerate(self.succ) for y in _bits(row)]
 
 
-def _close_along(masks: list[int], order: Iterable[int]) -> None:
-    """Close masks transitively in place, given an order that visits each
-    vertex after every vertex its mask names: a row ORs in the closed rows
-    of the vertices it names and does not yet cover."""
-    for v in order:
-        row = todo = masks[v]
+def _pred_masks(arcs: list[int], order: list[int]) -> list[int]:
+    """The transpose of the arc rows `arcs`, closed along `order`, a walk's
+    finishing order: in reverse, a column ORs in the closed columns of the
+    tails it does not yet cover.  An empty order leaves it unclosed."""
+    pred = [0] * len(arcs)
+    for x, heads in enumerate(arcs):
+        bit = 1 << x
+        while heads:
+            low = heads & -heads
+            pred[low.bit_length() - 1] |= bit
+            heads ^= low
+    for v in reversed(order):
+        col = todo = pred[v]
         while todo:
             low = todo & -todo
-            below = masks[low.bit_length() - 1]
-            row |= below
-            todo = (todo ^ low) & ~below
-        masks[v] = row
+            above = pred[low.bit_length() - 1]
+            col |= above
+            todo = (todo ^ low) & ~above
+        pred[v] = col
+    return pred
 
 
 def _side_rows(a: int, b: int, m: int, M: int) -> tuple[tuple[int, int], ...]:
@@ -290,26 +299,26 @@ def root_closure(F: Profile) -> RootClosure:
     (t > 0) <= m <= t < M <= n + (t == n), no `?` and the boundary entries
     left to right if directed (on a failure, the gate raises its error),
     buckets it for the NB masks, sets tops[t] to the values outside
-    [m, M], and seeds the masks: tl -> {tr, m, M} and {m, M} -> tr for a
-    directed entry, a pair to decide for an undirected one, whose only
-    seeds are the pinned endpoints.  A second mask list, `arcs`, holds
-    the seeds and every arc a rule forces.  A pass is one depth-first walk
-    that closes each row as it finishes, since no ancestor of a row
-    finishes before it: the row ORs in the rows of its arcs' heads, all
-    finished, then fires the NB row rule (row p gains t+1 when it holds t
-    and bit t of nb[p] is set, or the reverse).  A forced head that has
-    finished is ORed in and the row closed again; one not yet visited
-    makes the walk descend into it first; one still on the stack closes a
-    cycle.  Every pass leaves every row closed, so a later pass ORs in
-    only the heads whose rows grew since (in the walk or a sweep), and all
-    of a row's heads only when that row itself grew.  The
+    [m, M], and seeds the successor masks: tl -> {tr, m, M} and
+    {m, M} -> tr for a directed entry, a pair to decide for an undirected
+    one, whose only seeds are the pinned endpoints.  A second mask list,
+    `arcs`, holds the seeds and every arc a rule forces.  A pass is one
+    depth-first walk that closes each row as it finishes, since no
+    ancestor of a row finishes before it: the row ORs in the rows of its
+    arcs' heads, all finished, then fires the NB row rule (row p gains t+1
+    when it holds t and bit t of nb[p] is set, or the reverse).  A forced
+    head that has finished is ORed in and the row closed again; one not
+    yet visited makes the walk descend into it first; one still on the
+    stack closes a cycle.  Every pass leaves every row closed, so a later
+    pass ORs in only the heads whose rows grew since (in the walk or a
+    sweep), and all of a row's heads only when that row itself grew.  The
     column rule then gives succ[t+1] the bits of succ[t] & tops[t] and
     succ[t] those of succ[t+1] & tops[t], tested only where row t or t+1
     changed (in the walk or a sweep) since the last test.  Then a B pair
     still open with any arc of a side present gains that whole side and
-    leaves the open list.  Passes repeat until these sweeps force nothing;
-    the predecessor masks, which until then hold only the tails of the
-    arcs put in, are closed once, along the last pass's order.
+    leaves the open list.  Passes repeat until these sweeps force nothing.
+    No pass reads a predecessor mask: `_pred_masks` derives them once, at
+    the end, from `arcs` and the last pass's order.
 
     The pairs still open then join t and t+1 neither way, so they are the
     silent ones, and only they get watch tables: a decided pair's side is
@@ -329,10 +338,9 @@ def root_closure(F: Profile) -> RootClosure:
     tops = [0] * (V - 1)
     by_m, by_after_M = [0] * (V + 1), [0] * (V + 1)
     if directed:
-        succ, pred = [0] * V, [0] * V
+        succ = [0] * V
     else:
         succ = [full ^ 1] + [1 << V - 1] * (V - 2) + [0]
-        pred = [0] + [1] * (V - 2) + [full ^ 1 << V - 1]
     pending = []
     for t in range(V - 1) if ok else ():
         c = cons[(t, 1)]
@@ -347,20 +355,16 @@ def root_closure(F: Profile) -> RootClosure:
             pending.append((c, _side_rows(t, t + 1, m, M), _side_rows(t + 1, t, m, M)))
             continue
         tl, tr = (t, t + 1) if c.dir is ltr else (t + 1, t)
-        lb, rb = 1 << tl, 1 << tr
+        rb = 1 << tr
         succ[tl] |= 1 << m | 1 << M | rb
-        pred[tr] |= 1 << m | 1 << M | lb
         succ[m] |= rb
         succ[M] |= rb
-        pred[m] |= lb
-        pred[M] |= lb
     if not ok:
         require_solver_profile(F)
         raise InternalInconsistency("the root's entry check rejected a profile the gate passes")
     nb = fold_nb_buckets(by_m, by_after_M)
     if directed:
         succ = [row & ~(1 << v) for v, row in enumerate(succ)]
-        pred = [col & ~(1 << v) for v, col in enumerate(pred)]
     arcs = succ[:]  # the seeds and every arc a rule forces
     changed = full
     while True:
@@ -382,7 +386,7 @@ def root_closure(F: Profile) -> RootClosure:
                     continue
                 if row & ~done:  # a successor still on the stack
                     root = Closure(n, nb=nb, search=True)
-                    root.succ, root.pred, root.cyclic = succ, pred, True
+                    root.succ, root.pred, root.cyclic = succ, _pred_masks(arcs, []), True
                     return RootClosure(root, (), ())
                 # every successor has finished: OR in the rows of the arc
                 # heads that grew since v was closed (all if v grew), then
@@ -399,8 +403,6 @@ def root_closure(F: Profile) -> RootClosure:
                         todo = ((row & bases) << 1 | (row >> 1) & bases) & ~row
                         row |= todo
                         arcs[v] |= todo
-                        for q in _bits(todo):
-                            pred[q] |= 1 << v
                         if todo & ~done:
                             break
                 changed |= (row != succ[v]) << v
@@ -420,8 +422,6 @@ def root_closure(F: Profile) -> RootClosure:
                 if new:
                     succ[b] |= new
                     arcs[b] |= new
-                    for q in _bits(new):
-                        pred[q] |= 1 << b
                     changed |= 1 << b
                     forced = True
         still_open = []
@@ -439,8 +439,6 @@ def root_closure(F: Profile) -> RootClosure:
                     if new:
                         succ[x] |= new
                         arcs[x] |= new
-                        for q in _bits(new):
-                            pred[q] |= 1 << x
                         changed |= 1 << x
                         forced = True
             if not decided:
@@ -448,10 +446,10 @@ def root_closure(F: Profile) -> RootClosure:
         pending = still_open
         if not forced:
             break
-    _close_along(pred, reversed(order))
     root = Closure(n, nb=nb, b_pairs=[_b_pair(c.t, c.m, c.M) for c, _, _ in pending],
                    search=True)
-    root.succ, root.pred = succ, pred
+    root.succ = succ
+    root.pred = pred = _pred_masks(arcs, order)
     silent = sorted((t, a) for a, bases in enumerate(nb)
                     for t in _bits(bases & ~(succ[a] | pred[a])))
     return RootClosure(root, tuple(NBRecord(basis=(t, t + 1), top=a) for t, a in silent),

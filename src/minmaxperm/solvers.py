@@ -140,9 +140,9 @@ def _solutions(F: Profile) -> Iterator[Permutation]:
     slot is checked in full by (a) when its second end is placed, so a
     complete row survives exactly when its profile equals F.  The window
     of (b), the intersection of the open slots' [m, M], is narrowed when a
-    slot opens and kept when one closes, unless that slot was the last
-    open one at a bound: only then is it recomputed.  The search keeps an
-    explicit stack, so its depth is not bounded by the recursion limit.
+    slot opens and kept when one closes, unless that slot's m or M sits at
+    a bound: only then is it recomputed.  The search keeps an explicit
+    stack, so its depth is not bounded by the recursion limit.
     """
     V = F.n + 2
     # ends[v] holds (other end, m, M, side) for each slot with v as an end;
@@ -160,26 +160,26 @@ def _solutions(F: Profile) -> Iterator[Permutation]:
     row, pos = [0] * V, [-1] * V  # pos[v] is -1 while v is free
 
     def window(placed):
-        """The window of (b) over the slots with exactly one end among the
-        placed values and a slot [0, n+1] that never closes: (lo, the
-        number of slots with m = lo, hi, the number with M = hi)."""
-        lows, highs = [0], [V - 1]
+        """The window (lo, hi) of (b) over the slots with exactly one end
+        among the placed values and a slot [0, n+1] that never closes."""
+        lo, hi = 0, V - 1
         for p in placed:
             for o, m, M, _ in ends[p]:
                 if pos[o] < 0:
-                    lows.append(m)
-                    highs.append(M)
-        lo, hi = max(lows), min(highs)
-        return lo, lows.count(lo), hi, highs.count(hi)
+                    if m > lo:
+                        lo = m
+                    if M < hi:
+                        hi = M
+        return lo, hi
 
-    # (j, v, window) of each prefix still to extend: row[:j] with v
+    # (j, v, lo, hi) of each prefix still to extend: row[:j] with v
     # appended, v having passed every prune; value 0 opens its slots
     # unchecked, as (a) checks them in full later
     pos[0] = 0
     stack = [(0, 0, *window([0]))]
     depth, left = 0, ORACLE_WORK
     while stack:
-        j, v, lo, nlo, hi, nhi = stack.pop()
+        j, v, lo, hi = stack.pop()
         while depth > j:
             depth -= 1
             pos[row[depth]] = -1
@@ -197,8 +197,8 @@ def _solutions(F: Profile) -> Iterator[Permutation]:
                 continue
             pos[w] = depth
             # the window after w: a slot w opens narrows it, one w closes
-            # leaves it; a bound whose count drops to 0 is recomputed
-            wlo, wnlo, whi, wnhi = lo, nlo, hi, nhi
+            # leaves it, unless its m or M sits at a bound (recompute)
+            wlo, whi, stale = lo, hi, False
             for o, m, M, side in ends[w]:
                 q = pos[o]
                 if q >= 0:
@@ -207,21 +207,19 @@ def _solutions(F: Profile) -> Iterator[Permutation]:
                     # at positions q..depth
                     if side < 0 or pos[m] < q or pos[M] < q:
                         break
-                    wnlo -= m == wlo
-                    wnhi -= M == whi
+                    if m == wlo or M == whi:
+                        stale = True
                 elif side > 0 or -1 < pos[m] < depth or -1 < pos[M] < depth:  # (c), (d)
                     break
                 else:
-                    if m >= wlo:
-                        wnlo = wnlo + 1 if m == wlo else 1
+                    if m > wlo:
                         wlo = m
-                    if M <= whi:
-                        wnhi = wnhi + 1 if M == whi else 1
+                    if M < whi:
                         whi = M
             else:
-                if not (wnlo and wnhi):
-                    wlo, wnlo, whi, wnhi = window(row[:depth] + [w])
-                stack.append((depth, w, wlo, wnlo, whi, wnhi))
+                if stale:
+                    wlo, whi = window(row[:depth] + [w])
+                stack.append((depth, w, wlo, whi))
             pos[w] = -1
 
 

@@ -58,14 +58,20 @@ CIRCUIT_ENTRIES = [
 UNSAT2_ENTRIES = [(0, L, 0, 2), (1, L, 1, 2), (2, L, 2, 3)]
 
 
-def run_fresh(code: str, *argv: str) -> str:
-    """Stdout of `code` run in a fresh interpreter with `argv`, importing the
-    package under test; fails the test if the interpreter exits non-zero."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with `args`, importing the package under
+    test, with its exit code and captured text output."""
     src = str(Path(minmaxperm.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                          text=True, timeout=60, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=60, env=env)
+
+
+def run_fresh(code: str, *argv: str) -> str:
+    """Stdout of `code` run in a fresh interpreter with `argv`; fails the
+    test if the interpreter exits non-zero."""
+    proc = run_python("-c", code, *argv)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -12,7 +12,7 @@ from minmaxperm import (
     verify,
 )
 from minmaxperm import solvers
-from minmaxperm.cli import main
+from minmaxperm.cli import entry_point, main
 from minmaxperm.graph import DUMP_LIMIT, ArcKind, Closure
 
 from helpers import (
@@ -26,6 +26,7 @@ from helpers import (
     make_profile,
     random_perm,
     run_fresh,
+    run_python,
     seed_arcs,
     unsat2_profile,
 )
@@ -561,6 +562,37 @@ class TestColdPath:
     def test_exhaustive_commands_answer(self, argv, lines, files, capsys):
         code, out, _ = self._cold_and_warm(argv, files, capsys)
         assert (code, len(out.splitlines())) == (0, lines)
+
+
+class TestModuleRun:
+    """The CLI as perfbench's cli-oneshot workload runs it, `python -m
+    minmaxperm.cli` in a fresh process, and as the installed script runs
+    it, `entry_point` on the process's argv: a witness (exit 0), NO (exit
+    1) and a syntax error (exit 2), each with its exact output."""
+
+    CASES = [
+        (emit_profile(golden_profile()), 0, "0 2 6 4 7 9 1 3 5 8 10\n", ""),
+        (emit_profile(unsat2_profile()), 1, "NO\n", ""),
+        ("minmax-profile 1\nn 9\n", 2, "", "error: missing `k` header line\n"),
+    ]
+    IDS = ["golden", "unsatisfiable", "malformed"]
+
+    @pytest.mark.parametrize("doc, code, out, err", CASES, ids=IDS)
+    def test_module(self, doc, code, out, err, tmp_path):
+        path = tmp_path / "in.prof"
+        path.write_text(doc)
+        proc = run_python("-m", "minmaxperm.cli", "solve", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    @pytest.mark.parametrize("doc, code, out, err", CASES, ids=IDS)
+    def test_entry_point(self, doc, code, out, err, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "in.prof"
+        path.write_text(doc)
+        monkeypatch.setattr("sys.argv", ["minmaxperm", "solve", str(path)])
+        with pytest.raises(SystemExit) as exit_:
+            entry_point()
+        assert exit_.value.code == code
+        assert capsys.readouterr() == (out, err)
 
 
 class TestInternalFault:

@@ -120,6 +120,25 @@ class TestParseProfile:
         with pytest.raises(ProfileSyntaxError):
             parse_profile("# nothing here\n")
 
+    @pytest.mark.parametrize("doc, line, match", [
+        (GOLDEN_DOC.split("directed")[0], None, "missing `directed` header line"),
+        (GOLDEN_DOC.replace("n 9", "size 9"), 2, "expected `n <int>`"),
+        (GOLDEN_DOC.replace("k 1\n", "k 1 1\n"), 3, "expected `k <int>`"),
+        (GOLDEN_DOC.replace("k 1\n", "k one\n"), 3, "`k` is not an integer"),
+        (GOLDEN_DOC.replace("directed 1", "directed 2"), 4, "must be 0 or 1"),
+        (GOLDEN_DOC.replace("n 9", "n 0"), None, "n must be positive"),
+        (GOLDEN_DOC.replace("k 1\n", "k 11\n"), None, r"1 <= k <= n\+1, got k=11"),
+        (GOLDEN_DOC.replace("6 1 > 4 7", "6 1 > 4"), 11, "needs 5 fields"),
+        (GOLDEN_DOC.replace("6 1 > 4 7", "10 1 > 4 7"), 11, r"t=10 outside 0\.\.9"),
+    ], ids=["missing-header", "header-name", "header-fields", "header-int", "directed-flag",
+            "n-below-1", "k-range", "field-count", "t-range"])
+    def test_syntax_errors(self, doc, line, match):
+        # one case per grammar check the other tests leave unreached; `line`
+        # is None where the error names no line
+        with pytest.raises(ProfileSyntaxError, match=match) as err:
+            parse_profile(doc)
+        assert err.value.line == line
+
     def test_validation_surfaced(self):
         doc = GOLDEN_DOC.replace("1 1 < 1 9", "1 1 < 0 9")
         with pytest.raises(ProfileValidationError):

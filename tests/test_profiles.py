@@ -242,6 +242,57 @@ class TestProfileFieldTypes:
             self.with_entry(F, (5, 1), t=5.0)
 
 
+class TestProfileConstruction:
+    """Each structural refusal of `Profile.__init__`, the set profile's k
+    bound, and the plain-object comparisons of profiles and records."""
+
+    F = compute_profile(identity_perm(4), 2, True)
+
+    @pytest.mark.parametrize("n, k, match", [
+        (4.0, 2, "n and k must be integers"),
+        (4, "2", "n and k must be integers"),
+        (4, 0, r"need 1 <= k <= n\+1, got k=0, n=4"),
+        (4, 6, r"need 1 <= k <= n\+1, got k=6, n=4"),
+    ])
+    def test_n_and_k(self, n, k, match):
+        with pytest.raises(PreconditionViolation, match=match):
+            Profile(n=n, k=k, directed=True, constraints=self.F.constraints)
+
+    def test_missing_key(self):
+        cons = dict(self.F.constraints)
+        del cons[(3, 2)]
+        with pytest.raises(PreconditionViolation, match=r"missing \[\(3, 2\)\], extra \[\]"):
+            Profile(n=4, k=2, directed=True, constraints=cons)
+
+    def test_extra_key(self):
+        cons = dict(self.F.constraints)
+        cons[(0, 3)] = dataclasses.replace(cons[(0, 2)], i=3)
+        with pytest.raises(PreconditionViolation, match=r"missing \[\], extra \[\(0, 3\)\]"):
+            Profile(n=4, k=2, directed=True, constraints=cons)
+
+    def test_entry_under_another_key(self):
+        cons = dict(self.F.constraints)
+        cons[(1, 1)] = cons[(2, 1)]
+        with pytest.raises(PreconditionViolation, match=r"key \(1,1\) labeled \(2,1\)"):
+            Profile(n=4, k=2, directed=True, constraints=cons)
+
+    def test_direction_in_undirected(self):
+        with pytest.raises(PreconditionViolation, match="undirected profile with direction"):
+            Profile(n=4, k=2, directed=False, constraints=self.F.constraints)
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_set_profile_k_bound(self, k):
+        with pytest.raises(PreconditionViolation, match=f"got k={k}, n=3"):
+            compute_set_profile([identity_perm(3)], k, True)
+
+    def test_not_equal_to_other_types(self):
+        assert (self.F == object()) is False
+        assert self.F != compute_profile(identity_perm(4), 2, False)
+
+    def test_nb_record_text(self):
+        assert str(NBRecord(basis=(2, 3), top=7)) == "not(2 <-7-> 3)"
+
+
 class TestIsLinear:
     def test_golden_is_linear(self):
         assert is_linear(golden_profile())

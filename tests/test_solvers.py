@@ -315,6 +315,34 @@ class TestOracleWork:
             with pytest.raises(TooLarge, match=f"work budget {3 * n + 3}$"):
                 call(F)
 
+    @pytest.mark.parametrize("n, directed, edited, seed, solutions, work", [
+        (8, True, True, 24, 0, 34),
+        (8, False, False, 31, 8, 576),
+        (9, False, True, 20, 72, 3_338),
+        (10, True, False, 13, 72, 3_639),
+        (10, False, False, 86, 96, 4_725),
+        (11, False, False, 68, 288, 15_610),
+        (11, False, True, 29, 96, 7_177),
+        (11, True, False, 133, 96, 5_583),
+        (12, True, False, 76, 168, 12_568),
+        (12, False, False, 116, 360, 25_505),
+        (12, True, True, 74, 24, 2_348),
+        (12, False, True, 88, 144, 9_358),
+    ])
+    def test_seeded_cost_is_exact(self, n, directed, edited, seed, solutions, work,
+                                  monkeypatch):
+        # the least budget that answers, found by bisection: any change to
+        # the window or the charge moves some refusal point
+        rng = random.Random(f"loose:{n}:{int(directed)}:{int(edited)}:{seed}")
+        F = compute_profile(random_perm(rng, n), 1, directed)
+        if edited:
+            F = (mutate_directed if directed else mutate_undirected)(rng, F)
+        monkeypatch.setattr(solvers, "ORACLE_WORK", work)
+        assert len(brute_force_solutions(F)) == solutions
+        monkeypatch.setattr(solvers, "ORACLE_WORK", work - 1)
+        with pytest.raises(TooLarge):
+            brute_force_solutions(F)
+
     def test_undirected_stall_is_refused(self):
         # an unedited undirected n = 32 profile that ran unbounded under a
         # raised n cap: it is refused in about 3 s on a 2-core machine
