@@ -79,16 +79,16 @@ def parse_profile(text: str) -> Profile:
     if fields != [FORMAT_TAG, FORMAT_VERSION]:
         raise ProfileSyntaxError(
             f"expected header `{FORMAT_TAG} {FORMAT_VERSION}`, got {' '.join(fields)!r}", lineno)
-    n, _ = _header_int(lines, 1, "n")
-    k, _ = _header_int(lines, 2, "k")
+    n, nline = _header_int(lines, 1, "n")
+    k, kline = _header_int(lines, 2, "k")
     directed_flag, dline = _header_int(lines, 3, "directed")
     if directed_flag not in (0, 1):
         raise ProfileSyntaxError(f"`directed` must be 0 or 1, got {directed_flag}", dline)
     directed = bool(directed_flag)
     if n < 1:
-        raise ProfileSyntaxError(f"n must be positive, got {n}")
+        raise ProfileSyntaxError(f"n must be positive, got {n}", nline)
     if not 1 <= k <= n + 1:
-        raise ProfileSyntaxError(f"need 1 <= k <= n+1, got k={k}")
+        raise ProfileSyntaxError(f"need 1 <= k <= n+1, got k={k}", kline)
 
     constraints: dict[tuple[int, int], KConstraint] = {}
     for lineno, fields in lines[4:]:

@@ -18,25 +18,29 @@ by their k-profiles.  A profile of span k over {0..n+1} has one slot per
 (gap i, start t) pair, i = 1..k and t = 0..n+1-i, ordered by (i, t), and
 its code is the three per-slot arrays [m | M | dir], dir being +1 (t left
 of t+i), -1 (right of) or 0 (undirected).  The codes are computed
-value-major, _ROW_BLOCK rows at a time, into range tables allocated once
-per grouping.  Each slot's (m, M, dir) becomes one mixed-radix digit, and
-the rows are grouped exactly, in passes: each pass packs the current
-class id and as many digits as fit below 2**63 into one int64 key, sorts
-the keys with `np.argsort` and numbers the classes densely again, until
-every class is a singleton or the digits run out.  Each row is compared
-with its class leader, the first row in lexicographic order with the same
-code.  A fixed-positions failure is a row whose position features differ
-from its leader's, over one grouping of all n! rows; the features are
-built only for the rows that are not their own leader, and for their
-leaders.  The minimum k refines instead of regrouping: equal k-profiles
-have equal (k-1)-profiles, so a row alone in its class stays alone as k
-grows.  All rows are grouped at k = 1, and each later k groups only the
-rows whose class at k - 1 had another member, still in lexicographic
-order.  A collision is the first row whose leader lies before it.
+value-major, _ROW_BLOCK rows at a time, from one bitmask per value and
+row, of the values at or left of it: the XOR of the masks of a slot's two
+ends, with both ends added, holds the slot's values, and its lowest and
+highest bits are m and M.  Each slot's (m, M, dir) becomes one
+mixed-radix digit, and the rows are grouped exactly, in passes: each pass
+packs the current class id and as many digits as fit below 2**63 into one
+int64 key, sorts the keys with `np.argsort` and numbers the classes
+densely again, until every class is a singleton or the digits run out.
+Each row is compared with its class leader, the first row in
+lexicographic order with the same code.  A fixed-positions failure is a
+row whose position features differ from its leader's, over one grouping
+of all n! rows; the features are built only for the rows that are not
+their own leader, and for their leaders.  The minimum k refines instead
+of regrouping: equal k-profiles have equal (k-1)-profiles, so a row alone
+in its class stays alone as k grows.  All rows are grouped at k = 1, and
+each later k groups only the rows whose class at k - 1 had another
+member, still in lexicographic order.  A collision is the first row whose
+leader lies before it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +65,17 @@ GROUPING_LIMIT = 9
 # its text take about 145 bytes per value (`counterexample N 1` peaks at
 # 42 MB resident at N = 10^5, 172 MB at 10^6 and 318 MB at 2 * 10^6).
 COLLISION_LIMIT = 10**6
-# Rows per range-table fill: the fastest of 1,024 to 40,320 at n = 8, and
-# at V <= 11 it keeps each (V, V, b) range table under 1 MB.
+# Rows per block of the code kernel: the fastest of 1,024 to 40,320 at
+# n = 8, and at V <= 11 it keeps each of its (V, b) scratch arrays under
+# 1 MB.
 _ROW_BLOCK = 8192
+# The least and the greatest set bit of every mask of the values of a row
+# at the grouping limit (-1 for the empty mask, which no slot has): a
+# slot's m and M from the mask of its values.  The masks are uint16, so
+# GROUPING_LIMIT + 2 may not pass 16.
+_MASKS = np.arange(1 << (GROUPING_LIMIT + 2))
+_HIGH_BIT = (np.frexp(_MASKS)[1] - 1).astype(np.int8)
+_LOW_BIT = _HIGH_BIT[_MASKS & -_MASKS]
 
 
 @dataclass(frozen=True)
@@ -77,9 +89,11 @@ class MinKResult:
     collision: tuple[Permutation, Permutation] | None
 
 
+@functools.lru_cache(maxsize=None)
 def _all_rows(n: int) -> np.ndarray:
     """All n! permutations of {0..n+1} with pinned endpoints, in
-    lexicographic order, as an (n!, n+2) int8 array.
+    lexicographic order, as an (n!, n+2) int8 array, built once per n and
+    read-only.
 
     The rows over the values 1..size are those over 1..size-1 with each
     first value v prepended in turn and the entries >= v shifted up by
@@ -95,6 +109,7 @@ def _all_rows(n: int) -> np.ndarray:
             block = rows[(v - 1) * count:v * count]
             block[:, 1] = v
             np.add(inner, inner >= v, out=block[:, 2:-1])
+    rows.setflags(write=False)
     return rows
 
 
@@ -115,53 +130,51 @@ def _slot_codes(rows: np.ndarray, k: int, directed: bool) -> np.ndarray:
     """The k-profile codes [m | M | dir] of (B, V) int8 permutation rows,
     slot-major: a (3L, B) int8 array whose column b is the code of row b.
 
-    The rows go through in blocks of at most _ROW_BLOCK, value-major, one
-    length-b array per table cell: mn[lo, hi] and mx[lo, hi] hold the min
-    and max of the values at positions lo..hi of every row of the block,
-    each cell one binary np.minimum / np.maximum of the cell before it
-    (hi - 1) and column hi, then copied to mn[hi, lo] so that either order
-    of the two ends reads the same cell.  Slot (t, t+i) of row b is cell
-    (pos[t, b]*V + pos[t+i, b])*span + b of the flat tables, and each
-    gap's slots are gathered at once into the codes.  The tables, the
-    columns and the cell indices are allocated once per call, span rows
-    wide; a shorter last block fills and reads only its first columns."""
+    The rows go through in blocks of at most _ROW_BLOCK, value-major, as
+    uint16 bitmasks: upto[v, b] has bit u set when value u lies at or left
+    of value v in row b.  A block's masks take one OR-scan over its
+    positions and one scatter to the values at them.  The values of slot
+    (t, t+i) are then upto[t] ^ upto[t+i] with the bits of t and t+i set,
+    each gap's slots in one XOR; m and M are the lowest and highest set
+    bits of that mask, read from _LOW_BIT and _HIGH_BIT, and dir is bit t
+    of upto[t+i].  The masks and their scratch arrays are allocated once
+    per call, span rows wide; a shorter last block fills and reads only
+    its first columns."""
     B, V = rows.shape
     L = pair_count(V - 2, k)
     span = min(B, _ROW_BLOCK)
-    mn = np.empty((V, V, span), np.int8)
-    mx = np.empty((V, V, span), np.int8)
-    flat_mn, flat_mx = mn.reshape(-1), mx.reshape(-1)
-    cols = np.empty((V, span), np.int8)
-    starts = np.empty((V, span), np.intp)
-    ends = np.empty((V, span), np.intp)
-    cells = np.empty((V - 1, span), np.intp)
+    upto = np.empty((V, span), np.uint16)
+    flat = upto.reshape(-1)
+    bits = np.empty((V, span), np.uint16)
+    cells = np.empty((V, span), np.intp)
+    segs = np.empty((V - 1, span), np.uint16)
     index = np.arange(span)
+    value_bit = np.left_shift(np.uint16(1), np.arange(V, dtype=np.uint16))[:, None]
     codes = np.empty((3 * L, B), np.int8)
     dirs = codes[2 * L:]
     for at in range(0, B, _ROW_BLOCK):
-        block = rows[at:at + _ROW_BLOCK]
-        b = len(block)
-        col = cols[:, :b]
-        np.copyto(col, block.T)
-        for lo in range(V):
-            mn[lo, lo, :b] = mx[lo, lo, :b] = col[lo]
-            for hi in range(lo + 1, V):
-                np.minimum(mn[lo, hi - 1, :b], col[hi], out=mn[lo, hi, :b])
-                np.maximum(mx[lo, hi - 1, :b], col[hi], out=mx[lo, hi, :b])
-            mn[lo + 1:, lo, :b] = mn[lo, lo + 1:, :b]
-            mx[lo + 1:, lo, :b] = mx[lo, lo + 1:, :b]
-        pos = _value_positions(block)
-        end = np.multiply(pos, span, out=ends[:, :b], dtype=np.intp)
-        start = np.multiply(end, V, out=starts[:, :b])
-        start += index[:b]
+        block = rows[at:at + _ROW_BLOCK].T.view(np.uint8)
+        b = block.shape[1]
+        bit = np.left_shift(np.uint16(1), block, out=bits[:, :b])
+        # then bit[p] holds the values at positions 0..p
+        for p in range(1, V):
+            np.bitwise_or(bit[p - 1], bit[p], out=bit[p])
+        # through the full-width buffer: on a short last block,
+        # upto[:, :b] flattens to a copy
+        cell = np.multiply(block, span, out=cells[:, :b], dtype=np.intp)
+        cell += index[:b]
+        flat[cell] = bit
+        mask = upto[:, :b]
         idx = 0
         for i in range(1, min(k, V - 1) + 1):
             width = V - i
-            cell = np.add(start[:width], end[i:], out=cells[:width, :b])
-            np.take(flat_mn, cell, out=codes[idx:idx + width, at:at + b])
-            np.take(flat_mx, cell, out=codes[L + idx:L + idx + width, at:at + b])
+            seg = np.bitwise_xor(mask[:width], mask[i:], out=segs[:width, :b])
+            seg |= value_bit[:width] | value_bit[i:]
+            np.take(_LOW_BIT, seg, out=codes[idx:idx + width, at:at + b])
+            np.take(_HIGH_BIT, seg, out=codes[L + idx:L + idx + width, at:at + b])
             if directed:
-                np.less(pos[:width], pos[i:], out=dirs[idx:idx + width, at:at + b])
+                np.bitwise_and(mask[i:], value_bit[:width], out=seg)
+                np.not_equal(seg, 0, out=dirs[idx:idx + width, at:at + b])
             idx += width
     if directed:
         # 1 where t lies left of t+i and 0 where right, to +1 and -1

@@ -126,8 +126,8 @@ class TestParseProfile:
         (GOLDEN_DOC.replace("k 1\n", "k 1 1\n"), 3, "expected `k <int>`"),
         (GOLDEN_DOC.replace("k 1\n", "k one\n"), 3, "`k` is not an integer"),
         (GOLDEN_DOC.replace("directed 1", "directed 2"), 4, "must be 0 or 1"),
-        (GOLDEN_DOC.replace("n 9", "n 0"), None, "n must be positive"),
-        (GOLDEN_DOC.replace("k 1\n", "k 11\n"), None, r"1 <= k <= n\+1, got k=11"),
+        (GOLDEN_DOC.replace("n 9", "n 0"), 2, "n must be positive"),
+        (GOLDEN_DOC.replace("k 1\n", "k 11\n"), 3, r"1 <= k <= n\+1, got k=11"),
         (GOLDEN_DOC.replace("6 1 > 4 7", "6 1 > 4"), 11, "needs 5 fields"),
         (GOLDEN_DOC.replace("6 1 > 4 7", "10 1 > 4 7"), 11, r"t=10 outside 0\.\.9"),
     ], ids=["missing-header", "header-name", "header-fields", "header-int", "directed-flag",

@@ -7,6 +7,7 @@ import pytest
 
 from minmaxperm import Permutation, brute_force_solutions, compute_profile, verify
 from minmaxperm.profiles import pair_count, profile_pairs
+from minmaxperm import reconstruction
 from minmaxperm.reconstruction import _ROW_BLOCK, _all_rows, _slot_codes, _value_positions
 
 from helpers import golden_profile, golden_witness_family, profile_arrays, random_perm
@@ -55,6 +56,13 @@ class TestEnumeration:
 
     def test_n_zero(self):
         assert _all_rows(0).tolist() == [[0, 1]]
+
+    def test_rows_built_once_and_read_only(self):
+        rows = _all_rows(5)
+        assert _all_rows(5) is rows
+        with pytest.raises(ValueError):
+            rows[0, 1] = 2
+        assert rows[0].tolist() == [0, 1, 2, 3, 4, 5, 6]
 
 
 class TestKernelsMatchReference:
@@ -115,6 +123,12 @@ class TestKernelEdgeCases:
             assert_codes(rows, k, directed)
 
     @pytest.mark.parametrize("directed", [True, False])
+    def test_n9_every_k(self, directed):
+        rows = random_rows(random.Random(9), 9, 200)
+        for k in range(1, 11):
+            assert_codes(rows, k, directed)
+
+    @pytest.mark.parametrize("directed", [True, False])
     def test_k_is_n_plus_one(self, directed):
         rng = random.Random(5)
         for n in (2, 7, 9):
@@ -125,13 +139,26 @@ class TestKernelEdgeCases:
     @pytest.mark.parametrize("k", [2, 3])
     def test_tables_reused_across_blocks(self, directed, k):
         # all n = 8 rows: four full blocks and a short last one, which
-        # reads only cells that its own rows filled
+        # reads only the mask columns that its own rows filled
         rows = _all_rows(8)
         last = len(rows) // _ROW_BLOCK * _ROW_BLOCK
         assert (len(rows) - last, last // _ROW_BLOCK) == (7552, 4)
         codes = _slot_codes(rows, k, directed)
         assert np.array_equal(codes[:, last:].T, reference_codes(rows[last:], k, directed))
         assert np.array_equal(_slot_codes(rows[_ROW_BLOCK:], k, directed), codes[:, _ROW_BLOCK:])
+
+
+class TestValueMasks:
+    def test_masks_hold_every_value_at_the_limit(self):
+        # a slot's values are a uint16 mask over the n + 2 values of a row
+        assert reconstruction.GROUPING_LIMIT + 2 <= 16
+
+    def test_bit_tables(self):
+        masks = range(1, 1 << 11)
+        assert len(reconstruction._LOW_BIT) == len(reconstruction._HIGH_BIT) == 1 << 11
+        assert reconstruction._LOW_BIT.dtype == reconstruction._HIGH_BIT.dtype == np.int8
+        assert reconstruction._LOW_BIT[1:].tolist() == [(m & -m).bit_length() - 1 for m in masks]
+        assert reconstruction._HIGH_BIT[1:].tolist() == [m.bit_length() - 1 for m in masks]
 
 
 class TestExhaustiveAgreement:

@@ -157,40 +157,51 @@ class TestGroupingMemory:
         (False, 6, ((0, 4, 5, 6, 7, 8, 1, 9, 2, 3, 10), (0, 4, 5, 6, 7, 8, 1, 9, 3, 2, 10))),
     ])
     def test_n9_kernel_calls_stay_within_one_block(self, directed, min_k, pair, monkeypatch):
-        # at k = 2 more than one block of rows is still live; each grouping
-        # allocates its two (V, V, b) range tables once, b <= 8,192
-        calls, tables = [], []
+        # at k = 2 more than one block of rows is still live; besides its
+        # (3L, B) codes, each kernel call allocates only 2-D scratch
+        # arrays, none wider than one block and the widest min(B, 8,192)
+        calls = []
         real_codes, real_empty = reconstruction._slot_codes, np.empty
 
         def recording(rows, k, directed):
-            calls.append(len(rows))
-            return real_codes(rows, k, directed)
+            made = []
 
-        def recording_empty(shape, *args, **kwargs):
-            if isinstance(shape, tuple) and len(shape) == 3:
-                tables.append(shape)
-            return real_empty(shape, *args, **kwargs)
+            def recording_empty(shape, *args, **kwargs):
+                made.append(shape if isinstance(shape, tuple) else (shape,))
+                return real_empty(shape, *args, **kwargs)
+
+            monkeypatch.setattr(reconstruction.np, "empty", recording_empty)
+            try:
+                codes = real_codes(rows, k, directed)
+            finally:
+                monkeypatch.setattr(reconstruction.np, "empty", real_empty)
+            calls.append((len(rows), codes.shape, made))
+            return codes
 
         monkeypatch.setattr(reconstruction, "_slot_codes", recording)
-        monkeypatch.setattr(reconstruction.np, "empty", recording_empty)
         result = min_unique_k(9, directed)
         assert result.min_k == min_k
         assert tuple(P.elems for P in result.collision) == pair
-        assert max(calls) > 8_192
-        assert tables == [(11, 11, min(8_192, b)) for b in calls for _ in range(2)]
+        assert max(B for B, _, _ in calls) > reconstruction._ROW_BLOCK == 8_192
+        for B, shape, made in calls:
+            made.remove(shape)
+            assert all(len(scratch) == 2 for scratch in made)
+            assert max(width for _, width in made) == min(B, reconstruction._ROW_BLOCK)
 
     # Grouping whole 40,320-row blocks by their code bytes peaked at
     # 19.15 MiB for min_unique_k(8) and 20.07 MiB for
     # fixed_positions_check(8, 2); 8,192-row code blocks and int64 keys
-    # peak at 5.45 MiB directed, 5.88 MiB undirected and 6.75 MiB.  The
+    # peaked at 5.77 MiB directed, 5.83 MiB undirected and 6.69 MiB with
+    # two (V, V, b) range tables per kernel call, and at 3.20, 3.64 and
+    # 4.12 MiB with (V, b) bitmasks, the rows built inside the call.  The
     # bounds sit 0.5 MiB above those.
-    @pytest.mark.parametrize("directed, bound_mib", [(True, 5.95), (False, 6.4)])
+    @pytest.mark.parametrize("directed, bound_mib", [(True, 3.7), (False, 4.15)])
     def test_n8_traced_peak(self, directed, bound_mib):
         assert traced_peak(lambda: min_unique_k(8, directed)) < bound_mib * 2**20
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_fixed_positions_n8_traced_peak(self, directed):
-        assert traced_peak(lambda: fixed_positions_check(8, 2, directed)) < 7.25 * 2**20
+        assert traced_peak(lambda: fixed_positions_check(8, 2, directed)) < 4.62 * 2**20
 
 
 def traced_peak(call):
