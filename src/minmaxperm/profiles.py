@@ -202,7 +202,12 @@ def compute_profile(P: Permutation, k: int, directed: bool) -> Profile:
 
     For every value pair (t, t+i) with 1 <= i <= k, records the min and max
     of the segment of P between the positions of t and t+i inclusive.
+    k must be an integer, as `operator.index` reads one.
     """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise PreconditionViolation(f"k must be an integer, got k={k!r}") from None
     if not 1 <= k <= P.n + 1:
         raise PreconditionViolation(f"need 1 <= k <= n+1, got k={k}, n={P.n}")
     pos = P.positions()

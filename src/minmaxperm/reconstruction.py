@@ -16,21 +16,19 @@ first called.
 The two exhaustive checks share one grouping of a set of permutation rows
 by their k-profiles.  A profile of span k over {0..n+1} has one slot per
 (gap i, start t) pair, i = 1..k and t = 0..n+1-i, ordered by (i, t), and
-its code is the three per-slot arrays [m | M | dir], dir being +1 (t left
-of t+i), -1 (right of) or 0 (undirected).  The codes are computed
+each slot's (m, M, dir) is one mixed-radix digit.  The digits are computed
 value-major, _ROW_BLOCK rows at a time, from one bitmask per value and
 row, of the values at or left of it: the XOR of the masks of a slot's two
-ends, with both ends added, holds the slot's values, and its lowest and
-highest bits are m and M.  Each slot's (m, M, dir) becomes one
-mixed-radix digit, and the rows are grouped exactly, in passes: each pass
-packs the current class id and as many digits as fit below 2**63 into one
-int64 key, sorts the keys with `np.argsort` and numbers the classes
-densely again, until every class is a singleton or the digits run out.
-Each row is compared with its class leader, the first row in
-lexicographic order with the same code.  A fixed-positions failure is a
-row whose position features differ from its leader's, over one grouping
-of all n! rows; the features are built only for the rows that are not
-their own leader, and for their leaders.  The minimum k refines instead
+ends determines the slot's values and direction, and a table indexed by
+slot and XOR holds each digit.  The rows are grouped exactly, in passes:
+each pass packs the current class id and as many digits as fit below
+2**63 into one int64 key, sorts the keys with `np.argsort` and numbers the
+classes densely again, until every class is a singleton or the digits run
+out.  Each row is compared with its class leader, the first row in
+lexicographic order with the same digits.  A fixed-positions failure is a
+row whose masks of 1 and n differ from its leader's, over one grouping of
+all n! rows; the masks are built only for the rows that are not their own
+leader, and for their leaders.  The minimum k refines instead
 of regrouping: equal k-profiles have equal (k-1)-profiles, so a row alone
 in its class stays alone as k grows.  All rows are grouped at k = 1, and
 each later k groups only the rows whose class at k - 1 had another
@@ -41,6 +39,7 @@ leader lies before it.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,7 @@ from .errors import (
     TooLarge,
 )
 from . import solvers
-from .profiles import Permutation, compute_profile, pair_count, segment
+from .profiles import Permutation, compute_profile, segment
 
 # Per-profile uniqueness is the oracle's and lives in `solvers`, which
 # loads no numpy; the two names stay here, the same objects, for callers
@@ -59,23 +58,16 @@ from .profiles import Permutation, compute_profile, pair_count, segment
 UniquenessReport, is_unique = solvers.UniquenessReport, solvers.is_unique
 
 # The groupings refuse a larger n before building any row: at n = 10,
-# fixed_positions_check at k = 2 takes seconds and peaks above 360 MB.
+# fixed_positions_check at k = 2 takes over a second and peaks above 300 MB.
 GROUPING_LIMIT = 9
 # collision_pair refuses a larger n before it builds anything: the pair and
 # its text take about 145 bytes per value (`counterexample N 1` peaks at
 # 42 MB resident at N = 10^5, 172 MB at 10^6 and 318 MB at 2 * 10^6).
 COLLISION_LIMIT = 10**6
-# Rows per block of the code kernel: the fastest of 1,024 to 40,320 at
+# Rows per block of the digit kernel: the fastest of 1,024 to 40,320 at
 # n = 8, and at V <= 11 it keeps each of its (V, b) scratch arrays under
 # 1 MB.
 _ROW_BLOCK = 8192
-# The least and the greatest set bit of every mask of the values of a row
-# at the grouping limit (-1 for the empty mask, which no slot has): a
-# slot's m and M from the mask of its values.  The masks are uint16, so
-# GROUPING_LIMIT + 2 may not pass 16.
-_MASKS = np.arange(1 << (GROUPING_LIMIT + 2))
-_HIGH_BIT = (np.frexp(_MASKS)[1] - 1).astype(np.int8)
-_LOW_BIT = _HIGH_BIT[_MASKS & -_MASKS]
 
 
 @dataclass(frozen=True)
@@ -113,45 +105,62 @@ def _all_rows(n: int) -> np.ndarray:
     return rows
 
 
-def _value_positions(perms: np.ndarray) -> np.ndarray:
-    """Inverse of a (B, V) int8 block of permutation rows of range(V), as a
-    (V, B) int8 array: entry [v, b] is the position of value v in row b.
-    One scatter through flat indices v*B + b."""
-    B, V = perms.shape
-    flat = perms.T.astype(np.intp)
-    flat *= B
-    flat += np.arange(B)
-    pos = np.empty(V * B, np.int8)
-    pos[flat] = np.arange(V, dtype=np.int8)[:, None]
-    return pos.reshape(V, B)
+@functools.lru_cache(maxsize=None)
+def _digit_table(V: int, k: int, directed: bool) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The digit of every slot of span k over range(V) for every segment
+    mask, as a read-only (L, 2**V) array, and the L slot bases.
+
+    Entry [s, mask] of slot s = (t, t+i) is m*(V-t-i) + M-t-i, m and M
+    being the lowest and highest bits of mask | 1<<t | 1<<(t+i); directed,
+    it is doubled, plus bit t+i of the mask.  The mask of a slot is
+    upto[t] ^ upto[t+i] (see _slot_digits): it holds the values after t up
+    to t+i when t lies left of t+i, and those after t+i up to t otherwise,
+    so its bit t+i is set exactly when t lies left.  m lies in 0..t and M in
+    t+i..V-1, so a digit lies below its base (t+1)(V-t-i), doubled when
+    directed; equal (m, M, dir) give equal digits and equal digits equal
+    (m, M, dir)."""
+    gaps = range(1, k + 1)
+    t = np.concatenate([np.arange(V - i) for i in gaps])[:, None]
+    end = np.concatenate([np.arange(i, V) for i in gaps])[:, None]
+    masks = np.arange(1 << V)
+    seg = masks | 1 << t | 1 << end
+    M = np.frexp(seg)[1] - 1
+    m = np.frexp(seg & -seg)[1] - 1
+    digit = m * (V - end) + M - end
+    base = ((t + 1) * (V - end)).ravel() << directed
+    if directed:
+        digit = digit << 1 | masks >> end & 1
+    table = digit.astype(np.min_scalar_type(base.max() - 1))
+    table.setflags(write=False)
+    return table, tuple(base.tolist())
 
 
-def _slot_codes(rows: np.ndarray, k: int, directed: bool) -> np.ndarray:
-    """The k-profile codes [m | M | dir] of (B, V) int8 permutation rows,
-    slot-major: a (3L, B) int8 array whose column b is the code of row b.
+def _slot_digits(rows: np.ndarray, k: int, directed: bool) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The k-profile of each of the (B, V) int8 permutation rows as one
+    mixed-radix digit per slot: an (L, B) slot-major array whose column b
+    holds the digits of row b, and the L bases (see _digit_table).
 
     The rows go through in blocks of at most _ROW_BLOCK, value-major, as
-    uint16 bitmasks: upto[v, b] has bit u set when value u lies at or left
-    of value v in row b.  A block's masks take one OR-scan over its
-    positions and one scatter to the values at them.  The values of slot
-    (t, t+i) are then upto[t] ^ upto[t+i] with the bits of t and t+i set,
-    each gap's slots in one XOR; m and M are the lowest and highest set
-    bits of that mask, read from _LOW_BIT and _HIGH_BIT, and dir is bit t
-    of upto[t+i].  The masks and their scratch arrays are allocated once
-    per call, span rows wide; a shorter last block fills and reads only
-    its first columns."""
+    uint16 bitmasks, so V may not pass 16: upto[v, b] has bit u set when
+    value u lies at or left of value v in row b.  A block's masks take one
+    OR-scan over its positions and one scatter to the values at them.  The digits of each
+    gap's slots then take one XOR of the masks of their two ends and one
+    gather from _digit_table.  The masks and their scratch arrays are
+    allocated once per call, span rows wide; a shorter last block fills
+    and reads only its first columns."""
     B, V = rows.shape
-    L = pair_count(V - 2, k)
+    k = min(k, V - 1)
+    table, base = _digit_table(V, k, directed)
+    L = len(base)
+    # slot s reads the row of the flat table at s << V
+    offset = (np.arange(L) << V)[:, None]
     span = min(B, _ROW_BLOCK)
     upto = np.empty((V, span), np.uint16)
     flat = upto.reshape(-1)
     bits = np.empty((V, span), np.uint16)
     cells = np.empty((V, span), np.intp)
-    segs = np.empty((V - 1, span), np.uint16)
     index = np.arange(span)
-    value_bit = np.left_shift(np.uint16(1), np.arange(V, dtype=np.uint16))[:, None]
-    codes = np.empty((3 * L, B), np.int8)
-    dirs = codes[2 * L:]
+    digits = np.empty((L, B), table.dtype)
     for at in range(0, B, _ROW_BLOCK):
         block = rows[at:at + _ROW_BLOCK].T.view(np.uint8)
         b = block.shape[1]
@@ -165,56 +174,14 @@ def _slot_codes(rows: np.ndarray, k: int, directed: bool) -> np.ndarray:
         cell += index[:b]
         flat[cell] = bit
         mask = upto[:, :b]
-        idx = 0
-        for i in range(1, min(k, V - 1) + 1):
+        s = 0
+        for i in range(1, k + 1):
             width = V - i
-            seg = np.bitwise_xor(mask[:width], mask[i:], out=segs[:width, :b])
-            seg |= value_bit[:width] | value_bit[i:]
-            np.take(_LOW_BIT, seg, out=codes[idx:idx + width, at:at + b])
-            np.take(_HIGH_BIT, seg, out=codes[L + idx:L + idx + width, at:at + b])
-            if directed:
-                np.bitwise_and(mask[i:], value_bit[:width], out=seg)
-                np.not_equal(seg, 0, out=dirs[idx:idx + width, at:at + b])
-            idx += width
-    if directed:
-        # 1 where t lies left of t+i and 0 where right, to +1 and -1
-        dirs *= 2
-        dirs -= 1
-    else:
-        dirs[:] = 0
-    return codes
-
-
-def _slot_digits(rows: np.ndarray, k: int, directed: bool) -> tuple[np.ndarray, list[int]]:
-    """The k-profile codes of the rows as one mixed-radix digit per slot:
-    an (L, B) slot-major array of digits, and the L bases.
-
-    Slot (t, t+i) has m in 0..t and M in t+i..V-1, so its digit
-    m*(V-t-i) + M-t-i lies in 0..(t+1)(V-t-i)-1; a directed slot doubles
-    it and adds 1 when t lies left of t+i.  Equal codes give equal digits
-    and, within those ranges, equal digits give equal codes, so a code
-    outside them raises InternalInconsistency.  The digits come from the
-    slot-major codes of _slot_codes in whole-array steps."""
-    V = rows.shape[1]
-    gaps = range(1, min(k, V - 1) + 1)
-    t = np.concatenate([np.arange(V - i, dtype=np.uint8) for i in gaps])[:, None]
-    end = np.concatenate([np.arange(i, V, dtype=np.uint8) for i in gaps])[:, None]
-    width = V - end
-    base = ((t + 1) * width.astype(np.intp) * (1 + directed)).ravel().tolist()
-    codes = _slot_codes(rows, k, directed)
-    # unsigned, so that a negative m or a wrapped M - t - i is out of range
-    # too; dir + 1 is 0 or 2 directed and 1 undirected
-    m, low, dirs = np.split(codes.view(np.uint8), 3)
-    low -= end
-    dirs += 1
-    if (m > t).any() or (low >= width).any() or (dirs & 0xFD if directed else dirs != 1).any():
-        raise InternalInconsistency(f"profile code out of range at n={V - 2}, k={k}")
-    digits = np.multiply(m, width, dtype=np.min_scalar_type(max(base) - 1))
-    digits += low
-    if directed:
-        digits <<= 1
-        dirs >>= 1
-        digits += dirs
+            # the gather index, in the scatter's cells
+            at_table = np.bitwise_xor(mask[:width], mask[i:], out=cells[:width, :b], dtype=np.intp)
+            at_table += offset[s:s + width]
+            np.take(table, at_table, out=digits[s:s + width, at:at + b])
+            s += width
     return digits, base
 
 
@@ -227,8 +194,11 @@ def _leaders(rows: np.ndarray, k: int, directed: bool) -> np.ndarray:
     2**63, sorts the int64 keys and numbers the distinct ones densely
     again; the passes stop once every class is a singleton or the digits
     run out.  The leader of a class is its least row index, so the first
-    of its class in the order given."""
+    of its class in the order given.  A digit at or above its base would
+    spill into the next slot of a key, so it raises InternalInconsistency."""
     digits, base = _slot_digits(rows, k, directed)
+    if (digits.max(axis=1, initial=0) >= base).any():
+        raise InternalInconsistency(f"slot digit out of range at n={rows.shape[1] - 2}, k={k}")
     B = len(rows)
     if B < 2:
         return np.arange(B)
@@ -252,11 +222,22 @@ def _leaders(rows: np.ndarray, k: int, directed: bool) -> np.ndarray:
     return np.minimum.reduceat(order, np.flatnonzero(new))[ids]
 
 
-def _require_n(n: int) -> None:
+def _require_int(value: int, name: str) -> int:
+    """value as a plain int, as `operator.index` reads it (a float such as
+    5.0 is refused, so that no cache is keyed by it)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PreconditionViolation(f"{name} must be an integer, got {name}={value!r}") from None
+
+
+def _require_n(n: int) -> int:
+    n = _require_int(n, "n")
     if n < 1:
         raise PreconditionViolation(f"n must be at least 1, got n={n}")
     if n > GROUPING_LIMIT:
         raise TooLarge(f"n={n} exceeds the grouping limit {GROUPING_LIMIT}")
+    return n
 
 
 def min_unique_k(n: int, directed: bool) -> MinKResult:
@@ -269,7 +250,7 @@ def min_unique_k(n: int, directed: bool) -> MinKResult:
     another member, are grouped again.  The live rows keep their
     lexicographic order, so each leader and the first row whose leader
     lies before it are those of a grouping of all rows."""
-    _require_n(n)
+    n = _require_n(n)
     live = _all_rows(n)
     previous = None
     for k in range(1, n + 2):
@@ -300,6 +281,7 @@ def collision_pair(n: int, k: int, directed: bool) -> tuple[Permutation, Permuta
     only entries that the swap can change, before returning.  Past the k
     range, an n above COLLISION_LIMIT raises TooLarge.
     """
+    n, k = _require_int(n, "n"), _require_int(k, "k")
     if directed:
         bound = -(-(n - 3) // 2)  # ceil((n-3)/2)
         if not 1 <= k < bound:
@@ -337,7 +319,8 @@ def _swap_keeps_profile(P: Permutation, Q: Permutation, k: int, directed: bool) 
 def fixed_positions_check(n: int, k: int, directed: bool) -> bool:
     """Whether every k-profile class over all n! permutations agrees on the
     positions of 1 and n and on the three element blocks they delimit."""
-    _require_n(n)
+    n = _require_n(n)
+    k = _require_int(k, "k")
     if not 1 <= k <= n + 1:
         raise PreconditionViolation(f"need 1 <= k <= n+1, got k={k}, n={n}")
     rows = _all_rows(n)
@@ -352,9 +335,8 @@ def fixed_positions_check(n: int, k: int, directed: bool) -> bool:
 
 
 def _position_features(rows: np.ndarray, n: int) -> np.ndarray:
-    """Per row: the position of 1, the position of n, then the block of
-    every value (0 before both, 1 between, 2 after)."""
-    pos = _value_positions(rows).T
-    lo = np.minimum(pos[:, 1], pos[:, n])[:, None]
-    hi = np.maximum(pos[:, 1], pos[:, n])[:, None]
-    return np.concatenate([pos[:, [1, n]], (pos > lo).astype(np.int8) + (pos > hi)], axis=1)
+    """Per row, the uint16 masks of the values at or left of 1 and of n:
+    they fix the positions of 1 and n and the block of every other value
+    (before both, between or after), and are fixed by them."""
+    upto = np.bitwise_or.accumulate(np.left_shift(np.uint16(1), rows.view(np.uint8)), axis=1)
+    return np.stack([upto[rows == 1], upto[rows == n]], axis=1)

@@ -28,6 +28,7 @@ from minmaxperm import (
     validate_permutation,
 )
 from minmaxperm.profiles import Direction, KConstraint, NBRecord
+from minmaxperm.reconstruction import _slot_digits
 
 L = Direction.LEFT_TO_RIGHT
 R = Direction.RIGHT_TO_LEFT
@@ -81,9 +82,9 @@ _DIR_CODE = {Direction.LEFT_TO_RIGHT: 1, Direction.RIGHT_TO_LEFT: -1, Direction.
 
 def profile_arrays(F: Profile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(m, M, dir) int8 arrays of F's entries in canonical (i, t) order;
-    dir is +1/-1/0: the per-slot layout of a code column of
-    `reconstruction._slot_codes`, [m | M | dir].  Raises TooLarge when n+1
-    does not fit in int8 (n >= 127)."""
+    dir is +1/-1/0: the per-slot layout of a code column of `slot_codes`,
+    [m | M | dir].  Raises TooLarge when n+1 does not fit in int8
+    (n >= 127)."""
     if F.n + 1 > 127:
         raise TooLarge(f"n={F.n} too large for int8 profile arrays")
     ents = F.entries()
@@ -91,6 +92,21 @@ def profile_arrays(F: Profile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     M = np.array([c.M for c in ents], dtype=np.int8)
     d = np.array([_DIR_CODE[c.dir] for c in ents], dtype=np.int8)
     return m, M, d
+
+
+def slot_codes(rows: np.ndarray, k: int, directed: bool) -> np.ndarray:
+    """The k-profile codes [m | M | dir] of (B, V) int8 permutation rows,
+    slot-major: a (3L, B) int8 array whose column b is the code of row b,
+    in the layout of `profile_arrays`.  Decoded from the digits of
+    `reconstruction._slot_digits`: a directed digit is twice m*(V-t-i) +
+    M-t-i, plus 1 when t lies left of t+i."""
+    digits, _ = _slot_digits(rows, k, directed)
+    V = rows.shape[1]
+    end = np.concatenate([np.arange(i, V) for i in range(1, min(k, V - 1) + 1)])[:, None]
+    rest = digits.astype(np.int64)
+    dirs = rest % 2 * 2 - 1 if directed else np.zeros_like(rest)
+    rest >>= directed
+    return np.concatenate([rest // (V - end), rest % (V - end) + end, dirs]).astype(np.int8)
 
 
 def make_profile(entries, n=None, directed=True, k=1) -> Profile:

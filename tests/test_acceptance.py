@@ -33,7 +33,7 @@ from minmaxperm import (
 )
 from minmaxperm.graph import ArcKind, Closure, _full_closure
 from minmaxperm.profiles import NBRecord, pair_count, profile_pairs
-from minmaxperm.reconstruction import _all_rows, _slot_codes
+from minmaxperm.reconstruction import _all_rows
 
 from helpers import (
     GOLDEN_ENTRIES,
@@ -55,6 +55,7 @@ from helpers import (
     random_valid_directed,
     reference_close,
     seed_arcs,
+    slot_codes,
     stated_arcs,
 )
 
@@ -358,8 +359,8 @@ def test_criterion_10_property_suites():
         rows = _all_rows(n)
         dual_rows = (n + 1 - rows)[:, ::-1]
         for k in range(1, n + 2):
-            codes = _slot_codes(rows, k, True).T
-            dcodes = _slot_codes(dual_rows, k, True).T
+            codes = slot_codes(rows, k, True).T
+            dcodes = slot_codes(dual_rows, k, True).T
             L = pair_count(n, k)
             pairs = profile_pairs(n, k)
             index = {pair: i for i, pair in enumerate(pairs)}

@@ -8,9 +8,9 @@ import pytest
 from minmaxperm import Permutation, brute_force_solutions, compute_profile, verify
 from minmaxperm.profiles import pair_count, profile_pairs
 from minmaxperm import reconstruction
-from minmaxperm.reconstruction import _ROW_BLOCK, _all_rows, _slot_codes, _value_positions
+from minmaxperm.reconstruction import _ROW_BLOCK, _all_rows, _position_features, _slot_digits
 
-from helpers import golden_profile, golden_witness_family, profile_arrays, random_perm
+from helpers import golden_profile, golden_witness_family, profile_arrays, random_perm, slot_codes
 
 
 def reference_codes(rows, k, directed):
@@ -71,7 +71,7 @@ class TestKernelsMatchReference:
         for n, k, directed in ((3, 1, True), (5, 2, False), (7, 3, True), (8, 9, False)):
             rows = random_rows(rng, n, 40)
             ref = reference_codes(rows, k, directed)
-            assert np.array_equal(_slot_codes(rows, k, directed).T, ref)
+            assert np.array_equal(slot_codes(rows, k, directed).T, ref)
 
     def test_match_agrees_with_verify(self):
         F = golden_profile()
@@ -94,20 +94,31 @@ class TestKernelsMatchReference:
 
 
 def assert_codes(rows, k, directed):
-    """_slot_codes of rows is the (3L, B) int8 C-contiguous array of their
-    reference codes, one column per row."""
-    codes = _slot_codes(rows, k, directed)
-    assert codes.dtype == np.int8 and codes.flags.c_contiguous
-    assert codes.shape == (3 * pair_count(rows.shape[1] - 2, k), len(rows))
+    """_slot_digits of rows is an (L, B) C-contiguous array with L bases,
+    one column per row, that decodes to their reference codes."""
+    digits, base = _slot_digits(rows, k, directed)
+    assert digits.flags.c_contiguous
+    assert digits.shape == (len(base), len(rows)) == (pair_count(rows.shape[1] - 2, k), len(rows))
+    codes = slot_codes(rows, k, directed)
     assert np.array_equal(codes.T, reference_codes(rows, k, directed).reshape(codes.T.shape))
 
 
 class TestKernelEdgeCases:
-    def test_value_positions_inverts_rows(self):
-        rows = _all_rows(6)
-        pos = _value_positions(rows)
-        assert pos.dtype == np.int8 and pos.shape == (8, len(rows))
-        assert np.array_equal(pos.T, rows.argsort(axis=1))
+    def test_mask_features_partition_like_positions(self):
+        # the masks of 1 and n group all rows as the positions of 1 and n
+        # and the block of every value (before both, between, after) do
+        for n in range(1, 9):
+            rows = _all_rows(n)
+            pos = rows.argsort(axis=1)
+            lo = np.minimum(pos[:, 1], pos[:, n])[:, None]
+            hi = np.maximum(pos[:, 1], pos[:, n])[:, None]
+            positions = np.concatenate([pos[:, [1, n]], (pos > lo).astype(np.int8) + (pos > hi)], axis=1)
+            masks = _position_features(rows, n)
+            assert masks.dtype == np.uint16 and masks.shape == (len(rows), 2)
+            _, by_pos = np.unique(positions, axis=0, return_inverse=True)
+            _, by_mask = np.unique(masks, axis=0, return_inverse=True)
+            joint = np.unique(np.stack([by_pos.ravel(), by_mask.ravel()]), axis=1)
+            assert joint.shape[1] == by_pos.max() + 1 == by_mask.max() + 1
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_empty_and_single_row_blocks(self, directed):
@@ -143,9 +154,10 @@ class TestKernelEdgeCases:
         rows = _all_rows(8)
         last = len(rows) // _ROW_BLOCK * _ROW_BLOCK
         assert (len(rows) - last, last // _ROW_BLOCK) == (7552, 4)
-        codes = _slot_codes(rows, k, directed)
+        codes = slot_codes(rows, k, directed)
         assert np.array_equal(codes[:, last:].T, reference_codes(rows[last:], k, directed))
-        assert np.array_equal(_slot_codes(rows[_ROW_BLOCK:], k, directed), codes[:, _ROW_BLOCK:])
+        digits, _ = _slot_digits(rows, k, directed)
+        assert np.array_equal(_slot_digits(rows[_ROW_BLOCK:], k, directed)[0], digits[:, _ROW_BLOCK:])
 
 
 class TestValueMasks:
@@ -153,12 +165,25 @@ class TestValueMasks:
         # a slot's values are a uint16 mask over the n + 2 values of a row
         assert reconstruction.GROUPING_LIMIT + 2 <= 16
 
-    def test_bit_tables(self):
-        masks = range(1, 1 << 11)
-        assert len(reconstruction._LOW_BIT) == len(reconstruction._HIGH_BIT) == 1 << 11
-        assert reconstruction._LOW_BIT.dtype == reconstruction._HIGH_BIT.dtype == np.int8
-        assert reconstruction._LOW_BIT[1:].tolist() == [(m & -m).bit_length() - 1 for m in masks]
-        assert reconstruction._HIGH_BIT[1:].tolist() == [m.bit_length() - 1 for m in masks]
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_digit_table(self, k, directed):
+        # entry [s, mask] of slot s = (t, t+i) is m*(V-t-i) + M-t-i, from
+        # the least and greatest bit of mask | ends; directed, doubled plus
+        # bit t+i of the mask
+        V = 11
+        table, base = reconstruction._digit_table(V, k, directed)
+        slots = [(t, t + i) for i in range(1, k + 1) for t in range(V - i)]
+        assert table.shape == (len(slots), 1 << V) and table.dtype == np.uint8
+        assert not table.flags.writeable
+        assert base == tuple((t + 1) * (V - end) * (1 + directed) for t, end in slots)
+        for s, (t, end) in enumerate(slots):
+            expected = []
+            for mask in range(1 << V):
+                seg = mask | 1 << t | 1 << end
+                digit = ((seg & -seg).bit_length() - 1) * (V - end) + seg.bit_length() - 1 - end
+                expected.append(2 * digit + (mask >> end & 1) if directed else digit)
+            assert table[s].tolist() == expected
 
 
 class TestExhaustiveAgreement:

@@ -19,10 +19,9 @@ from minmaxperm import (
     validate_permutation,
 )
 from minmaxperm import reconstruction
-from minmaxperm.profiles import pair_count
-from minmaxperm.reconstruction import _all_rows, _slot_codes
+from minmaxperm.reconstruction import _all_rows, _slot_digits
 
-from helpers import GOLDEN_PERM, golden_profile, identity_perm, profile_arrays, unsat2_profile
+from helpers import GOLDEN_PERM, golden_profile, identity_perm, profile_arrays, slot_codes, unsat2_profile
 
 
 class TestIsUnique:
@@ -117,7 +116,7 @@ class TestRefinement:
     def full_leaders(rows, k, directed):
         first = {}
         return np.array([first.setdefault(code.tobytes(), i)
-                         for i, code in enumerate(_slot_codes(rows, k, directed).T)])
+                         for i, code in enumerate(slot_codes(rows, k, directed).T)])
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_live_rows_match_full_grouping(self, directed, monkeypatch):
@@ -158,10 +157,10 @@ class TestGroupingMemory:
     ])
     def test_n9_kernel_calls_stay_within_one_block(self, directed, min_k, pair, monkeypatch):
         # at k = 2 more than one block of rows is still live; besides its
-        # (3L, B) codes, each kernel call allocates only 2-D scratch
+        # (L, B) digits, each kernel call allocates only 2-D scratch
         # arrays, none wider than one block and the widest min(B, 8,192)
         calls = []
-        real_codes, real_empty = reconstruction._slot_codes, np.empty
+        real_empty = np.empty
 
         def recording(rows, k, directed):
             made = []
@@ -172,13 +171,13 @@ class TestGroupingMemory:
 
             monkeypatch.setattr(reconstruction.np, "empty", recording_empty)
             try:
-                codes = real_codes(rows, k, directed)
+                digits, base = _slot_digits(rows, k, directed)
             finally:
                 monkeypatch.setattr(reconstruction.np, "empty", real_empty)
-            calls.append((len(rows), codes.shape, made))
-            return codes
+            calls.append((len(rows), digits.shape, made))
+            return digits, base
 
-        monkeypatch.setattr(reconstruction, "_slot_codes", recording)
+        monkeypatch.setattr(reconstruction, "_slot_digits", recording)
         result = min_unique_k(9, directed)
         assert result.min_k == min_k
         assert tuple(P.elems for P in result.collision) == pair
@@ -192,16 +191,18 @@ class TestGroupingMemory:
     # 19.15 MiB for min_unique_k(8) and 20.07 MiB for
     # fixed_positions_check(8, 2); 8,192-row code blocks and int64 keys
     # peaked at 5.77 MiB directed, 5.83 MiB undirected and 6.69 MiB with
-    # two (V, V, b) range tables per kernel call, and at 3.20, 3.64 and
-    # 4.12 MiB with (V, b) bitmasks, the rows built inside the call.  The
-    # bounds sit 0.5 MiB above those.
-    @pytest.mark.parametrize("directed, bound_mib", [(True, 3.7), (False, 4.15)])
+    # two (V, V, b) range tables per kernel call, at 3.20, 3.64 and
+    # 4.12 MiB with (V, b) bitmasks and (3L, B) int8 codes, and at 2.33,
+    # 2.47 and 2.64 MiB with the digits read from one table per span, the
+    # rows and the table built inside the call.  The bounds sit 0.5 MiB
+    # above those.
+    @pytest.mark.parametrize("directed, bound_mib", [(True, 2.83), (False, 2.97)])
     def test_n8_traced_peak(self, directed, bound_mib):
         assert traced_peak(lambda: min_unique_k(8, directed)) < bound_mib * 2**20
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_fixed_positions_n8_traced_peak(self, directed):
-        assert traced_peak(lambda: fixed_positions_check(8, 2, directed)) < 4.62 * 2**20
+        assert traced_peak(lambda: fixed_positions_check(8, 2, directed)) < 3.15 * 2**20
 
 
 def traced_peak(call):
@@ -255,21 +256,16 @@ class TestLeadersExact:
     @pytest.mark.parametrize("directed", [True, False])
     def test_digits_decode_to_codes(self, directed):
         # every digit lies below its base and gives back its slot's m, M
-        # and, directed, dir
+        # and, directed, dir: checked on every 35th row, through the
+        # scalar path
         rows = _all_rows(7)
-        V = 9
         for k in (1, 4, 8):
-            digits, base = reconstruction._slot_digits(rows, k, directed)
+            digits, base = _slot_digits(rows, k, directed)
             assert (digits < np.array(base)[:, None]).all()
-            codes = _slot_codes(rows, k, directed)
-            L = len(base)
-            end = np.concatenate([np.arange(i, V) for i in range(1, min(k, V - 1) + 1)])[:, None]
-            rest = digits.astype(np.int64)
-            if directed:
-                assert (rest % 2 * 2 - 1 == codes[2 * L:]).all()
-                rest //= 2
-            assert (rest // (V - end) == codes[:L]).all()
-            assert (rest % (V - end) + end == codes[L:2 * L]).all()
+            codes = slot_codes(rows[::35], k, directed)
+            for code, row in zip(codes.T, rows[::35]):
+                P = Permutation(n=7, elems=tuple(int(v) for v in row))
+                assert np.array_equal(code, np.concatenate(profile_arrays(compute_profile(P, k, directed))))
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_single_row(self, directed):
@@ -429,45 +425,69 @@ class TestFixedPositions:
                 fixed_positions_check(n, k, True)
 
 
+# Each entry point reads n and k with operator.index; x stands for one of
+# them, the other arguments being valid.
+INTEGER_ARGUMENTS = {
+    "min_unique_k-n": lambda x: min_unique_k(x, True),
+    "fixed_positions_check-n": lambda x: fixed_positions_check(x, 2, True),
+    "fixed_positions_check-k": lambda x: fixed_positions_check(5, x, True),
+    "collision_pair-n": lambda x: collision_pair(x, 1, False),
+    "collision_pair-k": lambda x: collision_pair(10, x, False),
+    "compute_profile-k": lambda x: compute_profile(identity_perm(6), x, True),
+}
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("value", [2.5, 5.0, "5"])
+    @pytest.mark.parametrize("call", INTEGER_ARGUMENTS)
+    def test_non_integer_refused(self, call, value):
+        # even with the rows of n = 5 cached, under a key equal to 5.0
+        min_unique_k(np.int64(5), True)
+        with pytest.raises(PreconditionViolation):
+            INTEGER_ARGUMENTS[call](value)
+
+    @pytest.mark.parametrize("call", INTEGER_ARGUMENTS)
+    def test_numpy_integer_accepted(self, call):
+        INTEGER_ARGUMENTS[call](np.int64(5))
+
+    def test_plain_ints_passed_on(self):
+        result = min_unique_k(np.int64(5), False)
+        assert type(result.n) is int and result.min_k == 2
+        P, Q = collision_pair(np.int64(8), np.int64(2), True)
+        assert type(P.n) is int and compute_profile(P, 2, True) == compute_profile(Q, 2, True)
+
+
 class TestGroupingFaults:
-    """Codes in range that put every permutation into one class, and codes
+    """Digits in range that put every permutation into one class, and digits
     out of range."""
 
     @staticmethod
     def one_class(rows, k, directed):
-        # m = 0, M = V - 1 and, directed, t left of t+i in every slot
-        B, V = rows.shape
-        L = pair_count(V - 2, k)
-        codes = np.zeros((3 * L, B), np.int8)
-        codes[L:2 * L] = V - 1
-        codes[2 * L:] = directed
-        return codes
+        # digit 0 in every slot: m = 0, M = t+i and, directed, t right of t+i
+        digits, base = _slot_digits(rows, k, directed)
+        return np.zeros_like(digits), base
 
     def test_fixed_positions_fails(self, monkeypatch):
-        monkeypatch.setattr(reconstruction, "_slot_codes", self.one_class)
+        monkeypatch.setattr(reconstruction, "_slot_digits", self.one_class)
         assert fixed_positions_check(6, 1, True) is False
 
     def test_collision_is_rechecked(self, monkeypatch):
-        monkeypatch.setattr(reconstruction, "_slot_codes", self.one_class)
+        monkeypatch.setattr(reconstruction, "_slot_digits", self.one_class)
         with pytest.raises(InternalInconsistency):
             min_unique_k(6, True)
 
-    # (column, value) written into one code row: slot (0, 1) has m = 0,
-    # M in 1..V-1 and, directed, a direction of -1 or +1; column 2 is slot
-    # (2, 3), whose m lies in 0..2
-    @pytest.mark.parametrize("directed, column, value", [
-        (True, "m", -1), (False, "m", 1), (True, "m2", 3), (False, "M", 0),
-        (True, "M", 7), (False, "M", -128), (True, "dir", 0), (True, "dir", 2),
-        (False, "dir", 1), (False, "dir", -1),
-    ])
-    def test_code_out_of_range(self, directed, column, value, monkeypatch):
+    # the digit of slot (2, 3) in one row set to its base, which would
+    # spill into the next slot of a key, or to the largest of its dtype
+    @pytest.mark.parametrize("value", ["base", "max"])
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_code_out_of_range(self, directed, value, monkeypatch):
         def corrupt(rows, k, directed):
-            codes = _slot_codes(rows, k, directed)
-            L = len(codes) // 3
-            codes[{"m": 0, "m2": 2, "M": L, "dir": 2 * L}[column], len(rows) // 2] = value
-            return codes
+            digits, base = _slot_digits(rows, k, directed)
+            bad = base[2] if value == "base" else np.iinfo(digits.dtype).max
+            digits[2, len(rows) // 2] = bad
+            return digits, base
 
-        monkeypatch.setattr(reconstruction, "_slot_codes", corrupt)
+        monkeypatch.setattr(reconstruction, "_slot_digits", corrupt)
         with pytest.raises(InternalInconsistency):
             fixed_positions_check(5, 2, directed)
         with pytest.raises(InternalInconsistency):

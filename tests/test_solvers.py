@@ -36,7 +36,7 @@ from minmaxperm import emit_permutation, emit_profile, solvers
 from minmaxperm.cli import main
 from minmaxperm.graph import ArcKind, Closure, _full_closure, topo_order
 from minmaxperm.profiles import KConstraint
-from minmaxperm.reconstruction import _all_rows, _slot_codes
+from minmaxperm.reconstruction import _all_rows
 
 from helpers import (
     GOLDEN_PERM,
@@ -61,6 +61,7 @@ from helpers import (
     profile_restricted,
     random_perm,
     random_valid_directed,
+    slot_codes,
     unsat2_profile,
 )
 
@@ -214,7 +215,7 @@ class TestOracleReferences:
         rng = random.Random(100 * n + k)
         rows = _all_rows(n)
         for directed in (True, False):
-            codes = _slot_codes(rows, k, directed).T
+            codes = slot_codes(rows, k, directed).T
             for _ in range(3):
                 F = compute_profile(random_perm(rng, n), k, directed)
                 for G in (F, _edited(rng, F)):
