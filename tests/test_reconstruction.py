@@ -476,15 +476,21 @@ class TestGroupingFaults:
         with pytest.raises(InternalInconsistency):
             min_unique_k(6, True)
 
-    # the digit of slot (2, 3) in one row set to its base, which would
-    # spill into the next slot of a key, or to the largest of its dtype
-    @pytest.mark.parametrize("value", ["base", "max"])
+    # the digit of one slot in one row set to its base, which would spill
+    # into the next slot of a key, or to the largest of its dtype: slot
+    # (2, 3) both ways, the first slot at its base and the last at the max
+    @pytest.mark.parametrize("slot, value", [
+        pytest.param(2, "base", id="base"),
+        pytest.param(2, "max", id="max"),
+        pytest.param(0, "base", id="first"),
+        pytest.param(-1, "max", id="last"),
+    ])
     @pytest.mark.parametrize("directed", [True, False])
-    def test_code_out_of_range(self, directed, value, monkeypatch):
+    def test_code_out_of_range(self, directed, slot, value, monkeypatch):
         def corrupt(rows, k, directed):
             digits, base = _slot_digits(rows, k, directed)
-            bad = base[2] if value == "base" else np.iinfo(digits.dtype).max
-            digits[2, len(rows) // 2] = bad
+            bad = base[slot] if value == "base" else np.iinfo(digits.dtype).max
+            digits[slot, len(rows) // 2] = bad
             return digits, base
 
         monkeypatch.setattr(reconstruction, "_slot_digits", corrupt)
