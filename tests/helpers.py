@@ -94,13 +94,36 @@ def profile_arrays(F: Profile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m, M, d
 
 
+def value_masks(rows: np.ndarray) -> np.ndarray:
+    """The (V, B) uint16 value masks of (B, V) permutation rows, the layout
+    of `reconstruction._all_masks`: entry [v, b] has bit u set when value u
+    lies at or left of value v in row b.  Built row by row in plain
+    Python, so that the library's mask builder never checks itself."""
+    B, V = rows.shape
+    out = [[0] * B for _ in range(V)]
+    for b, row in enumerate(rows.tolist()):
+        seen = 0
+        for v in row:
+            seen |= 1 << v
+            out[v][b] = seen
+    return np.array(out, np.uint16).reshape(V, B)
+
+
+def perm_rows(n: int) -> np.ndarray:
+    """All n! permutations of {0..n+1} with pinned ends, in itertools
+    (lexicographic) order, as a (n!, n+2) int8 array."""
+    return np.array([(0, *inner, n + 1) for inner in itertools.permutations(range(1, n + 1))],
+                    np.int8).reshape(-1, n + 2)
+
+
 def slot_codes(rows: np.ndarray, k: int, directed: bool) -> np.ndarray:
     """The k-profile codes [m | M | dir] of (B, V) int8 permutation rows,
     slot-major: a (3L, B) int8 array whose column b is the code of row b,
-    in the layout of `profile_arrays`.  Decoded from the digits of
-    `reconstruction._slot_digits`: a directed digit is twice m*(V-t-i) +
-    M-t-i, plus 1 when t lies left of t+i."""
-    digits, _ = _slot_digits(rows, k, directed)
+    in the layout of `profile_arrays`.  Decoded from the digits that
+    `reconstruction._slot_digits` reads from the rows' `value_masks`: a
+    directed digit is twice m*(V-t-i) + M-t-i, plus 1 when t lies left of
+    t+i."""
+    digits, _ = _slot_digits(value_masks(rows), k, directed)
     V = rows.shape[1]
     end = np.concatenate([np.arange(i, V) for i in range(1, min(k, V - 1) + 1)])[:, None]
     rest = digits.astype(np.int64)

@@ -33,7 +33,6 @@ from minmaxperm import (
 )
 from minmaxperm.graph import ArcKind, Closure, _full_closure
 from minmaxperm.profiles import NBRecord, pair_count, profile_pairs
-from minmaxperm.reconstruction import _all_rows
 
 from helpers import (
     GOLDEN_ENTRIES,
@@ -51,6 +50,7 @@ from helpers import (
     masks_of,
     mutate_directed,
     nb_records,
+    perm_rows,
     random_perm,
     random_valid_directed,
     reference_close,
@@ -356,7 +356,7 @@ def test_criterion_10_property_suites():
 
     # complement duality of directed k-profiles, all n <= 7, all k
     for n in range(1, 8):
-        rows = _all_rows(n)
+        rows = perm_rows(n)
         dual_rows = (n + 1 - rows)[:, ::-1]
         for k in range(1, n + 2):
             codes = slot_codes(rows, k, True).T

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -8,9 +7,17 @@ import pytest
 from minmaxperm import Permutation, brute_force_solutions, compute_profile, verify
 from minmaxperm.profiles import pair_count, profile_pairs
 from minmaxperm import reconstruction
-from minmaxperm.reconstruction import _ROW_BLOCK, _all_rows, _position_features, _slot_digits
+from minmaxperm.reconstruction import _ROW_BLOCK, _all_masks, _slot_digits
 
-from helpers import golden_profile, golden_witness_family, profile_arrays, random_perm, slot_codes
+from helpers import (
+    golden_profile,
+    golden_witness_family,
+    perm_rows,
+    profile_arrays,
+    random_perm,
+    slot_codes,
+    value_masks,
+)
 
 
 def reference_codes(rows, k, directed):
@@ -36,33 +43,52 @@ class TestPairCount:
             assert pair_count(n, k) == len(profile_pairs(n, k))
 
 
+def mask_rows(upto):
+    """The (B, V) permutation rows of (V, B) value masks: value v lies at
+    position popcount(upto[v]) - 1."""
+    V, B = upto.shape
+    popcount = sum((upto >> u & 1).astype(np.intp) for u in range(V))
+    rows = np.empty((B, V), np.int8)
+    rows[np.arange(B)[:, None], popcount.T - 1] = np.arange(V, dtype=np.int8)
+    return rows
+
+
 class TestEnumeration:
     def test_counts_and_shape(self):
         for n in (1, 2, 4):
-            rows = _all_rows(n)
-            assert rows.shape == (math.factorial(n), n + 2)
-            assert (rows[:, 0] == 0).all() and (rows[:, -1] == n + 1).all()
+            upto = _all_masks(n)
+            assert upto.shape == (n + 2, math.factorial(n)) and upto.dtype == np.uint16
+            # 0 is always first and n + 1 always last
+            assert (upto[0] == 1).all() and (upto[-1] == (1 << n + 2) - 1).all()
 
     def test_lexicographic_order(self):
-        rows = _all_rows(4)
-        as_tuples = [tuple(r) for r in rows]
-        assert as_tuples == sorted(as_tuples)
+        as_tuples = [tuple(r) for r in mask_rows(_all_masks(4)).tolist()]
+        assert as_tuples == sorted(as_tuples) and len(set(as_tuples)) == 24
 
     def test_matches_itertools_across_blocks(self):
-        rows = _all_rows(9)
-        assert rows.dtype == np.int8 and rows.flags.c_contiguous
-        expected = np.array(list(itertools.permutations(range(1, 10))), np.int8)
-        assert np.array_equal(rows[:, 1:-1], expected)
+        # every enumeration block at n = 9, against masks computed from
+        # the positions of the itertools rows
+        upto = _all_masks(9)
+        assert upto.flags.c_contiguous
+        rows = perm_rows(9)
+        pos = rows.argsort(axis=1)
+        expected = np.array([sum((pos[:, u] <= pos[:, v]).astype(np.uint16) << u for u in range(11))
+                             for v in range(11)], np.uint16)
+        assert np.array_equal(upto, expected)
+        assert np.array_equal(mask_rows(upto), rows)
 
     def test_n_zero(self):
-        assert _all_rows(0).tolist() == [[0, 1]]
+        assert _all_masks(0).tolist() == [[1], [3]]
 
-    def test_rows_built_once_and_read_only(self):
-        rows = _all_rows(5)
-        assert _all_rows(5) is rows
-        with pytest.raises(ValueError):
-            rows[0, 1] = 2
-        assert rows[0].tolist() == [0, 1, 2, 3, 4, 5, 6]
+    def test_masks_match_plain_loop_built_once_read_only(self):
+        for n in range(1, 8):
+            upto = _all_masks(n)
+            assert np.array_equal(upto, value_masks(perm_rows(n)))
+            assert _all_masks(n) is upto
+            with pytest.raises(ValueError):
+                upto[1, 0] = 2
+        # a permutation's values are a uint16 mask over the n + 2 values
+        assert reconstruction.GROUPING_LIMIT + 2 <= 16
 
 
 class TestKernelsMatchReference:
@@ -94,9 +120,9 @@ class TestKernelsMatchReference:
 
 
 def assert_codes(rows, k, directed):
-    """_slot_digits of rows is an (L, B) C-contiguous array with L bases,
-    one column per row, that decodes to their reference codes."""
-    digits, base = _slot_digits(rows, k, directed)
+    """_slot_digits of the rows' masks is an (L, B) C-contiguous array with
+    L bases, one column per row, that decodes to their reference codes."""
+    digits, base = _slot_digits(value_masks(rows), k, directed)
     assert digits.flags.c_contiguous
     assert digits.shape == (len(base), len(rows)) == (pair_count(rows.shape[1] - 2, k), len(rows))
     codes = slot_codes(rows, k, directed)
@@ -105,16 +131,15 @@ def assert_codes(rows, k, directed):
 
 class TestKernelEdgeCases:
     def test_mask_features_partition_like_positions(self):
-        # the masks of 1 and n group all rows as the positions of 1 and n
-        # and the block of every value (before both, between, after) do
+        # the masks of 1 and n group all permutations as the positions of
+        # 1 and n and the block of every value (before both, between,
+        # after) do
         for n in range(1, 9):
-            rows = _all_rows(n)
-            pos = rows.argsort(axis=1)
+            pos = perm_rows(n).argsort(axis=1)
             lo = np.minimum(pos[:, 1], pos[:, n])[:, None]
             hi = np.maximum(pos[:, 1], pos[:, n])[:, None]
             positions = np.concatenate([pos[:, [1, n]], (pos > lo).astype(np.int8) + (pos > hi)], axis=1)
-            masks = _position_features(rows, n)
-            assert masks.dtype == np.uint16 and masks.shape == (len(rows), 2)
+            masks = _all_masks(n)[[1, n]].T
             _, by_pos = np.unique(positions, axis=0, return_inverse=True)
             _, by_mask = np.unique(masks, axis=0, return_inverse=True)
             joint = np.unique(np.stack([by_pos.ravel(), by_mask.ravel()]), axis=1)
@@ -151,20 +176,18 @@ class TestKernelEdgeCases:
     def test_tables_reused_across_blocks(self, directed, k):
         # all n = 8 rows: four full blocks and a short last one, which
         # reads only the mask columns that its own rows filled
-        rows = _all_rows(8)
-        last = len(rows) // _ROW_BLOCK * _ROW_BLOCK
-        assert (len(rows) - last, last // _ROW_BLOCK) == (7552, 4)
+        upto = _all_masks(8)
+        last = upto.shape[1] // _ROW_BLOCK * _ROW_BLOCK
+        assert (upto.shape[1] - last, last // _ROW_BLOCK) == (7552, 4)
+        digits, _ = _slot_digits(upto, k, directed)
+        rows = perm_rows(8)[last:]
         codes = slot_codes(rows, k, directed)
-        assert np.array_equal(codes[:, last:].T, reference_codes(rows[last:], k, directed))
-        digits, _ = _slot_digits(rows, k, directed)
-        assert np.array_equal(_slot_digits(rows[_ROW_BLOCK:], k, directed)[0], digits[:, _ROW_BLOCK:])
+        assert np.array_equal(codes.T, reference_codes(rows, k, directed))
+        assert np.array_equal(_slot_digits(value_masks(rows), k, directed)[0], digits[:, last:])
+        assert np.array_equal(_slot_digits(upto[:, _ROW_BLOCK:], k, directed)[0], digits[:, _ROW_BLOCK:])
 
 
 class TestValueMasks:
-    def test_masks_hold_every_value_at_the_limit(self):
-        # a slot's values are a uint16 mask over the n + 2 values of a row
-        assert reconstruction.GROUPING_LIMIT + 2 <= 16
-
     @pytest.mark.parametrize("directed", [True, False])
     @pytest.mark.parametrize("k", [1, 2])
     def test_digit_table(self, k, directed):
@@ -190,6 +213,6 @@ class TestExhaustiveAgreement:
     @pytest.mark.parametrize("directed", [True, False])
     def test_all_profiles_up_to_n6(self, directed):
         for n in range(1, 7):
-            rows = _all_rows(n)
+            rows = perm_rows(n)
             for k in range(1, n + 2):
                 assert_codes(rows, k, directed)

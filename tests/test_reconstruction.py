@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 import time
 import tracemalloc
@@ -19,9 +20,18 @@ from minmaxperm import (
     validate_permutation,
 )
 from minmaxperm import reconstruction
-from minmaxperm.reconstruction import _all_rows, _slot_digits
+from minmaxperm.reconstruction import _all_masks, _slot_digits
 
-from helpers import GOLDEN_PERM, golden_profile, identity_perm, profile_arrays, slot_codes, unsat2_profile
+from helpers import (
+    GOLDEN_PERM,
+    golden_profile,
+    identity_perm,
+    perm_rows,
+    profile_arrays,
+    slot_codes,
+    unsat2_profile,
+    value_masks,
+)
 
 
 class TestIsUnique:
@@ -95,7 +105,7 @@ class TestGroupingLimit:
         def forbidden(n):
             raise AssertionError(f"enumeration of n={n} started")
 
-        monkeypatch.setattr(reconstruction, "_all_rows", forbidden)
+        monkeypatch.setattr(reconstruction, "_all_masks", forbidden)
 
     @pytest.mark.parametrize("n", [reconstruction.GROUPING_LIMIT + 1, 11])
     def test_above_limit_refused_before_enumeration(self, n):
@@ -109,8 +119,9 @@ class TestGroupingLimit:
 
 
 class TestRefinement:
-    """min_unique_k groups, at each k > 1, only the rows whose class at
-    k - 1 had another member; checked against one grouping of all rows."""
+    """min_unique_k groups, at each k > 1, only the permutations whose
+    class at k - 1 had another member; checked against one grouping of all
+    rows."""
 
     @staticmethod
     def full_leaders(rows, k, directed):
@@ -123,17 +134,18 @@ class TestRefinement:
         calls = []
         real = reconstruction._leaders
 
-        def recording(rows, k, directed):
-            leader = real(rows, k, directed)
-            calls.append((rows.copy(), k, leader))
+        def recording(upto, k, directed):
+            leader = real(upto, k, directed)
+            calls.append((upto.T.copy(), k, leader))
             return leader
 
         monkeypatch.setattr(reconstruction, "_leaders", recording)
         for n in range(1, 8):
             calls.clear()
             min_k = min_unique_k(n, directed).min_k
-            rows = _all_rows(n)
-            index = {row.tobytes(): i for i, row in enumerate(rows)}
+            rows = perm_rows(n)
+            # the live permutations by their masks, one row per permutation
+            index = {row.tobytes(): i for i, row in enumerate(value_masks(rows).T)}
             assert [k for _, k, _ in calls] == list(range(1, min_k + 1))
             assert len(calls[0][0]) == len(rows)
             for j, (live, k, leader) in enumerate(calls):
@@ -162,7 +174,7 @@ class TestGroupingMemory:
         calls = []
         real_empty = np.empty
 
-        def recording(rows, k, directed):
+        def recording(upto, k, directed):
             made = []
 
             def recording_empty(shape, *args, **kwargs):
@@ -171,10 +183,10 @@ class TestGroupingMemory:
 
             monkeypatch.setattr(reconstruction.np, "empty", recording_empty)
             try:
-                digits, base = _slot_digits(rows, k, directed)
+                digits, base = _slot_digits(upto, k, directed)
             finally:
                 monkeypatch.setattr(reconstruction.np, "empty", real_empty)
-            calls.append((len(rows), digits.shape, made))
+            calls.append((upto.shape[1], digits.shape, made))
             return digits, base
 
         monkeypatch.setattr(reconstruction, "_slot_digits", recording)
@@ -195,7 +207,11 @@ class TestGroupingMemory:
     # 4.12 MiB with (V, b) bitmasks and (3L, B) int8 codes, and at 2.33,
     # 2.47 and 2.64 MiB with the digits read from one table per span, the
     # rows and the table built inside the call.  The bounds sit 0.5 MiB
-    # above those.
+    # above those.  With the value masks cached in place of the rows
+    # (0.77 MiB against 0.38 MiB at n = 8) and the later key passes over
+    # the permutations still sharing a class, the peaks are 2.41, 2.73 and
+    # 2.73 MiB, the masks and the table built inside the call, so the
+    # bounds stay.
     @pytest.mark.parametrize("directed, bound_mib", [(True, 2.83), (False, 2.97)])
     def test_n8_traced_peak(self, directed, bound_mib):
         assert traced_peak(lambda: min_unique_k(8, directed)) < bound_mib * 2**20
@@ -221,35 +237,46 @@ class TestLeadersExact:
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        # the least key of each pass: a key past 2**63 - 1 would wrap to a
-        # negative int64
-        least = []
+        # the keys of each pass, by their count and least value: a key
+        # past 2**63 - 1 would wrap to a negative int64
+        made = []
         real = np.argsort
 
         def recording(keys, *args, **kwargs):
-            least.append(keys.min())
+            made.append((len(keys), keys.min()))
             return real(keys, *args, **kwargs)
 
         monkeypatch.setattr(reconstruction.np, "argsort", recording)
-        return least
+        return made
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_all_n8_rows_at_full_span(self, directed, passes):
-        rows = _all_rows(8)
-        leader = reconstruction._leaders(rows, 9, directed)
-        assert len(passes) >= 2 and min(passes) >= 0
-        assert (leader == np.arange(len(rows))).all()
-        assert (leader == TestRefinement.full_leaders(rows, 9, directed)).all()
+        leader = reconstruction._leaders(_all_masks(8), 9, directed)
+        assert len(passes) >= 2 and min(least for _, least in passes) >= 0
+        assert (leader == np.arange(len(leader))).all()
+        assert (leader == TestRefinement.full_leaders(perm_rows(8), 9, directed)).all()
+
+    @pytest.mark.parametrize("directed, shared", [(True, 2_530), (False, 6_304)])
+    def test_later_passes_sort_shared_rows_only(self, directed, shared, passes):
+        # the first pass sorts all 8! permutations; the second only those
+        # still sharing a class after it, counted here on the digits that
+        # the first pass packs
+        assert fixed_positions_check(8, 2, directed)
+        assert [count for count, _ in passes[:2]] == [40_320, shared]
+        digits, base = _slot_digits(_all_masks(8), 2, directed)
+        packed = sum(radix <= 2**63 for radix in itertools.accumulate(base, operator.mul))
+        _, first, size = np.unique(digits[:packed].T, axis=0, return_inverse=True, return_counts=True)
+        assert (size[first.ravel()] > 1).sum() == shared
 
     @pytest.mark.parametrize("directed, k", [(True, 2), (False, 2), (False, 3)])
     def test_shuffled_n9_subset(self, directed, k, passes):
         # the first 80,640 rows, two enumeration blocks, in a seeded random
         # order, so that a leader is the first of its class in that order,
         # not the least in lexicographic order
-        rows = _all_rows(9)[:80_640]
+        rows = perm_rows(9)[:80_640]
         rows = rows[np.random.default_rng(9).permutation(len(rows))]
-        leader = reconstruction._leaders(rows, k, directed)
-        assert len(passes) >= 2 and min(passes) >= 0
+        leader = reconstruction._leaders(value_masks(rows), k, directed)
+        assert len(passes) >= 2 and min(least for _, least in passes) >= 0
         assert (leader != np.arange(len(rows))).sum() > 100
         assert (leader == TestRefinement.full_leaders(rows, k, directed)).all()
 
@@ -258,9 +285,9 @@ class TestLeadersExact:
         # every digit lies below its base and gives back its slot's m, M
         # and, directed, dir: checked on every 35th row, through the
         # scalar path
-        rows = _all_rows(7)
+        rows = perm_rows(7)
         for k in (1, 4, 8):
-            digits, base = _slot_digits(rows, k, directed)
+            digits, base = _slot_digits(_all_masks(7), k, directed)
             assert (digits < np.array(base)[:, None]).all()
             codes = slot_codes(rows[::35], k, directed)
             for code, row in zip(codes.T, rows[::35]):
@@ -269,8 +296,8 @@ class TestLeadersExact:
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_single_row(self, directed):
-        rows = np.array([GOLDEN_PERM], np.int8)
-        assert reconstruction._leaders(rows, 3, directed).tolist() == [0]
+        upto = value_masks(np.array([GOLDEN_PERM], np.int8))
+        assert reconstruction._leaders(upto, 3, directed).tolist() == [0]
 
 
 def scan_first_collision(n, k, directed):
@@ -457,14 +484,41 @@ class TestIntegerArguments:
         assert type(P.n) is int and compute_profile(P, 2, True) == compute_profile(Q, 2, True)
 
 
+# Each exhaustive entry point refuses a directed that is not a bool, before
+# it builds or caches anything; d stands for it.
+DIRECTED_ARGUMENTS = {
+    "min_unique_k": lambda d: min_unique_k(5, d),
+    "fixed_positions_check": lambda d: fixed_positions_check(5, 2, d),
+    "collision_pair": lambda d: collision_pair(10, 1, d),
+}
+
+
+class TestDirectedArgument:
+    @pytest.mark.parametrize("value", ["yes", None, 2, 1, 0, 1.0])
+    @pytest.mark.parametrize("call", DIRECTED_ARGUMENTS)
+    def test_non_bool_refused(self, call, value):
+        tables = reconstruction._digit_table.cache_info().currsize
+        with pytest.raises(PreconditionViolation):
+            DIRECTED_ARGUMENTS[call](value)
+        assert reconstruction._digit_table.cache_info().currsize == tables
+
+    @pytest.mark.parametrize("call", DIRECTED_ARGUMENTS)
+    def test_numpy_bool_accepted(self, call):
+        for d in (True, False):
+            assert DIRECTED_ARGUMENTS[call](np.bool_(d)) == DIRECTED_ARGUMENTS[call](d)
+
+    def test_plain_bool_passed_on(self):
+        assert type(min_unique_k(5, np.bool_(True)).directed) is bool
+
+
 class TestGroupingFaults:
     """Digits in range that put every permutation into one class, and digits
     out of range."""
 
     @staticmethod
-    def one_class(rows, k, directed):
+    def one_class(upto, k, directed):
         # digit 0 in every slot: m = 0, M = t+i and, directed, t right of t+i
-        digits, base = _slot_digits(rows, k, directed)
+        digits, base = _slot_digits(upto, k, directed)
         return np.zeros_like(digits), base
 
     def test_fixed_positions_fails(self, monkeypatch):
@@ -487,10 +541,10 @@ class TestGroupingFaults:
     ])
     @pytest.mark.parametrize("directed", [True, False])
     def test_code_out_of_range(self, directed, slot, value, monkeypatch):
-        def corrupt(rows, k, directed):
-            digits, base = _slot_digits(rows, k, directed)
+        def corrupt(upto, k, directed):
+            digits, base = _slot_digits(upto, k, directed)
             bad = base[slot] if value == "base" else np.iinfo(digits.dtype).max
-            digits[slot, len(rows) // 2] = bad
+            digits[slot, upto.shape[1] // 2] = bad
             return digits, base
 
         monkeypatch.setattr(reconstruction, "_slot_digits", corrupt)

@@ -36,7 +36,6 @@ from minmaxperm import emit_permutation, emit_profile, solvers
 from minmaxperm.cli import main
 from minmaxperm.graph import ArcKind, Closure, _full_closure, topo_order
 from minmaxperm.profiles import KConstraint
-from minmaxperm.reconstruction import _all_rows
 
 from helpers import (
     GOLDEN_PERM,
@@ -57,6 +56,7 @@ from helpers import (
     masks_of,
     mutate_directed,
     mutate_undirected,
+    perm_rows,
     profile_arrays,
     profile_restricted,
     random_perm,
@@ -213,7 +213,7 @@ class TestOracleReferences:
     @pytest.mark.parametrize("n, k", ((8, 1), (8, 2), (9, 1)))
     def test_equals_code_scan(self, n, k):
         rng = random.Random(100 * n + k)
-        rows = _all_rows(n)
+        rows = perm_rows(n)
         for directed in (True, False):
             codes = slot_codes(rows, k, directed).T
             for _ in range(3):
