@@ -80,15 +80,21 @@ class TestEnumeration:
     def test_n_zero(self):
         assert _all_masks(0).tolist() == [[1], [3]]
 
-    def test_masks_match_plain_loop_built_once_read_only(self):
+    def test_rows_built_once_and_read_only(self):
+        # the rows are cached as their value masks
+        upto = _all_masks(5)
+        assert _all_masks(5) is upto
+        with pytest.raises(ValueError):
+            upto[1, 0] = 2
+        assert mask_rows(upto[:, :1]).tolist() == [[0, 1, 2, 3, 4, 5, 6]]
+
+    def test_masks_match_plain_loop(self):
         for n in range(1, 8):
             upto = _all_masks(n)
             assert np.array_equal(upto, value_masks(perm_rows(n)))
             assert _all_masks(n) is upto
             with pytest.raises(ValueError):
                 upto[1, 0] = 2
-        # a permutation's values are a uint16 mask over the n + 2 values
-        assert reconstruction.GROUPING_LIMIT + 2 <= 16
 
 
 class TestKernelsMatchReference:
@@ -188,6 +194,10 @@ class TestKernelEdgeCases:
 
 
 class TestValueMasks:
+    def test_masks_hold_every_value_at_the_limit(self):
+        # a permutation's values are a uint16 mask over its n + 2 values
+        assert reconstruction.GROUPING_LIMIT + 2 <= 16
+
     @pytest.mark.parametrize("directed", [True, False])
     @pytest.mark.parametrize("k", [1, 2])
     def test_digit_table(self, k, directed):
