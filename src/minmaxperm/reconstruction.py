@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +73,7 @@ COLLISION_LIMIT = 10**6
 _ROW_BLOCK = 8192
 
 
-@dataclass(frozen=True)
-class MinKResult:
+class MinKResult(NamedTuple):
     """Least k making every k-profile class over all n! permutations a
     singleton, with a witness collision from k-1 when k > 1."""
 

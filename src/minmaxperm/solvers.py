@@ -41,9 +41,8 @@ Nothing here loads numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     InternalInconsistency,
@@ -71,8 +70,7 @@ ORACLE_WORK = 11 * (986_410 + 362_880)
 _SIDE = {Direction.LEFT_TO_RIGHT: 1, Direction.RIGHT_TO_LEFT: -1, Direction.UNKNOWN: 0}
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     """Witness permutation, or None for the verdict No, plus diagnostics.
 
     silent_nb and silent_b are the constraints the root closure leaves
@@ -223,8 +221,7 @@ def _solutions(F: Profile) -> Iterator[Permutation]:
             pos[w] = -1
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     """Uniqueness of one profile: unique witness, a collision pair, or empty."""
 
     n: int

@@ -687,6 +687,16 @@ class TestExitCodePolicy:
         assert main(["counterexample", "5", "1", *json_flag]) == 2
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
+    def test_input_error_under_json(self, capsys):
+        # `main` imports json only to print a report; an input error under
+        # --json is still exit 2 with nothing on stdout, in this process
+        # and in a fresh one that has not loaded json before `main` runs
+        argv = ["min-k", "10", "--json"]
+        expected = (2, "", "error: n=10 exceeds the grouping limit 9\n")
+        assert (main(argv), *capsys.readouterr()) == expected
+        proc = run_python("-m", "minmaxperm.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("argv", ORACLE_COMMANDS)

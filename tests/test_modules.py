@@ -125,6 +125,28 @@ def test_numpy_only_at_the_kernels():
     assert found == []
 
 
+def test_no_dataclasses():
+    # the records are named tuples: `dataclasses` imports `inspect` and
+    # generates each class's methods with `exec`, which every CLI process
+    # would pay for at start-up
+    found = [f"{path.name}: {module}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             for module in _imported(node) if module.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_cli_import_is_lean():
+    # what `import minmaxperm.cli` loads in a fresh process: no numpy, no
+    # `dataclasses` or the `inspect` it imports, and no `json`, which the
+    # CLI imports only under --json; the script itself prints without json
+    script = """
+import sys
+import minmaxperm.cli
+print(*[m for m in ("numpy", "dataclasses", "inspect", "json") if m in sys.modules])
+"""
+    assert run_fresh(script).split() == []
+
+
 def test_only_reconstruction_imports_the_kernels():
     # the oracle reads profile entries alone; the batch kernels serve only
     # the uniqueness grouping, so no other module imports numpy, inside a

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import numpy as np
@@ -8,13 +7,18 @@ from hypothesis import given, settings, strategies as st
 from minmaxperm import (
     BadEndpoints,
     COutOfRange,
+    KConstraint,
     KMismatch,
+    MinKResult,
     MismatchedN,
     NotBijection,
     Permutation,
     PreconditionViolation,
     Profile,
+    ProfileViolation,
+    SolveOutcome,
     TooLarge,
+    UniquenessReport,
     compute_profile,
     compute_set_profile,
     is_linear,
@@ -203,14 +207,14 @@ class TestProfileFieldTypes:
     @staticmethod
     def with_entry(F, key, **fields):
         cons = dict(F.constraints)
-        cons[key] = dataclasses.replace(cons[key], **fields)
+        cons[key] = cons[key]._replace(**fields)
         return Profile(n=F.n, k=F.k, directed=F.directed, constraints=cons)
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_numpy_fields_are_plain_ints(self, directed):
         F = compute_profile(random_perm(random.Random(3), 100), 1, directed)
-        cons = {key: dataclasses.replace(c, t=np.int64(c.t), i=np.int64(c.i),
-                                         m=np.int64(c.m), M=np.int64(c.M))
+        cons = {key: c._replace(t=np.int64(c.t), i=np.int64(c.i),
+                                m=np.int64(c.m), M=np.int64(c.M))
                 for key, c in F.constraints.items()}
         G = Profile(n=F.n, k=F.k, directed=directed, constraints=cons)
         assert G == F
@@ -266,7 +270,7 @@ class TestProfileConstruction:
 
     def test_extra_key(self):
         cons = dict(self.F.constraints)
-        cons[(0, 3)] = dataclasses.replace(cons[(0, 2)], i=3)
+        cons[(0, 3)] = cons[(0, 2)]._replace(i=3)
         with pytest.raises(PreconditionViolation, match=r"missing \[\], extra \[\(0, 3\)\]"):
             Profile(n=4, k=2, directed=True, constraints=cons)
 
@@ -291,6 +295,67 @@ class TestProfileConstruction:
 
     def test_nb_record_text(self):
         assert str(NBRecord(basis=(2, 3), top=7)) == "not(2 <-7-> 3)"
+
+
+P3 = Permutation(n=3, elems=(0, 3, 1, 2, 4))
+
+# Each record type built from fixed fields, with its repr.
+RECORDS = {
+    "Permutation": (lambda: Permutation(n=3, elems=(0, 3, 1, 2, 4)),
+                    "Permutation(n=3, elems=(0, 3, 1, 2, 4))"),
+    "KConstraint": (lambda: KConstraint(t=1, i=1, dir=Direction.RIGHT_TO_LEFT, m=1, M=3),
+                    "KConstraint(t=1, i=1, dir=<Direction.RIGHT_TO_LEFT: '<'>, m=1, M=3)"),
+    "ProfileViolation": (lambda: ProfileViolation(t=2, i=1, reason="m=3 outside [0, t=2]"),
+                         "ProfileViolation(t=2, i=1, reason='m=3 outside [0, t=2]')"),
+    "NBRecord": (lambda: NBRecord(basis=(6, 7), top=2), "NBRecord(basis=(6, 7), top=2)"),
+    "SolveOutcome": (lambda: SolveOutcome(witness=P3, silent_nb=(NBRecord((1, 2), 3),),
+                                          silent_b=(1,), settings_tested=2),
+                     "SolveOutcome(witness=Permutation(n=3, elems=(0, 3, 1, 2, 4)), "
+                     "silent_nb=(NBRecord(basis=(1, 2), top=3),), silent_b=(1,), "
+                     "settings_tested=2)"),
+    "UniquenessReport": (lambda: UniquenessReport(n=3, k=1, directed=True, verdict="unique",
+                                                  witnesses=(P3,)),
+                         "UniquenessReport(n=3, k=1, directed=True, verdict='unique', "
+                         "witnesses=(Permutation(n=3, elems=(0, 3, 1, 2, 4)),))"),
+    "MinKResult": (lambda: MinKResult(n=3, directed=False, min_k=2, collision=(P3, P3)),
+                   "MinKResult(n=3, directed=False, min_k=2, collision=("
+                   "Permutation(n=3, elems=(0, 3, 1, 2, 4)), "
+                   "Permutation(n=3, elems=(0, 3, 1, 2, 4))))"),
+}
+
+
+class TestRecordSemantics:
+    """The seven record types are named tuples: immutable, compared and
+    hashed by their fields, with the `Name(field=value, ...)` repr."""
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_field_assignment_raises(self, name):
+        record = RECORDS[name][0]()
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_repr(self, name):
+        make, text = RECORDS[name]
+        assert repr(make()) == text
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_equal_fields_equal_hash(self, name):
+        a, b = RECORDS[name][0](), RECORDS[name][0]()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != a._replace(**{a._fields[-1]: "other"})
+
+    def test_nb_records_sort_by_basis_then_top(self):
+        records = [NBRecord((2, 3), 0), NBRecord((1, 2), 5), NBRecord((2, 3), -1),
+                   NBRecord((1, 2), 4)]
+        assert sorted(records) == [NBRecord((1, 2), 4), NBRecord((1, 2), 5),
+                                   NBRecord((2, 3), -1), NBRecord((2, 3), 0)]
+
+    def test_solve_outcome_defaults(self):
+        out = SolveOutcome(witness=None)
+        assert (out.silent_nb, out.silent_b, out.settings_tested) == ((), (), 0)
+        assert out.is_no and not SolveOutcome(witness=P3).is_no
 
 
 class TestIsLinear:
