@@ -1,9 +1,9 @@
 """Reconstruction of permutations from min/max betweenness profiles.
 
 The exhaustive uniqueness analysis (`reconstruction`) is the one module
-that runs on numpy, so it and the four names below load on first use:
-importing the package, the solvers, the brute-force oracle and
-`is_unique` load no numpy.
+that runs on numpy, so it and the three names below load on first use:
+importing the package, the solvers, the brute-force oracle, `is_unique`
+and `collision_pair` load no numpy.
 """
 
 import importlib
@@ -33,6 +33,7 @@ from .profiles import (
     Permutation,
     Profile,
     ProfileViolation,
+    collision_pair,
     compute_profile,
     compute_set_profile,
     is_linear,
@@ -56,7 +57,6 @@ __version__ = "0.1.0"
 
 _RECONSTRUCTION = (
     "MinKResult",
-    "collision_pair",
     "fixed_positions_check",
     "min_unique_k",
 )

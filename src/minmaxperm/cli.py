@@ -18,8 +18,8 @@ Exit codes: 0 success/witness, 1 NO / non-unique / mismatch, 2 input error
 fault (InternalInconsistency or CyclicGraph: a solver caught itself
 producing an inconsistent answer; or any other unexpected exception).
 
-Only the exhaustive commands `min-k` and `counterexample` load numpy,
-when they run.  The others, the oracle's `solve --method brute`,
+Only the exhaustive command `min-k` loads numpy, when it runs.  The
+others, `counterexample` and the oracle's `solve --method brute`,
 `enumerate` and `check-unique` included, run without it, so a process
 that answers one of them starts faster.  `json` loads only under --json.
 On a 2-core VM, `import minmaxperm.cli` adds 11-13 ms of wall clock to a
@@ -36,7 +36,7 @@ from pathlib import Path
 from .errors import CyclicGraph, InternalInconsistency, MinMaxError
 from .formats import emit_permutation, emit_profile, parse_permutation, parse_profile
 from .graph import require_solver_profile, to_dot
-from .profiles import Profile, compute_profile
+from .profiles import Profile, collision_pair, compute_profile
 from .solvers import (
     SolveOutcome,
     brute_force_solutions,
@@ -135,7 +135,6 @@ def _cmd_min_k(args) -> _Result:
 
 
 def _cmd_counterexample(args) -> _Result:
-    from .reconstruction import collision_pair
     pair = collision_pair(args.n, args.k, args.directed)
     return 0, {
         "n": args.n,

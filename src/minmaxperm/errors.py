@@ -60,7 +60,7 @@ class TooLarge(MinMaxError):
     """Instance exceeds one of the four size guards: the oracle's work
     budget `solvers.ORACLE_WORK`, the grouping limit
     `reconstruction.GROUPING_LIMIT`, the collision-pair limit
-    `reconstruction.COLLISION_LIMIT` or the graph dump limit
+    `profiles.COLLISION_LIMIT` or the graph dump limit
     `graph.DUMP_LIMIT`."""
 
 

@@ -138,11 +138,11 @@ class Closure:
     that `_b_pair` gives.  The seeds are arcs (x, y, kind): each keeps the
     kind it was given (the first, when it repeats), self-loops are
     dropped, and the seeds go to `add` in ascending (x, y) order, which
-    fixes the kinds of the derived arcs.  By default the closure runs on to the full fixpoint, through
-    cycles, and `kinds` maps every pair to the rule that first derived it
-    (`_full_closure`, for `to_dot`).  A `search` closure stops at the
-    first cycle and keeps no kinds; copies never carry kinds either, so a
-    search node copies two lists of masks.
+    fixes the kinds of the derived arcs.  By default the closure runs on
+    to the full fixpoint, through cycles, and `kinds` maps every pair to
+    the rule that first derived it (`_full_closure`, for `to_dot`).  A
+    `search` closure stops at the first cycle and keeps no kinds; copies
+    never carry kinds either, so a search node copies two lists of masks.
 
     The search root is not grown here: `root_closure` closes it in
     bulk passes, straight from the profile's entries, and hands back a

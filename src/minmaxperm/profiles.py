@@ -19,17 +19,44 @@ from __future__ import annotations
 
 import enum
 import operator
+import sys
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     BadEndpoints,
     COutOfRange,
+    InternalInconsistency,
     KMismatch,
     MismatchedN,
     NotBijection,
     PreconditionViolation,
+    TooLarge,
 )
+
+# collision_pair refuses a larger n before it builds anything: the pair and
+# its text take about 145 bytes per value (`counterexample N 1` peaks at
+# 42 MB resident at N = 10^5, 172 MB at 10^6 and 318 MB at 2 * 10^6).
+COLLISION_LIMIT = 10**6
+
+
+def require_int(value: int, name: str) -> int:
+    """value as a plain int, as `operator.index` reads it (a float such as
+    5.0 is refused, so that no cache is keyed by it)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PreconditionViolation(f"{name} must be an integer, got {name}={value!r}") from None
+
+
+def require_bool(directed: bool) -> bool:
+    """directed as a plain bool; anything but a bool or numpy's bool, 1 and
+    0 included, is refused.  A numpy bool exists only once numpy is loaded,
+    so this module never imports it."""
+    numpy = sys.modules.get("numpy")
+    if not (isinstance(directed, bool) or numpy and isinstance(directed, numpy.bool_)):
+        raise PreconditionViolation(f"directed must be a bool, got directed={directed!r}")
+    return bool(directed)
 
 
 class Direction(enum.Enum):
@@ -118,7 +145,8 @@ class Profile:
 
     Structural requirements are enforced at construction: exactly one
     constraint per admissible (t, i) pair, every direction a `Direction`,
-    and an undirected profile has every direction Unknown.  n, k and each
+    and an undirected profile has every direction Unknown.  directed must be
+    a bool (see require_bool) and is stored as a plain bool.  n, k and each
     entry's t, i, m and M must be integers, as `operator.index` reads one,
     and are stored as plain ints (an entry with a field of another integer
     type is rebuilt).  Value bounds are *not* enforced here; they are what
@@ -137,6 +165,7 @@ class Profile:
             raise PreconditionViolation(f"n and k must be integers, got n={n!r}, k={k!r}") from None
         if not 1 <= k <= n + 1:
             raise PreconditionViolation(f"need 1 <= k <= n+1, got k={k}, n={n}")
+        directed = require_bool(directed)
         expected = profile_pairs(n, k)
         if set(constraints) != set(expected):
             missing = sorted(set(expected) - set(constraints))
@@ -193,6 +222,52 @@ def segment(P: Permutation, pos: Sequence[int], t: int, i: int) -> tuple[int, in
     return min(seg), max(seg), d
 
 
+def collision_pair(n: int, k: int, directed: bool) -> tuple[Permutation, Permutation]:
+    """Two distinct permutations with equal k-profiles, built explicitly.
+
+    The first four values are k+2, p2, 1, n (p2 = k+3 undirected, 2k+3
+    directed) and the rest ascend; swapping the first two values leaves the
+    k-profile unchanged because every pair constraint reaching past 1 and n
+    is saturated and the swapped values sit more than k apart from anything
+    that could separate them.  The profile equality is re-checked, on the
+    only entries that the swap can change, before returning.  Past the k
+    range, an n above COLLISION_LIMIT raises TooLarge.
+    """
+    n, k, directed = require_int(n, "n"), require_int(k, "k"), require_bool(directed)
+    if directed:
+        bound = -(-(n - 3) // 2)  # ceil((n-3)/2)
+        if not 1 <= k < bound:
+            raise PreconditionViolation(
+                f"directed collision needs 1 <= k < ceil((n-3)/2) = {bound}, got k={k}")
+        p2 = 2 * k + 3
+    else:
+        if not 1 <= k < n - 3:
+            raise PreconditionViolation(
+                f"undirected collision needs 1 <= k < n-3 = {n - 3}, got k={k}")
+        p2 = k + 3
+    if n > COLLISION_LIMIT:
+        raise TooLarge(f"n={n} exceeds the collision-pair limit {COLLISION_LIMIT}")
+    head = [k + 2, p2, 1, n]
+    tail = sorted(set(range(1, n + 1)) - set(head))
+    P = Permutation(n=n, elems=(0, *head, *tail, n + 1))
+    swapped = [p2, k + 2] + head[2:]
+    Q = Permutation(n=n, elems=(0, *swapped, *tail, n + 1))
+    if not _swap_keeps_profile(P, Q, k, directed):
+        raise InternalInconsistency(
+            f"constructed pair for n={n}, k={k} has differing profiles")
+    return P, Q
+
+
+def _swap_keeps_profile(P: Permutation, Q: Permutation, k: int, directed: bool) -> bool:
+    """Whether P and Q, equal but for a swap of positions 1 and 2, have equal
+    k-profiles (m, M and, directed, the direction).  Only the at most 4k
+    entries with a swapped value as an end can differ, so only they are read."""
+    pos_p, pos_q = P.positions(), Q.positions()
+    return all(segment(P, pos_p, t, i)[:2 + directed] == segment(Q, pos_q, t, i)[:2 + directed]
+               for v in P.elems[1:3] for i in range(1, k + 1) for t in (v - i, v)
+               if 0 <= t and t + i <= P.n + 1)
+
+
 def compute_profile(P: Permutation, k: int, directed: bool) -> Profile:
     """The k-profile of a single permutation.
 
@@ -200,10 +275,7 @@ def compute_profile(P: Permutation, k: int, directed: bool) -> Profile:
     of the segment of P between the positions of t and t+i inclusive.
     k must be an integer, as `operator.index` reads one.
     """
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise PreconditionViolation(f"k must be an integer, got k={k!r}") from None
+    k, directed = require_int(k, "k"), require_bool(directed)
     if not 1 <= k <= P.n + 1:
         raise PreconditionViolation(f"need 1 <= k <= n+1, got k={k}, n={P.n}")
     pos = P.positions()
@@ -229,6 +301,7 @@ def compute_set_profile(perms: Iterable[Permutation], k: int, directed: bool) ->
     n = ps[0].n
     if any(p.n != n for p in ps):
         raise MismatchedN(f"permutations of mixed sizes: {sorted({p.n for p in ps})}")
+    k, directed = require_int(k, "k"), require_bool(directed)
     if not 1 <= k <= n + 1:
         raise PreconditionViolation(f"need 1 <= k <= n+1, got k={k}, n={n}")
     positions = [p.positions() for p in ps]
@@ -283,6 +356,7 @@ def nb_set(F: Profile, c: int) -> set[int]:
     """NB(c): all t in 1..n-1 whose entry excludes c, i.e. c < m_t or M_t < c."""
     if F.k != 1:
         raise KMismatch(f"NB sets are defined for k=1, got k={F.k}")
+    c = require_int(c, "c")
     if not 1 <= c <= F.n:
         raise COutOfRange(f"need 1 <= c <= {F.n}, got {c}")
     return {t for t in range(1, F.n)

@@ -1,17 +1,17 @@
 """Uniqueness analysis of k-profiles.
 
 How much of a permutation does its k-profile pin down?  These operations
-answer that exhaustively at small n: the minimum k at which every profile
-class over all n! permutations is a singleton, the explicit
-two-permutation collisions built from a shared prefix, and the
-fixed-positions consistency check (all members of a profile class place 1
-and n identically and split the remaining elements into the same three
-blocks).  Per-profile uniqueness, `is_unique`, is the oracle's, in
-`solvers`.
+answer that exhaustively at small n, over all n! permutations: the minimum
+k at which every profile class is a singleton, and the fixed-positions
+consistency check (all members of a profile class place 1 and n
+identically and split the remaining elements into the same three blocks).
+Per-profile uniqueness, `is_unique`, is the oracle's, in `solvers`, and
+the explicit two-permutation collisions, `collision_pair`, are built in
+`profiles`; neither needs an array.
 
 This is the one module that uses numpy, and no module the package or the
-CLI loads at start-up imports it: the exhaustive questions load it when
-first called.
+CLI loads at start-up imports it: `min_unique_k` and
+`fixed_positions_check` load it when first called.
 
 The two exhaustive checks share one grouping of a set of permutations by
 their k-profiles.  The n! permutations are held value-major, in
@@ -42,18 +42,13 @@ from its masks: value v lies at position popcount(mask of v) - 1.
 from __future__ import annotations
 
 import functools
-import operator
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InternalInconsistency,
-    PreconditionViolation,
-    TooLarge,
-)
+from .errors import InternalInconsistency, PreconditionViolation, TooLarge
 from . import solvers
-from .profiles import Permutation, compute_profile, segment
+from .profiles import Permutation, compute_profile, require_bool, require_int
 
 # Per-profile uniqueness is the oracle's and lives in `solvers`, which
 # loads no numpy; the two names stay here, the same objects, for callers
@@ -63,10 +58,6 @@ UniquenessReport, is_unique = solvers.UniquenessReport, solvers.is_unique
 # The groupings refuse a larger n before building any mask: at n = 10,
 # fixed_positions_check at k = 2 takes over a second and peaks above 300 MB.
 GROUPING_LIMIT = 9
-# collision_pair refuses a larger n before it builds anything: the pair and
-# its text take about 145 bytes per value (`counterexample N 1` peaks at
-# 42 MB resident at N = 10^5, 172 MB at 10^6 and 318 MB at 2 * 10^6).
-COLLISION_LIMIT = 10**6
 # Permutations (mask columns) per block of the digit kernel: the fastest
 # of 1,024 to 40,320 at n = 8, and at V <= 11 it keeps each of its (V, b)
 # scratch arrays under 1 MB.
@@ -238,30 +229,13 @@ def _leaders(upto: np.ndarray, k: int, directed: bool) -> np.ndarray:
     return leader
 
 
-def _require_int(value: int, name: str) -> int:
-    """value as a plain int, as `operator.index` reads it (a float such as
-    5.0 is refused, so that no cache is keyed by it)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise PreconditionViolation(f"{name} must be an integer, got {name}={value!r}") from None
-
-
 def _require_n(n: int) -> int:
-    n = _require_int(n, "n")
+    n = require_int(n, "n")
     if n < 1:
         raise PreconditionViolation(f"n must be at least 1, got n={n}")
     if n > GROUPING_LIMIT:
         raise TooLarge(f"n={n} exceeds the grouping limit {GROUPING_LIMIT}")
     return n
-
-
-def _require_bool(directed: bool) -> bool:
-    """directed as a plain bool; anything but a bool, 1 and 0 included, is
-    refused, so that no table is built or cached for it."""
-    if not isinstance(directed, (bool, np.bool_)):
-        raise PreconditionViolation(f"directed must be a bool, got directed={directed!r}")
-    return bool(directed)
 
 
 def min_unique_k(n: int, directed: bool) -> MinKResult:
@@ -274,7 +248,7 @@ def min_unique_k(n: int, directed: bool) -> MinKResult:
     another member, are grouped again.  The live mask columns keep their
     lexicographic order, so each leader and the first permutation whose
     leader lies before it are those of a grouping of all n!."""
-    n, directed = _require_n(n), _require_bool(directed)
+    n, directed = _require_n(n), require_bool(directed)
     live = _all_masks(n)
     previous = None
     for k in range(1, n + 2):
@@ -294,57 +268,10 @@ def min_unique_k(n: int, directed: bool) -> MinKResult:
     raise InternalInconsistency(f"no k up to n+1 separates all permutations of n={n}")
 
 
-def collision_pair(n: int, k: int, directed: bool) -> tuple[Permutation, Permutation]:
-    """Two distinct permutations with equal k-profiles, built explicitly.
-
-    The first four values are k+2, p2, 1, n (p2 = k+3 undirected, 2k+3
-    directed) and the rest ascend; swapping the first two values leaves the
-    k-profile unchanged because every pair constraint reaching past 1 and n
-    is saturated and the swapped values sit more than k apart from anything
-    that could separate them.  The profile equality is re-checked, on the
-    only entries that the swap can change, before returning.  Past the k
-    range, an n above COLLISION_LIMIT raises TooLarge.
-    """
-    n, k = _require_int(n, "n"), _require_int(k, "k")
-    directed = _require_bool(directed)
-    if directed:
-        bound = -(-(n - 3) // 2)  # ceil((n-3)/2)
-        if not 1 <= k < bound:
-            raise PreconditionViolation(
-                f"directed collision needs 1 <= k < ceil((n-3)/2) = {bound}, got k={k}")
-        p2 = 2 * k + 3
-    else:
-        if not 1 <= k < n - 3:
-            raise PreconditionViolation(
-                f"undirected collision needs 1 <= k < n-3 = {n - 3}, got k={k}")
-        p2 = k + 3
-    if n > COLLISION_LIMIT:
-        raise TooLarge(f"n={n} exceeds the collision-pair limit {COLLISION_LIMIT}")
-    head = [k + 2, p2, 1, n]
-    tail = sorted(set(range(1, n + 1)) - set(head))
-    P = Permutation(n=n, elems=(0, *head, *tail, n + 1))
-    swapped = [p2, k + 2] + head[2:]
-    Q = Permutation(n=n, elems=(0, *swapped, *tail, n + 1))
-    if not _swap_keeps_profile(P, Q, k, directed):
-        raise InternalInconsistency(
-            f"constructed pair for n={n}, k={k} has differing profiles")
-    return P, Q
-
-
-def _swap_keeps_profile(P: Permutation, Q: Permutation, k: int, directed: bool) -> bool:
-    """Whether P and Q, equal but for a swap of positions 1 and 2, have equal
-    k-profiles (m, M and, directed, the direction).  Only the at most 4k
-    entries with a swapped value as an end can differ, so only they are read."""
-    pos_p, pos_q = P.positions(), Q.positions()
-    return all(segment(P, pos_p, t, i)[:2 + directed] == segment(Q, pos_q, t, i)[:2 + directed]
-               for v in P.elems[1:3] for i in range(1, k + 1) for t in (v - i, v)
-               if 0 <= t and t + i <= P.n + 1)
-
-
 def fixed_positions_check(n: int, k: int, directed: bool) -> bool:
     """Whether every k-profile class over all n! permutations agrees on the
     positions of 1 and n and on the three element blocks they delimit."""
-    n, k, directed = _require_n(n), _require_int(k, "k"), _require_bool(directed)
+    n, k, directed = _require_n(n), require_int(k, "k"), require_bool(directed)
     if not 1 <= k <= n + 1:
         raise PreconditionViolation(f"need 1 <= k <= n+1, got k={k}, n={n}")
     upto = _all_masks(n)

@@ -512,10 +512,9 @@ print(json.dumps([code, out.getvalue(), "numpy" in sys.modules]))
 
 
 class TestColdPath:
-    """In a fresh process, the package and every command but the two
-    exhaustive ones, the oracle's included, load no numpy, and all of them
-    answer as a warm process does; `min-k` and `counterexample` load the
-    kernels on first use."""
+    """In a fresh process, the package and every command but `min-k`, the
+    oracle's and `counterexample` included, load no numpy, and all of them
+    answer as a warm process does; `min-k` loads the kernels on first use."""
 
     @pytest.fixture
     def files(self, golden_perm_file, golden_profile_file, golden_undirected_file, tmp_path):
@@ -539,8 +538,10 @@ class TestColdPath:
         ["solve", "{uprof}"],
         ["verify", "{perm}", "{prof}"],
         ["profile", "{perm}", "--k", "2", "--directed"],
+        ["counterexample", "8", "2", "--directed"],
+        ["counterexample", "8", "2", "--directed", "--json"],
     ], ids=["solve", "solve-json", "solve-dump-graph", "solve-linear", "solve-undirected",
-            "verify", "profile"])
+            "verify", "profile", "counterexample", "counterexample-json"])
     def test_no_numpy(self, argv, files, capsys):
         code, out, numpy = self._cold_and_warm(argv, files, capsys)
         assert code == 0 and out and not numpy
@@ -557,8 +558,7 @@ class TestColdPath:
 
     @pytest.mark.parametrize("argv, lines", [
         (["min-k", "5"], 1),
-        (["counterexample", "8", "2", "--directed"], 2),
-    ], ids=["min-k", "counterexample"])
+    ], ids=["min-k"])
     def test_exhaustive_commands_answer(self, argv, lines, files, capsys):
         code, out, _ = self._cold_and_warm(argv, files, capsys)
         assert (code, len(out.splitlines())) == (0, lines)

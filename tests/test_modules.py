@@ -17,7 +17,7 @@ SRC = Path(minmaxperm.__file__).parent
 # and the CLI, load them only when a call needs them.
 NUMPY_MODULES = ("reconstruction",)
 
-# The names the package exports; the four reconstruction names resolve on
+# The names the package exports; the three reconstruction names resolve on
 # first use.
 EXPORTED = [
     "BadEndpoints", "COutOfRange", "CyclicGraph", "Direction",

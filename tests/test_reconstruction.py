@@ -11,15 +11,18 @@ from minmaxperm import (
     InternalInconsistency,
     Permutation,
     PreconditionViolation,
+    Profile,
     TooLarge,
     collision_pair,
     compute_profile,
+    compute_set_profile,
     fixed_positions_check,
     is_unique,
     min_unique_k,
+    nb_set,
     validate_permutation,
 )
-from minmaxperm import reconstruction
+from minmaxperm import profiles, reconstruction
 from minmaxperm.reconstruction import _all_masks, _slot_digits
 
 from helpers import (
@@ -395,7 +398,7 @@ class TestCollisionPair:
         # two full profiles
         def agree(P, Q, k):
             full = compute_profile(P, k, directed) == compute_profile(Q, k, directed)
-            assert reconstruction._swap_keeps_profile(P, Q, k, directed) == full, (P, k)
+            assert profiles._swap_keeps_profile(P, Q, k, directed) == full, (P, k)
             return full
 
         pairs = 0
@@ -429,7 +432,7 @@ class TestCollisionPair:
     @pytest.mark.parametrize("directed", (True, False))
     def test_limit(self, directed):
         # past the k range, an n above the limit is refused, not built
-        n = reconstruction.COLLISION_LIMIT + 1
+        n = profiles.COLLISION_LIMIT + 1
         with pytest.raises(TooLarge):
             collision_pair(n, 1, directed)
         with pytest.raises(PreconditionViolation):
@@ -452,8 +455,8 @@ class TestFixedPositions:
                 fixed_positions_check(n, k, True)
 
 
-# Each entry point reads n and k with operator.index; x stands for one of
-# them, the other arguments being valid.
+# Each entry point reads n, k and c with operator.index; x stands for one
+# of them, the other arguments being valid.
 INTEGER_ARGUMENTS = {
     "min_unique_k-n": lambda x: min_unique_k(x, True),
     "fixed_positions_check-n": lambda x: fixed_positions_check(x, 2, True),
@@ -461,6 +464,8 @@ INTEGER_ARGUMENTS = {
     "collision_pair-n": lambda x: collision_pair(x, 1, False),
     "collision_pair-k": lambda x: collision_pair(10, x, False),
     "compute_profile-k": lambda x: compute_profile(identity_perm(6), x, True),
+    "compute_set_profile-k": lambda x: compute_set_profile([identity_perm(6)], x, True),
+    "nb_set-c": lambda x: nb_set(compute_profile(identity_perm(6), 1, False), x),
 }
 
 
@@ -484,12 +489,15 @@ class TestIntegerArguments:
         assert type(P.n) is int and compute_profile(P, 2, True) == compute_profile(Q, 2, True)
 
 
-# Each exhaustive entry point refuses a directed that is not a bool, before
-# it builds or caches anything; d stands for it.
+# Each entry point refuses a directed that is not a bool, the exhaustive
+# ones before they build or cache anything; d stands for it.
 DIRECTED_ARGUMENTS = {
     "min_unique_k": lambda d: min_unique_k(5, d),
     "fixed_positions_check": lambda d: fixed_positions_check(5, 2, d),
     "collision_pair": lambda d: collision_pair(10, 1, d),
+    "Profile": lambda d: Profile(6, 1, d, compute_profile(identity_perm(6), 1, False).constraints),
+    "compute_profile": lambda d: compute_profile(identity_perm(6), 1, d),
+    "compute_set_profile": lambda d: compute_set_profile([identity_perm(6)], 1, d),
 }
 
 
@@ -509,6 +517,8 @@ class TestDirectedArgument:
 
     def test_plain_bool_passed_on(self):
         assert type(min_unique_k(5, np.bool_(True)).directed) is bool
+        for call in ("Profile", "compute_profile", "compute_set_profile"):
+            assert type(DIRECTED_ARGUMENTS[call](np.bool_(True)).directed) is bool
 
 
 class TestGroupingFaults:
