@@ -143,7 +143,7 @@ def pair_count(n: int, k: int) -> int:
 class Profile:
     """A full (t, t+i) constraint map for all gaps 1 <= i <= k.
 
-    Structural requirements are enforced at construction: exactly one
+    Structural requirements are enforced at construction: n >= 1, exactly one
     constraint per admissible (t, i) pair, every direction a `Direction`,
     and an undirected profile has every direction Unknown.  directed must be
     a bool (see require_bool) and is stored as a plain bool.  n, k and each
@@ -163,6 +163,8 @@ class Profile:
             n, k = operator.index(n), operator.index(k)
         except TypeError:
             raise PreconditionViolation(f"n and k must be integers, got n={n!r}, k={k!r}") from None
+        if n < 1:
+            raise PreconditionViolation(f"n must be at least 1, got n={n}")
         if not 1 <= k <= n + 1:
             raise PreconditionViolation(f"need 1 <= k <= n+1, got k={k}, n={n}")
         directed = require_bool(directed)

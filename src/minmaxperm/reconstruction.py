@@ -13,36 +13,35 @@ This is the one module that uses numpy, and no module the package or the
 CLI loads at start-up imports it: `min_unique_k` and
 `fixed_positions_check` load it when first called.
 
-The two exhaustive checks share one grouping of a set of permutations by
-their k-profiles.  The n! permutations are held value-major, in
+Both exhaustive checks read one refinement of the n! permutations by
+their profiles, gap by gap.  The permutations are held value-major, in
 lexicographic order, as one uint16 bitmask per value and permutation, of
-the values at or left of it (_all_masks, built once per n).  A profile of
-span k over {0..n+1} has one slot per (gap i, start t) pair, i = 1..k and
-t = 0..n+1-i, ordered by (i, t), and each slot's (m, M, dir) is one
-mixed-radix digit: the XOR of the masks of a slot's two ends determines
-the slot's values and direction, and a table indexed by slot and XOR
-holds each digit.  The digits are computed _ROW_BLOCK permutations at a
-time.  The permutations are grouped exactly, in passes: each pass packs
-the current class id and as many digits as fit below 2**63 into one int64
-key, sorts the keys with `np.argsort` and numbers the classes densely
-again, until every class is a singleton or the digits run out.  Only the
-first pass keys every permutation; each later pass keys only those whose
-class still has another member.  Each permutation is compared with its
-class leader, the first in lexicographic order with the same digits.  A
-fixed-positions failure is a permutation whose masks of 1 and n differ
-from its leader's, over one grouping of all n!.  The minimum k refines
-instead of regrouping: equal k-profiles have equal (k-1)-profiles, so a
-permutation alone in its class stays alone as k grows.  All permutations
-are grouped at k = 1, and each later k groups only the mask columns whose
-class at k - 1 had another member, still in lexicographic order.  A
-collision is the first permutation whose leader lies before it, read back
-from its masks: value v lies at position popcount(mask of v) - 1.
+the values at or left of it (_all_masks, built once per n).  A profile
+over {0..n+1} has one slot per (gap i, start t) pair, t = 0..n+1-i, and
+each slot's (m, M, dir) is one mixed-radix digit: the XOR of the masks of
+a slot's two ends determines the slot's values and direction, and a table
+per gap, indexed by start and XOR, holds each digit.  The k-profile is the
+slots of gaps 1 to k, so the classes after gap k refine those after gap
+k - 1, and a permutation alone in its class stays alone.  The refinement
+carries the live permutations, the indices of those still sharing a
+class, grouped by class, from one gap to the next.  Each gap computes its
+digits for the live permutations only, _ROW_BLOCK at a time, packs each
+one's class id and the digits into int64 keys, sorts the keys with
+`np.argsort`, keeps only the permutations whose key another one shares
+and numbers their classes densely again.  The leader of a class is its
+least index.  The minimum k is the first gap after which no class is
+shared, and the collision at k - 1 is the first permutation after gap
+k - 1 whose leader lies before it, read back from its masks: value v lies
+at position popcount(mask of v) - 1.  A fixed-positions failure is a
+permutation, live after gap k, whose masks of 1 and n differ from its
+leader's.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+import itertools
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -56,7 +55,8 @@ from .profiles import Permutation, compute_profile, require_bool, require_int
 UniquenessReport, is_unique = solvers.UniquenessReport, solvers.is_unique
 
 # The groupings refuse a larger n before building any mask: at n = 10,
-# fixed_positions_check at k = 2 takes over a second and peaks above 300 MB.
+# min_unique_k and fixed_positions_check at k = 2 take 0.6 to 1.2 s and
+# peak at 265 to 284 MB resident, 87 MB of it the masks, which stay cached.
 GROUPING_LIMIT = 9
 # Permutations (mask columns) per block of the digit kernel: the fastest
 # of 1,024 to 40,320 at n = 8, and at V <= 11 it keeps each of its (V, b)
@@ -112,22 +112,21 @@ def _permutation(column: np.ndarray) -> Permutation:
 
 
 @functools.lru_cache(maxsize=None)
-def _digit_table(V: int, k: int, directed: bool) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The digit of every slot of span k over range(V) for every segment
-    mask, as a read-only (L, 2**V) array, and the L slot bases.
+def _digit_table(V: int, i: int, directed: bool) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The digit of every slot of gap i over range(V) for every segment
+    mask, as a read-only (V-i, 2**V) array, and the V-i slot bases.
 
-    Entry [s, mask] of slot s = (t, t+i) is m*(V-t-i) + M-t-i, m and M
-    being the lowest and highest bits of mask | 1<<t | 1<<(t+i); directed,
-    it is doubled, plus bit t+i of the mask.  The mask of a slot is
+    Entry [t, mask] of slot (t, t+i) is m*(V-t-i) + M-t-i, m and M being
+    the lowest and highest bits of mask | 1<<t | 1<<(t+i); directed, it is
+    doubled, plus bit t+i of the mask.  The mask of a slot is
     upto[t] ^ upto[t+i] (see _slot_digits): it holds the values after t up
     to t+i when t lies left of t+i, and those after t+i up to t otherwise,
     so its bit t+i is set exactly when t lies left.  m lies in 0..t and M in
     t+i..V-1, so a digit lies below its base (t+1)(V-t-i), doubled when
     directed; equal (m, M, dir) give equal digits and equal digits equal
     (m, M, dir)."""
-    gaps = range(1, k + 1)
-    t = np.concatenate([np.arange(V - i) for i in gaps])[:, None]
-    end = np.concatenate([np.arange(i, V) for i in gaps])[:, None]
+    t = np.arange(V - i)[:, None]
+    end = t + i
     masks = np.arange(1 << V)
     seg = masks | 1 << t | 1 << end
     M = np.frexp(seg)[1] - 1
@@ -141,92 +140,93 @@ def _digit_table(V: int, k: int, directed: bool) -> tuple[np.ndarray, tuple[int,
     return table, tuple(base.tolist())
 
 
-def _slot_digits(upto: np.ndarray, k: int, directed: bool) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The k-profile of each of the B permutations whose (V, B) uint16
-    value masks are upto (see _all_masks) as one mixed-radix digit per
-    slot: an (L, B) slot-major array whose column b holds the digits of
-    permutation b, and the L bases (see _digit_table).  The masks hold at
-    most 16 values, so V may not pass 16.
+def _slot_digits(upto: np.ndarray, live: np.ndarray, i: int,
+                 directed: bool) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The slots of gap i of the permutations live, indices into the
+    columns of the (V, B) uint16 value masks upto (see _all_masks), as one
+    mixed-radix digit per slot: a (V-i, len(live)) slot-major array whose
+    column b holds the digits of permutation live[b], and the V-i bases
+    (see _digit_table).  The masks hold at most 16 values, so V may not
+    pass 16.
 
-    The masks go through in blocks of at most _ROW_BLOCK columns: the
-    digits of each gap's slots take one XOR of the masks of their two ends,
-    in uint16, and one gather from _digit_table.  The XOR and the gather
-    index are allocated once per call, span columns wide; a shorter last
-    block fills and reads only their first columns."""
-    V, B = upto.shape
-    k = min(k, V - 1)
-    table, base = _digit_table(V, k, directed)
-    L = len(base)
-    # slot s reads the row of the flat table at s << V
-    offset = (np.arange(L) << V)[:, None]
-    span = min(B, _ROW_BLOCK)
-    segments = np.empty((V - 1, span), np.uint16)
-    cells = np.empty((V - 1, span), np.intp)
-    digits = np.empty((L, B), table.dtype)
-    for at in range(0, B, _ROW_BLOCK):
-        mask = upto[:, at:at + _ROW_BLOCK]
-        b = mask.shape[1]
-        s = 0
-        for i in range(1, k + 1):
-            width = V - i
-            segment_masks = np.bitwise_xor(mask[:width], mask[i:], out=segments[:width, :b])
-            at_table = np.add(segment_masks, offset[s:s + width], out=cells[:width, :b])
-            np.take(table, at_table, out=digits[s:s + width, at:at + b])
-            s += width
+    The permutations go through in blocks of at most _ROW_BLOCK: a block's
+    mask columns are gathered, the masks of each slot's two ends are XORed,
+    in uint16, and each slot's digits are gathered from its row of
+    _digit_table.  The gathered masks and the XOR are allocated once per
+    call, span columns wide; a shorter last block fills and reads only
+    their first columns."""
+    V = upto.shape[0]
+    table, base = _digit_table(V, i, directed)
+    span = min(len(live), _ROW_BLOCK)
+    masks = np.empty((V, span), np.uint16)
+    segments = np.empty((V - i, span), np.uint16)
+    digits = np.empty((V - i, len(live)), table.dtype)
+    # every index lies in range by construction: mode="clip" spares the
+    # bounds check, for which np.take would first copy its output
+    for at in range(0, len(live), _ROW_BLOCK):
+        block = live[at:at + _ROW_BLOCK]
+        b = len(block)
+        mask = np.take(upto, block, axis=1, out=masks[:, :b], mode="clip")
+        np.bitwise_xor(mask[:V - i], mask[i:], out=segments[:, :b])
+        for t, row in enumerate(table):
+            np.take(row, segments[t, :b], out=digits[t, at:at + b], mode="clip")
     return digits, base
 
 
-def _leaders(upto: np.ndarray, k: int, directed: bool) -> np.ndarray:
-    """For each permutation of the (V, B) value masks upto, the index of
-    the first sharing its k-profile (its class leader).
-
-    The permutations are grouped by their slot digits in passes.  Each
-    pass appends to the dense class id of every permutation as many digits
-    as keep the key below 2**63, sorts the int64 keys and numbers the
-    distinct ones densely again.  The first pass keys all permutations;
-    each later one only those whose class still has another member, as a
-    permutation alone in its class stays alone.  The passes stop once
-    every class is a singleton or the digits run out.  The leader of a
-    class is its least index, so the first of its class in the order
-    given.  A digit at or above its base would spill into the next slot
-    of a key, so it raises InternalInconsistency."""
-    digits, base = _slot_digits(upto, k, directed)
+def _regroup(upto: np.ndarray, live: np.ndarray, new: np.ndarray, i: int,
+             s: int, directed: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """One key pass over the permutations live, indices into the columns
+    of the value masks upto, grouped by class, new flagging the first of
+    each class.  The key of each is its dense class id with as many digits
+    of gap i appended, from slot s on, as keep it below 2**63.  Returns the
+    permutations whose key another one shares, grouped by key, the flags of
+    the first of each group, and the next slot.  A digit at or above its
+    base would spill into the next slot of a key, so it raises
+    InternalInconsistency."""
+    digits, base = _slot_digits(upto, live, i, directed)
     if (digits.max(axis=1, initial=0) >= base).any():
-        raise InternalInconsistency(f"slot digit out of range at n={upto.shape[0] - 2}, k={k}")
-    B = upto.shape[1]
-    if B < 2:
-        return np.arange(B)
-    # after the first pass, the permutations that still share a class,
-    # grouped by class, and their dense class ids
-    live, ids = None, np.zeros(B, np.int64)
-    classes, s = 1, 0
-    while True:
-        radix = 1
-        key = ids
-        while s < len(base) and classes * radix * base[s] <= 2**63:
-            key *= base[s]
-            key += digits[s] if live is None else digits[s, live]
-            radix *= base[s]
-            s += 1
-        order = np.argsort(key)
-        key = key[order]
-        live = order if live is None else live[order]
-        new = np.empty(len(key), bool)
-        new[0] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        # a permutation shares its class when the key before or after it
-        # is equal
-        shared = ~new
-        shared[:-1] |= ~new[1:]
-        live, new = live[shared], new[shared]
-        classes = int(np.count_nonzero(new))
-        ids = np.cumsum(new) - 1
-        if classes == 0 or s == len(base):
-            break
-    leader = np.arange(B)
-    if classes:
-        leader[live] = np.minimum.reduceat(live, np.flatnonzero(new))[ids]
-    return leader
+        raise InternalInconsistency(f"slot digit out of range at n={upto.shape[0] - 2}, gap {i}")
+    key = np.cumsum(new) - 1
+    radix = int(key[-1]) + 1
+    while s < len(base) and radix * base[s] <= 2**63:
+        key *= base[s]
+        key += digits[s]
+        radix *= base[s]
+        s += 1
+    order = np.argsort(key)
+    key = key[order]
+    new = np.empty(len(key), bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    # a permutation shares its class when the key before or after it is
+    # equal
+    shared = ~new
+    shared[:-1] |= ~new[1:]
+    return live[order[shared]], new[shared], s
+
+
+def _refine(upto: np.ndarray, directed: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The classes of the permutations of the (V, B) value masks upto after
+    each gap i = 1, 2, ..., V-1, as (live, leader): the indices of the
+    permutations that still share a class, grouped by class, and the
+    leader of each, the least index of its class, so the first of its
+    class in the order given.  After the first gap that leaves no class
+    shared, both are empty and the refinement stops.
+
+    Each gap keys the live permutations by their class and the gap's
+    digits, in as many passes (see _regroup) as the int64 keys need; each
+    pass reads the digits of the permutations still live."""
+    V, B = upto.shape
+    # all B permutations in one class
+    live, new = np.arange(B), np.arange(B) == 0
+    for i in range(1, V):
+        s = 0
+        while s < V - i:
+            live, new, s = _regroup(upto, live, new, i, s, directed)
+            if not live.size:
+                yield live, live
+                return
+        yield live, np.minimum.reduceat(live, np.flatnonzero(new))[np.cumsum(new) - 1]
 
 
 def _require_n(n: int) -> int:
@@ -242,42 +242,41 @@ def min_unique_k(n: int, directed: bool) -> MinKResult:
     """Exhaustive minimum k such that no two permutations share a k-profile,
     with the first colliding pair (lexicographic enumeration) at k - 1.
 
-    A k-profile refines the (k-1)-profile, so a permutation alone in its
-    class stays alone at every larger k.  All n! are grouped at k = 1, and
-    at each later k only the live ones, those whose class at k - 1 had
-    another member, are grouped again.  The live mask columns keep their
-    lexicographic order, so each leader and the first permutation whose
-    leader lies before it are those of a grouping of all n!."""
+    The minimum k is the first gap of the refinement (see _refine) after
+    which no class is shared.  After each earlier gap, the first permutation
+    whose leader lies before it and that leader are the first pair of a
+    grouping of all n! by their profiles, and are re-checked entry-wise."""
     n, directed = _require_n(n), require_bool(directed)
-    live = _all_masks(n)
+    upto = _all_masks(n)
     previous = None
-    for k in range(1, n + 2):
-        leader = _leaders(live, k, directed)
-        later = np.flatnonzero(leader != np.arange(len(leader)))
-        if later.size == 0:
+    for k, (live, leader) in enumerate(_refine(upto, directed), 1):
+        if not live.size:
             return MinKResult(n=n, directed=directed, min_k=k, collision=previous)
-        j = later[0]
-        P, Q = (_permutation(live[:, i]) for i in (leader[j], j))
+        # the first permutation whose leader lies before it
+        j = np.argmin(np.where(leader < live, live, upto.shape[1]))
+        P, Q = (_permutation(upto[:, i]) for i in (leader[j], live[j]))
         # grouped by slot digits; re-check entry-wise through the scalar path
         # before reporting
         if compute_profile(P, k, directed) != compute_profile(Q, k, directed):
             raise InternalInconsistency(
                 f"code grouping disagrees with recomputed profiles at n={n}, k={k}")
         previous = P, Q
-        live = live[:, np.bincount(leader, minlength=len(leader))[leader] > 1]
     raise InternalInconsistency(f"no k up to n+1 separates all permutations of n={n}")
 
 
 def fixed_positions_check(n: int, k: int, directed: bool) -> bool:
     """Whether every k-profile class over all n! permutations agrees on the
-    positions of 1 and n and on the three element blocks they delimit."""
+    positions of 1 and n and on the three element blocks they delimit: the
+    classes after gap k of the refinement (see _refine), or the first empty
+    ones before it."""
     n, k, directed = _require_n(n), require_int(k, "k"), require_bool(directed)
     if not 1 <= k <= n + 1:
         raise PreconditionViolation(f"need 1 <= k <= n+1, got k={k}, n={n}")
     upto = _all_masks(n)
-    leader = _leaders(upto, k, directed)
+    for live, leader in itertools.islice(_refine(upto, directed), k):
+        pass
     # the masks of 1 and n fix the positions of 1 and n and the block of
     # every other value (before both, between or after), and are fixed by
     # them
     ends = upto[[1, n]]
-    return np.array_equal(ends[:, leader], ends)
+    return np.array_equal(ends[:, live], ends[:, leader])

@@ -119,14 +119,15 @@ def perm_rows(n: int) -> np.ndarray:
 def slot_codes(rows: np.ndarray, k: int, directed: bool) -> np.ndarray:
     """The k-profile codes [m | M | dir] of (B, V) int8 permutation rows,
     slot-major: a (3L, B) int8 array whose column b is the code of row b,
-    in the layout of `profile_arrays`.  Decoded from the digits that
-    `reconstruction._slot_digits` reads from the rows' `value_masks`: a
-    directed digit is twice m*(V-t-i) + M-t-i, plus 1 when t lies left of
-    t+i."""
-    digits, _ = _slot_digits(value_masks(rows), k, directed)
-    V = rows.shape[1]
-    end = np.concatenate([np.arange(i, V) for i in range(1, min(k, V - 1) + 1)])[:, None]
-    rest = digits.astype(np.int64)
+    in the layout of `profile_arrays`.  Decoded from the digits of gaps 1
+    to k, one after the other, that `reconstruction._slot_digits` reads
+    from the rows' `value_masks`: a directed digit is twice
+    m*(V-t-i) + M-t-i, plus 1 when t lies left of t+i."""
+    B, V = rows.shape
+    upto, every = value_masks(rows), np.arange(B)
+    gaps = range(1, k + 1)
+    rest = np.concatenate([_slot_digits(upto, every, i, directed)[0].astype(np.int64) for i in gaps])
+    end = np.concatenate([np.arange(i, V) for i in gaps])[:, None]
     dirs = rest % 2 * 2 - 1 if directed else np.zeros_like(rest)
     rest >>= directed
     return np.concatenate([rest // (V - end), rest % (V - end) + end, dirs]).astype(np.int8)

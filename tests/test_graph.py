@@ -637,17 +637,17 @@ class TestRootClosure:
 
     @staticmethod
     def _edge_profiles():
-        """Every profile with n <= 1 whose m and M lie in [-1, n + 2], any
-        direction; about 2,000 seeded n = 2..12 profiles, each a random
-        permutation's with a few entries redrawn from those ranges; and a
-        few k = 2 profiles."""
-        for n in (0, 1):
-            values = range(-1, n + 3)
-            for directed, dirs in ((True, (L, R, U)), (False, (U,))):
-                entry = list(itertools.product(values, values, dirs))
-                for combo in itertools.product(entry, repeat=n + 1):
-                    yield make_profile([(t, d, m, M) for t, (m, M, d) in enumerate(combo)],
-                                       n=n, directed=directed)
+        """Every profile with n = 1 whose m and M lie in [-1, n + 2], any
+        direction (`Profile` refuses n = 0); about 2,000 seeded n = 2..12
+        profiles, each a random permutation's with a few entries redrawn
+        from those ranges; and a few k = 2 profiles."""
+        n = 1
+        values = range(-1, n + 3)
+        for directed, dirs in ((True, (L, R, U)), (False, (U,))):
+            entry = list(itertools.product(values, values, dirs))
+            for combo in itertools.product(entry, repeat=n + 1):
+                yield make_profile([(t, d, m, M) for t, (m, M, d) in enumerate(combo)],
+                                   n=n, directed=directed)
         rng = random.Random("gate")
         for j in range(2000):
             n, directed = rng.randint(2, 12), j % 2 == 0

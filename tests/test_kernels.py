@@ -126,11 +126,18 @@ class TestKernelsMatchReference:
 
 
 def assert_codes(rows, k, directed):
-    """_slot_digits of the rows' masks is an (L, B) C-contiguous array with
-    L bases, one column per row, that decodes to their reference codes."""
-    digits, base = _slot_digits(value_masks(rows), k, directed)
-    assert digits.flags.c_contiguous
-    assert digits.shape == (len(base), len(rows)) == (pair_count(rows.shape[1] - 2, k), len(rows))
+    """_slot_digits of the rows' masks gives, for each gap i up to k, a
+    (V-i, B) C-contiguous array with V-i bases, one column per row, and
+    the gaps together decode to the rows' reference codes."""
+    upto, every = value_masks(rows), np.arange(len(rows))
+    V = rows.shape[1]
+    slots = 0
+    for i in range(1, k + 1):
+        digits, base = _slot_digits(upto, every, i, directed)
+        assert digits.flags.c_contiguous
+        assert digits.shape == (len(base), len(rows)) == (V - i, len(rows))
+        slots += len(base)
+    assert slots == pair_count(V - 2, k)
     codes = slot_codes(rows, k, directed)
     assert np.array_equal(codes.T, reference_codes(rows, k, directed).reshape(codes.T.shape))
 
@@ -178,19 +185,25 @@ class TestKernelEdgeCases:
             assert_codes(rows, n + 1, directed)
 
     @pytest.mark.parametrize("directed", [True, False])
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_tables_reused_across_blocks(self, directed, k):
-        # all n = 8 rows: four full blocks and a short last one, which
-        # reads only the mask columns that its own rows filled
+    @pytest.mark.parametrize("i", [2, 3])
+    def test_tables_reused_across_blocks(self, directed, i):
+        # all n = 8 permutations: four full blocks and a short last one,
+        # which reads only the mask columns that its own permutations
+        # filled; any order of the indices gives the same digits
         upto = _all_masks(8)
-        last = upto.shape[1] // _ROW_BLOCK * _ROW_BLOCK
-        assert (upto.shape[1] - last, last // _ROW_BLOCK) == (7552, 4)
-        digits, _ = _slot_digits(upto, k, directed)
+        B = upto.shape[1]
+        last = B // _ROW_BLOCK * _ROW_BLOCK
+        assert (B - last, last // _ROW_BLOCK) == (7552, 4)
+        digits, _ = _slot_digits(upto, np.arange(B), i, directed)
         rows = perm_rows(8)[last:]
-        codes = slot_codes(rows, k, directed)
-        assert np.array_equal(codes.T, reference_codes(rows, k, directed))
-        assert np.array_equal(_slot_digits(value_masks(rows), k, directed)[0], digits[:, last:])
-        assert np.array_equal(_slot_digits(upto[:, _ROW_BLOCK:], k, directed)[0], digits[:, _ROW_BLOCK:])
+        codes = slot_codes(rows, i, directed)
+        assert np.array_equal(codes.T, reference_codes(rows, i, directed))
+        assert np.array_equal(_slot_digits(value_masks(rows), np.arange(len(rows)), i, directed)[0],
+                              digits[:, last:])
+        assert np.array_equal(_slot_digits(upto, np.arange(_ROW_BLOCK, B), i, directed)[0],
+                              digits[:, _ROW_BLOCK:])
+        shuffled = np.random.default_rng(i).permutation(B)
+        assert np.array_equal(_slot_digits(upto, shuffled, i, directed)[0], digits[:, shuffled])
 
 
 class TestValueMasks:
@@ -199,14 +212,14 @@ class TestValueMasks:
         assert reconstruction.GROUPING_LIMIT + 2 <= 16
 
     @pytest.mark.parametrize("directed", [True, False])
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_digit_table(self, k, directed):
-        # entry [s, mask] of slot s = (t, t+i) is m*(V-t-i) + M-t-i, from
-        # the least and greatest bit of mask | ends; directed, doubled plus
-        # bit t+i of the mask
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_digit_table(self, i, directed):
+        # entry [t, mask] of slot (t, t+i) is m*(V-t-i) + M-t-i, from the
+        # least and greatest bit of mask | ends; directed, doubled plus bit
+        # t+i of the mask
         V = 11
-        table, base = reconstruction._digit_table(V, k, directed)
-        slots = [(t, t + i) for i in range(1, k + 1) for t in range(V - i)]
+        table, base = reconstruction._digit_table(V, i, directed)
+        slots = [(t, t + i) for t in range(V - i)]
         assert table.shape == (len(slots), 1 << V) and table.dtype == np.uint8
         assert not table.flags.writeable
         assert base == tuple((t + 1) * (V - end) * (1 + directed) for t, end in slots)

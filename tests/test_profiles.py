@@ -257,10 +257,18 @@ class TestProfileConstruction:
         (4, "2", "n and k must be integers"),
         (4, 0, r"need 1 <= k <= n\+1, got k=0, n=4"),
         (4, 6, r"need 1 <= k <= n\+1, got k=6, n=4"),
+        (0, 1, "n must be at least 1, got n=0"),
+        (-1, 0, "n must be at least 1, got n=-1"),
     ])
     def test_n_and_k(self, n, k, match):
         with pytest.raises(PreconditionViolation, match=match):
             Profile(n=n, k=k, directed=True, constraints=self.F.constraints)
+
+    def test_n_zero_with_a_full_grid(self):
+        # the one (t, i) pair of n = 0, k = 1 is present, so only n refuses it
+        cons = {(0, 1): KConstraint(0, 1, Direction.LEFT_TO_RIGHT, 0, 1)}
+        with pytest.raises(PreconditionViolation, match="n must be at least 1, got n=0"):
+            Profile(0, 1, True, cons)
 
     def test_missing_key(self):
         cons = dict(self.F.constraints)

@@ -1,5 +1,4 @@
 import itertools
-import operator
 import random
 import time
 import tracemalloc
@@ -121,10 +120,35 @@ class TestGroupingLimit:
         assert time.perf_counter() - start < 1.0
 
 
+@pytest.fixture
+def passes(monkeypatch):
+    # the keys of each sort pass, by their count and least value: a key
+    # past 2**63 - 1 would wrap to a negative int64
+    made = []
+    real = np.argsort
+
+    def recording(keys, *args, **kwargs):
+        made.append((len(keys), keys.min()))
+        return real(keys, *args, **kwargs)
+
+    monkeypatch.setattr(reconstruction.np, "argsort", recording)
+    return made
+
+
+def leaders_after(upto, k, directed):
+    """The leader of every permutation of the value masks upto after gap k
+    of the refinement: the least index of its class, itself when alone."""
+    leader = np.arange(upto.shape[1])
+    for live, lead in itertools.islice(reconstruction._refine(upto, directed), k):
+        pass
+    leader[live] = lead
+    return leader
+
+
 class TestRefinement:
-    """min_unique_k groups, at each k > 1, only the permutations whose
-    class at k - 1 had another member; checked against one grouping of all
-    rows."""
+    """min_unique_k reads, after each gap k, exactly the permutations that
+    share their k-profile with another, grouped by class, each with its
+    leader in one grouping of all rows."""
 
     @staticmethod
     def full_leaders(rows, k, directed):
@@ -134,35 +158,56 @@ class TestRefinement:
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_live_rows_match_full_grouping(self, directed, monkeypatch):
-        calls = []
-        real = reconstruction._leaders
+        gaps = []
+        real = reconstruction._refine
 
-        def recording(upto, k, directed):
-            leader = real(upto, k, directed)
-            calls.append((upto.T.copy(), k, leader))
-            return leader
+        def recording(upto, directed):
+            for live, leader in real(upto, directed):
+                gaps.append((live.copy(), leader.copy()))
+                yield live, leader
 
-        monkeypatch.setattr(reconstruction, "_leaders", recording)
+        monkeypatch.setattr(reconstruction, "_refine", recording)
         for n in range(1, 8):
-            calls.clear()
+            gaps.clear()
             min_k = min_unique_k(n, directed).min_k
             rows = perm_rows(n)
-            # the live permutations by their masks, one row per permutation
-            index = {row.tobytes(): i for i, row in enumerate(value_masks(rows).T)}
-            assert [k for _, k, _ in calls] == list(range(1, min_k + 1))
-            assert len(calls[0][0]) == len(rows)
-            for j, (live, k, leader) in enumerate(calls):
+            assert len(gaps) == min_k and len(gaps[-1][0]) == 0
+            for k, (live, leader) in enumerate(gaps, 1):
                 full = self.full_leaders(rows, k, directed)
-                at = np.array([index[row.tobytes()] for row in live])
-                # each live row's leader is its leader among all rows
-                assert (at[leader] == full[at]).all()
-                # the next live set is exactly the rows not alone at k
-                kept = np.zeros(len(rows), bool)
-                if j + 1 < len(calls):
-                    kept[[index[row.tobytes()] for row in calls[j + 1][0]]] = True
                 size = np.bincount(full, minlength=len(rows))[full]
-                assert (size[~kept] == 1).all()
-                assert (size[kept] > 1).all()
+                assert sorted(live.tolist()) == np.flatnonzero(size > 1).tolist()
+                assert (leader == full[live]).all()
+                # each class is one run of the live indices
+                runs = np.count_nonzero(leader[1:] != leader[:-1]) + 1 if len(live) else 0
+                assert runs == len(set(leader.tolist()))
+
+    @pytest.mark.parametrize("directed, live", [
+        pytest.param(True, [362_880, 76_608, 4_360], id="directed"),
+        pytest.param(False, [362_880, 214_280, 60_176, 14_736, 3_260, 480], id="undirected"),
+    ])
+    def test_n9_sorts_each_gap_once_over_the_live(self, directed, live, passes):
+        # one key pass per gap, over the permutations still sharing a
+        # class after the gap before: the live counts of docs/min_k.md
+        min_unique_k(9, directed)
+        assert [count for count, _ in passes] == live
+        assert min(least for _, least in passes) >= 0
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_live_set_is_indices(self, directed, monkeypatch):
+        # besides views of the cached masks, no uint16 array wider than
+        # one block is made from them: the live permutations are indices
+        # into the masks, not a copy of their columns
+        masks, made = _all_masks(9), []
+
+        class Traced(np.ndarray):
+            def __array_finalize__(self, obj):
+                if (self.dtype == np.uint16 and self.ndim and self.shape[-1] > reconstruction._ROW_BLOCK
+                        and not np.may_share_memory(self, masks)):
+                    made.append(self.shape)
+
+        monkeypatch.setattr(reconstruction, "_all_masks", lambda n: masks.view(Traced))
+        assert min_unique_k(9, directed).min_k == (3 if directed else 6)
+        assert made == []
 
 
 class TestGroupingMemory:
@@ -171,13 +216,14 @@ class TestGroupingMemory:
         (False, 6, ((0, 4, 5, 6, 7, 8, 1, 9, 2, 3, 10), (0, 4, 5, 6, 7, 8, 1, 9, 3, 2, 10))),
     ])
     def test_n9_kernel_calls_stay_within_one_block(self, directed, min_k, pair, monkeypatch):
-        # at k = 2 more than one block of rows is still live; besides its
-        # (L, B) digits, each kernel call allocates only 2-D scratch
-        # arrays, none wider than one block and the widest min(B, 8,192)
+        # at gap 2 more than one block of permutations is still live;
+        # besides its (V-i, B) digits, each kernel call allocates only 2-D
+        # scratch arrays, none wider than one block and the widest
+        # min(B, 8,192)
         calls = []
         real_empty = np.empty
 
-        def recording(upto, k, directed):
+        def recording(upto, live, i, directed):
             made = []
 
             def recording_empty(shape, *args, **kwargs):
@@ -186,10 +232,10 @@ class TestGroupingMemory:
 
             monkeypatch.setattr(reconstruction.np, "empty", recording_empty)
             try:
-                digits, base = _slot_digits(upto, k, directed)
+                digits, base = _slot_digits(upto, live, i, directed)
             finally:
                 monkeypatch.setattr(reconstruction.np, "empty", real_empty)
-            calls.append((upto.shape[1], digits.shape, made))
+            calls.append((len(live), digits.shape, made))
             return digits, base
 
         monkeypatch.setattr(reconstruction, "_slot_digits", recording)
@@ -214,7 +260,9 @@ class TestGroupingMemory:
     # (0.77 MiB against 0.38 MiB at n = 8) and the later key passes over
     # the permutations still sharing a class, the peaks are 2.41, 2.73 and
     # 2.73 MiB, the masks and the table built inside the call, so the
-    # bounds stay.
+    # bounds stay.  With one refinement over live indices, gap by gap, and
+    # each slot's digits gathered from its own table row, they are 2.40,
+    # 2.45 and 2.45 MiB, and the bounds stay.
     @pytest.mark.parametrize("directed, bound_mib", [(True, 2.83), (False, 2.97)])
     def test_n8_traced_peak(self, directed, bound_mib):
         assert traced_peak(lambda: min_unique_k(8, directed)) < bound_mib * 2**20
@@ -235,40 +283,25 @@ def traced_peak(call):
 
 
 class TestLeadersExact:
-    """_leaders equals a dict grouping of the code bytes on keys that take
-    more than one sort pass, and on a single row."""
-
-    @pytest.fixture
-    def passes(self, monkeypatch):
-        # the keys of each pass, by their count and least value: a key
-        # past 2**63 - 1 would wrap to a negative int64
-        made = []
-        real = np.argsort
-
-        def recording(keys, *args, **kwargs):
-            made.append((len(keys), keys.min()))
-            return real(keys, *args, **kwargs)
-
-        monkeypatch.setattr(reconstruction.np, "argsort", recording)
-        return made
+    """The leaders after a gap of the refinement equal a dict grouping of
+    the code bytes, on all n = 8 rows, on a shuffled n = 9 subset and on a
+    single row."""
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_all_n8_rows_at_full_span(self, directed, passes):
-        leader = reconstruction._leaders(_all_masks(8), 9, directed)
+        leader = leaders_after(_all_masks(8), 9, directed)
         assert len(passes) >= 2 and min(least for _, least in passes) >= 0
         assert (leader == np.arange(len(leader))).all()
         assert (leader == TestRefinement.full_leaders(perm_rows(8), 9, directed)).all()
 
-    @pytest.mark.parametrize("directed, shared", [(True, 2_530), (False, 6_304)])
+    @pytest.mark.parametrize("directed, shared", [(True, 4_770), (False, 18_690)])
     def test_later_passes_sort_shared_rows_only(self, directed, shared, passes):
-        # the first pass sorts all 8! permutations; the second only those
-        # still sharing a class after it, counted here on the digits that
-        # the first pass packs
+        # gap 1 sorts all 8! permutations; gap 2 only those still sharing
+        # a class after gap 1, counted here on the gap-1 digits
         assert fixed_positions_check(8, 2, directed)
-        assert [count for count, _ in passes[:2]] == [40_320, shared]
-        digits, base = _slot_digits(_all_masks(8), 2, directed)
-        packed = sum(radix <= 2**63 for radix in itertools.accumulate(base, operator.mul))
-        _, first, size = np.unique(digits[:packed].T, axis=0, return_inverse=True, return_counts=True)
+        assert [count for count, _ in passes] == [40_320, shared]
+        digits, _ = _slot_digits(_all_masks(8), np.arange(40_320), 1, directed)
+        _, first, size = np.unique(digits.T, axis=0, return_inverse=True, return_counts=True)
         assert (size[first.ravel()] > 1).sum() == shared
 
     @pytest.mark.parametrize("directed, k", [(True, 2), (False, 2), (False, 3)])
@@ -278,7 +311,7 @@ class TestLeadersExact:
         # not the least in lexicographic order
         rows = perm_rows(9)[:80_640]
         rows = rows[np.random.default_rng(9).permutation(len(rows))]
-        leader = reconstruction._leaders(value_masks(rows), k, directed)
+        leader = leaders_after(value_masks(rows), k, directed)
         assert len(passes) >= 2 and min(least for _, least in passes) >= 0
         assert (leader != np.arange(len(rows))).sum() > 100
         assert (leader == TestRefinement.full_leaders(rows, k, directed)).all()
@@ -289,9 +322,10 @@ class TestLeadersExact:
         # and, directed, dir: checked on every 35th row, through the
         # scalar path
         rows = perm_rows(7)
-        for k in (1, 4, 8):
-            digits, base = _slot_digits(_all_masks(7), k, directed)
+        for i in range(1, 9):
+            digits, base = _slot_digits(_all_masks(7), np.arange(len(rows)), i, directed)
             assert (digits < np.array(base)[:, None]).all()
+        for k in (1, 4, 8):
             codes = slot_codes(rows[::35], k, directed)
             for code, row in zip(codes.T, rows[::35]):
                 P = Permutation(n=7, elems=tuple(int(v) for v in row))
@@ -300,7 +334,7 @@ class TestLeadersExact:
     @pytest.mark.parametrize("directed", [True, False])
     def test_single_row(self, directed):
         upto = value_masks(np.array([GOLDEN_PERM], np.int8))
-        assert reconstruction._leaders(upto, 3, directed).tolist() == [0]
+        assert leaders_after(upto, 3, directed).tolist() == [0]
 
 
 def scan_first_collision(n, k, directed):
@@ -526,9 +560,9 @@ class TestGroupingFaults:
     out of range."""
 
     @staticmethod
-    def one_class(upto, k, directed):
+    def one_class(upto, live, i, directed):
         # digit 0 in every slot: m = 0, M = t+i and, directed, t right of t+i
-        digits, base = _slot_digits(upto, k, directed)
+        digits, base = _slot_digits(upto, live, i, directed)
         return np.zeros_like(digits), base
 
     def test_fixed_positions_fails(self, monkeypatch):
@@ -540,25 +574,27 @@ class TestGroupingFaults:
         with pytest.raises(InternalInconsistency):
             min_unique_k(6, True)
 
-    # the digit of one slot in one row set to its base, which would spill
-    # into the next slot of a key, or to the largest of its dtype: slot
-    # (2, 3) both ways, the first slot at its base and the last at the max
-    @pytest.mark.parametrize("slot, value", [
-        pytest.param(2, "base", id="base"),
-        pytest.param(2, "max", id="max"),
-        pytest.param(0, "base", id="first"),
-        pytest.param(-1, "max", id="last"),
+    # the digit of one slot of one live permutation set to its base, which
+    # would spill into the next slot of a key, or to the largest of its
+    # dtype: slot (2, 3) both ways, the first slot at its base and the last
+    # slot of gap 2 at the max.  At n = 6 classes are still shared after
+    # gap 1 in both directednesses, so both calls reach gap 2.
+    @pytest.mark.parametrize("gap, slot, value", [
+        pytest.param(1, 2, "base", id="base"),
+        pytest.param(1, 2, "max", id="max"),
+        pytest.param(1, 0, "base", id="first"),
+        pytest.param(2, -1, "max", id="last"),
     ])
     @pytest.mark.parametrize("directed", [True, False])
-    def test_code_out_of_range(self, directed, slot, value, monkeypatch):
-        def corrupt(upto, k, directed):
-            digits, base = _slot_digits(upto, k, directed)
-            bad = base[slot] if value == "base" else np.iinfo(digits.dtype).max
-            digits[slot, upto.shape[1] // 2] = bad
+    def test_code_out_of_range(self, directed, gap, slot, value, monkeypatch):
+        def corrupt(upto, live, i, directed):
+            digits, base = _slot_digits(upto, live, i, directed)
+            if i == gap:
+                digits[slot, len(live) // 2] = base[slot] if value == "base" else np.iinfo(digits.dtype).max
             return digits, base
 
         monkeypatch.setattr(reconstruction, "_slot_digits", corrupt)
         with pytest.raises(InternalInconsistency):
-            fixed_positions_check(5, 2, directed)
+            fixed_positions_check(6, 2, directed)
         with pytest.raises(InternalInconsistency):
-            min_unique_k(5, directed)
+            min_unique_k(6, directed)
